@@ -36,15 +36,10 @@ fn main() {
     let stats = exec::stats();
     let ips = stats.simulated_instructions as f64 / wall;
     eprintln!(
-        "[all_figures: {wall:.1}s wall, {} sims run ({} replayed from {} traces), \
-         {} memoized, {} deduped, {} trace-cache hits, {} workers, \
+        "[all_figures: {wall:.1}s wall, {} sims run, {} memoized, {} workers, \
          {ips:.2e} simulated instr/s]",
         stats.sims_run,
-        stats.sims_replayed,
-        stats.traces_recorded,
         stats.memo_hits,
-        stats.sims_deduped,
-        stats.trace_cache_hits,
         exec::jobs(),
     );
     let profile = telemetry::finish_sweep(wall_ns);
@@ -79,15 +74,11 @@ fn main() {
             "jobs follow EHSIM_JOBS (default: host cores)"
         };
         let json = format!(
-            "{{\n  \"wall_clock_seconds\": {wall:.3},\n  \"jobs\": {},\n  \"jobs_note\": \"{jobs_note}\",\n  \"engine\": \"{}\",\n  \"sims_run\": {},\n  \"memo_hits\": {},\n  \"traces_recorded\": {},\n  \"sims_replayed\": {},\n  \"sims_deduped\": {},\n  \"trace_cache_hits\": {},\n  \"simulated_instructions\": {},\n  \"simulated_instructions_per_second\": {ips:.1},\n  \"meta\": {},\n  \"profile\": {{\n    \"attributed_pct\": {:.2},\n  \"phases\": [\n{}\n  ]\n  }},\n  \"metrics\": {}\n}}\n",
+            "{{\n  \"wall_clock_seconds\": {wall:.3},\n  \"jobs\": {},\n  \"jobs_note\": \"{jobs_note}\",\n  \"engine\": \"{}\",\n  \"sims_run\": {},\n  \"memo_hits\": {},\n  \"simulated_instructions\": {},\n  \"simulated_instructions_per_second\": {ips:.1},\n  \"meta\": {},\n  \"profile\": {{\n    \"attributed_pct\": {:.2},\n  \"phases\": [\n{}\n  ]\n  }},\n  \"metrics\": {}\n}}\n",
             exec::jobs(),
             exec::engine(),
             stats.sims_run,
             stats.memo_hits,
-            stats.traces_recorded,
-            stats.sims_replayed,
-            stats.sims_deduped,
-            stats.trace_cache_hits,
             stats.simulated_instructions,
             telemetry::meta_json("  ", "default"),
             profile.attributed_pct,

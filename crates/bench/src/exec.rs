@@ -1,4 +1,4 @@
-//! Parallel trace-driven sweep executor with process-wide memoization.
+//! Parallel sweep executor with process-wide memoization.
 //!
 //! Every figure/table regeneration is a *sweep*: a batch of independent
 //! `(SimConfig, workload, scale)` simulations whose reports are then
@@ -10,54 +10,23 @@
 //! against — are simulated exactly once per process no matter how many
 //! figures request them.
 //!
-//! **Trace-driven execution.** Workloads are deterministic and their
-//! Bus access stream is design-independent, so the engine records each
-//! `(workload, scale)` stream once per process — one kernel execution
-//! against a flat memory ([`ehsim::BusTrace::record`]) — and *replays*
-//! the shared in-memory trace for every simulation of that workload
-//! ([`ehsim::Simulator::replay`]). Replay is bit-exact (see the
-//! `ehsim_mem::record` module docs for the argument and the
-//! replay-equivalence suite for the pin), and skips both the kernel's
-//! own computation and the per-sim workload construction, which
-//! dominated sweep wall-clock (`BENCH_replay.json` quantifies the
-//! speedup). Two environment switches exist for debugging:
-//! `EHSIM_EXACT=1` falls back to direct kernel execution for every
-//! simulation, and `EHSIM_REPLAY_CHECK=1` runs *both* paths and
-//! asserts the replayed [`Report`] equals the direct one
-//! field-for-field. `EHSIM_BATCH_CHECK=1` is the settlement twin: it
-//! runs every simulation through both the batched settlement engine
-//! and the per-retire reference path and asserts the reports
-//! identical.
+//! **Direct execution.** Every simulation builds its kernel and runs it
+//! on the simulated machine ([`ehsim::Simulator::run_with`]). Nothing
+//! is shared between simulations but the memoized reports, so a
+//! sweep's footprint is one machine per worker plus the memo.
+//! `EHSIM_BATCH_CHECK=1` runs every simulation through both
+//! the batched settlement engine and the per-retire reference path and
+//! asserts the reports identical.
 //!
-//! **Trace-content dedup.** Workloads issuing the byte-identical Bus
-//! stream need only one simulation per configuration (the encoding is
-//! canonical, so byte equality ⟺ op equality — today's suite has no
-//! such pair, see `tests/trace_dedup.rs`, but the machinery stays
-//! armed). The engine fingerprints every recorded trace
-//! (FNV over the canonical encoding), confirms candidate matches
-//! byte-for-byte, and redirects a twin's memo key to the first
-//! workload recorded with that content — so each shared pattern
-//! simulates once per configuration, and the twin's report is the
-//! canonical one with its own name and kernel checksum restored.
-//! Dedup applies to the replay engine only (`EHSIM_EXACT=1` re-executes
-//! every kernel for real); hits are counted in [`ExecStats`].
-//!
-//! **Persistent trace store.** `EHSIM_TRACE_CACHE=<dir>` keeps
-//! recorded `.bustrace` files across processes, keyed on (workload,
-//! scale, format version): a warm store lets a sweep skip kernel
-//! recording entirely. Loads are validated by the trace-file decode
-//! walk + payload checksum plus a workload-name check; validation
-//! failures fall back to recording and refresh the store entry.
-//!
-//! **Persistent result store.** `EHSIM_RESULT_STORE=<dir>` goes one
-//! step further: completed *reports* persist across processes in
+//! **Persistent result store.** `EHSIM_RESULT_STORE=<dir>` persists
+//! completed *reports* across processes in
 //! [`ehsim_farm::ResultStore`], keyed by the same injective `SimKey`
 //! as the memo cache. A memo miss consults the store before executing
 //! anything; a validated hit returns the stored report (byte-identical
 //! to execution — simulation is deterministic and the codec is
 //! bit-exact), any validation failure falls back to execution, and
 //! fresh results refresh the store. The serial reference and the
-//! cross-check modes never touch it. Hits/misses/rejects are counted
+//! batch-check mode never touch it. Hits/misses/rejects are counted
 //! in [`ExecStats`].
 //!
 //! Guarantees:
@@ -77,11 +46,9 @@
 //!   it, and floats are keyed by their exact bit patterns. Jobs
 //!   carrying a custom power trace are never memoized.
 //!
-//! Setting `EHSIM_SWEEP_SERIAL=1` bypasses the pool, the memo cache
-//! *and* the replay engine (every job re-executes its kernel inline,
-//! in order); the byte-identity tests use it to produce the serial
-//! reference, so they also pin replay against direct execution across
-//! every figure.
+//! Setting `EHSIM_SWEEP_SERIAL=1` bypasses the pool and the memo cache
+//! (every job runs inline, in order); the byte-identity tests use it to
+//! produce the serial reference.
 //!
 //! Setting `EHSIM_TRACE_WORKLOAD=<name>` additionally streams an event
 //! timeline for every simulation of that workload: each one writes a
@@ -95,7 +62,7 @@
 //! regenerated with tracing on are byte-identical.
 
 use crate::telemetry;
-use ehsim::{BusTrace, ObserverBox, Report, SimConfig, Simulator};
+use ehsim::{ObserverBox, Report, SimConfig, Simulator};
 use ehsim_obs::{Phase, StreamStatsHandle, StreamingObserver};
 use ehsim_workloads::Scale;
 use std::collections::HashMap;
@@ -136,18 +103,10 @@ pub struct ExecStats {
     pub memo_hits: u64,
     /// Total instructions retired across all executed simulations.
     pub simulated_instructions: u64,
-    /// Bus traces recorded (one kernel execution per `(workload,
-    /// scale)` the engine saw).
+    /// Bus traces recorded by the executor. Always 0: sweeps execute
+    /// kernels directly and record nothing. Kept only for existing
+    /// readers of this struct.
     pub traces_recorded: u64,
-    /// Simulations satisfied by trace replay rather than direct kernel
-    /// execution.
-    pub sims_replayed: u64,
-    /// Batch entries served with another workload's simulation because
-    /// the two op streams are content-identical (trace dedup).
-    pub sims_deduped: u64,
-    /// Bus traces loaded from the persistent `EHSIM_TRACE_CACHE` store
-    /// instead of recorded.
-    pub trace_cache_hits: u64,
     /// Memo misses served from the persistent `EHSIM_RESULT_STORE`
     /// (no execution at all).
     pub store_hits: u64,
@@ -160,14 +119,11 @@ pub struct ExecStats {
     pub store_rejects: u64,
 }
 
+#[derive(Default)]
 struct Counters {
     sims: AtomicU64,
     memo_hits: AtomicU64,
     instructions: AtomicU64,
-    traces: AtomicU64,
-    replays: AtomicU64,
-    deduped: AtomicU64,
-    trace_cache_hits: AtomicU64,
     store_hits: AtomicU64,
     store_misses: AtomicU64,
     store_rejects: AtomicU64,
@@ -175,18 +131,7 @@ struct Counters {
 
 fn counters() -> &'static Counters {
     static C: OnceLock<Counters> = OnceLock::new();
-    C.get_or_init(|| Counters {
-        sims: AtomicU64::new(0),
-        memo_hits: AtomicU64::new(0),
-        instructions: AtomicU64::new(0),
-        traces: AtomicU64::new(0),
-        replays: AtomicU64::new(0),
-        deduped: AtomicU64::new(0),
-        trace_cache_hits: AtomicU64::new(0),
-        store_hits: AtomicU64::new(0),
-        store_misses: AtomicU64::new(0),
-        store_rejects: AtomicU64::new(0),
-    })
+    C.get_or_init(Counters::default)
 }
 
 fn cache() -> &'static Mutex<HashMap<MemoKey, Arc<Report>>> {
@@ -201,10 +146,7 @@ pub fn stats() -> ExecStats {
         sims_run: c.sims.load(Ordering::Relaxed),
         memo_hits: c.memo_hits.load(Ordering::Relaxed),
         simulated_instructions: c.instructions.load(Ordering::Relaxed),
-        traces_recorded: c.traces.load(Ordering::Relaxed),
-        sims_replayed: c.replays.load(Ordering::Relaxed),
-        sims_deduped: c.deduped.load(Ordering::Relaxed),
-        trace_cache_hits: c.trace_cache_hits.load(Ordering::Relaxed),
+        traces_recorded: 0,
         store_hits: c.store_hits.load(Ordering::Relaxed),
         store_misses: c.store_misses.load(Ordering::Relaxed),
         store_rejects: c.store_rejects.load(Ordering::Relaxed),
@@ -229,51 +171,21 @@ fn serial_uncached() -> bool {
     std::env::var_os("EHSIM_SWEEP_SERIAL").is_some_and(|v| v != "0")
 }
 
-/// Execution-engine label for benchmark artifacts: `"replay"`
-/// normally, `"exact"` under `EHSIM_EXACT=1`, with `+check`
-/// (`EHSIM_REPLAY_CHECK=1`) and `+batch-check` (`EHSIM_BATCH_CHECK=1`)
-/// suffixes for the dual-path cross-check modes.
+/// Execution-engine label for benchmark artifacts: `"direct"`
+/// normally, `"direct+batch-check"` under `EHSIM_BATCH_CHECK=1`.
 pub fn engine() -> &'static str {
-    match (exact_mode(), replay_check(), batch_check()) {
-        (true, _, false) => "exact",
-        (true, _, true) => "exact+batch-check",
-        (false, false, false) => "replay",
-        (false, true, false) => "replay+check",
-        (false, false, true) => "replay+batch-check",
-        (false, true, true) => "replay+check+batch-check",
+    if batch_check() {
+        "direct+batch-check"
+    } else {
+        "direct"
     }
-}
-
-/// `EHSIM_EXACT=1`: skip the replay engine, re-execute every kernel.
-fn exact_mode() -> bool {
-    std::env::var_os("EHSIM_EXACT").is_some_and(|v| v != "0")
-}
-
-/// `EHSIM_REPLAY_CHECK=1`: run replay *and* direct execution for every
-/// simulation and assert the reports identical (debug cross-check).
-fn replay_check() -> bool {
-    std::env::var_os("EHSIM_REPLAY_CHECK").is_some_and(|v| v != "0")
 }
 
 /// `EHSIM_BATCH_CHECK=1`: run every simulation through *both*
 /// settlement engines — the default batched one and the per-retire
-/// reference path — and assert the reports field-for-field identical
-/// (the settlement twin of `EHSIM_REPLAY_CHECK`).
+/// reference path — and assert the reports field-for-field identical.
 fn batch_check() -> bool {
     std::env::var_os("EHSIM_BATCH_CHECK").is_some_and(|v| v != "0")
-}
-
-/// `EHSIM_TRACE_CACHE=<dir>`: the persistent `.bustrace` store. Keyed
-/// on (workload, scale, format version); a warm store lets a sweep
-/// skip kernel recording entirely.
-fn trace_cache_dir() -> Option<&'static std::path::Path> {
-    static D: OnceLock<Option<std::path::PathBuf>> = OnceLock::new();
-    D.get_or_init(|| {
-        std::env::var_os("EHSIM_TRACE_CACHE")
-            .filter(|v| !v.is_empty())
-            .map(std::path::PathBuf::from)
-    })
-    .as_deref()
 }
 
 /// Name of workload `ix` in the fixed 23-kernel suite, without
@@ -290,132 +202,6 @@ fn workload_name(ix: usize) -> &'static str {
         })
         .get(ix)
         .unwrap_or_else(|| panic!("workload index {ix} out of range"))
-}
-
-/// Filename fragment for a [`Scale`].
-fn scale_label(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Small => "small",
-        Scale::Default => "default",
-    }
-}
-
-/// Persistent-store path for `(workload, scale)`. The `v1` component
-/// is the trace-file format version: a future format bump changes the
-/// key, so stale-format files are never even opened (and would be
-/// rejected by load-time validation if they were).
-fn trace_cache_path(dir: &std::path::Path, workload: usize, scale: Scale) -> std::path::PathBuf {
-    dir.join(format!(
-        "{}__{}__v1.bustrace",
-        sanitize(workload_name(workload)),
-        scale_label(scale)
-    ))
-}
-
-/// The process-wide shared Bus trace for `(workload, scale)`,
-/// recording it on first use. The map lock is held only to fetch the
-/// per-key cell; the recording itself runs under the cell's own
-/// `OnceLock`, so concurrent workers record distinct workloads in
-/// parallel and block only on the one they both need.
-///
-/// With `EHSIM_TRACE_CACHE=<dir>` set, first use tries the persistent
-/// store before recording: a loaded file passes the full decode walk
-/// and payload checksum ([`BusTrace::load`]) plus a workload-name check
-/// here, and anything that fails validation simply falls back to
-/// recording (which then refreshes the store entry, best-effort).
-fn shared_trace(workload: usize, scale: Scale) -> Arc<BusTrace> {
-    type Cell = Arc<OnceLock<Arc<BusTrace>>>;
-    static TRACES: OnceLock<Mutex<HashMap<(usize, Scale), Cell>>> = OnceLock::new();
-    let cell: Cell = {
-        let mut map = TRACES
-            .get_or_init(|| Mutex::new(HashMap::new()))
-            .lock()
-            .expect("trace cache poisoned");
-        Arc::clone(map.entry((workload, scale)).or_default())
-    };
-    let trace = cell.get_or_init(|| {
-        if let Some(dir) = trace_cache_dir() {
-            let _t = telemetry::scope(Phase::TraceCacheLoad);
-            if let Ok(t) = BusTrace::load(&trace_cache_path(dir, workload, scale)) {
-                if t.name() == workload_name(workload) {
-                    counters().trace_cache_hits.fetch_add(1, Ordering::Relaxed);
-                    return Arc::new(t);
-                }
-            }
-        }
-        // The record phase includes kernel-suite construction and the
-        // best-effort store refresh — all cost a cold sweep pays here.
-        let _t = telemetry::scope(Phase::TraceRecord);
-        let workloads = ehsim_workloads::all23(scale);
-        let w = workloads
-            .get(workload)
-            .unwrap_or_else(|| panic!("workload index {workload} out of range"));
-        counters().traces.fetch_add(1, Ordering::Relaxed);
-        let t = BusTrace::record(w.as_ref());
-        if let Some(dir) = trace_cache_dir() {
-            let path = trace_cache_path(dir, workload, scale);
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!(
-                    "warning: cannot create trace cache dir {}: {e}",
-                    dir.display()
-                );
-            } else if let Err(e) = t.save(&path) {
-                eprintln!("warning: failed to persist {}: {e}", path.display());
-            }
-        }
-        Arc::new(t)
-    });
-    Arc::clone(trace)
-}
-
-/// The canonical workload index for `workload`'s trace *content*:
-/// op-identical workloads collapse onto the first index registered for
-/// their content, so the memo cache simulates the shared access
-/// pattern once per configuration. Fingerprint matches are confirmed
-/// byte-for-byte ([`BusTrace::same_ops`]) before any sharing happens —
-/// an FNV collision costs a redundant simulation, never a wrong
-/// report. Today's suite has no content-identical pairs (the nominal
-/// susan/jpeg twins diverge mid-stream; see `tests/trace_dedup.rs`),
-/// so this map is currently the identity.
-fn canonical_workload(workload: usize, scale: Scale) -> usize {
-    /// Fingerprint registry: (scale, payload FNV, mem_bytes) → workload
-    /// indices that share the fingerprint, in registration order.
-    type ContentReg = HashMap<(Scale, u64, u32), Vec<usize>>;
-    static MEMO: OnceLock<Mutex<HashMap<(usize, Scale), usize>>> = OnceLock::new();
-    static REG: OnceLock<Mutex<ContentReg>> = OnceLock::new();
-    let memo = MEMO.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(&canon) = memo
-        .lock()
-        .expect("dedup memo poisoned")
-        .get(&(workload, scale))
-    {
-        return canon;
-    }
-    let own = shared_trace(workload, scale);
-    let canon = {
-        let mut reg = REG
-            .get_or_init(|| Mutex::new(HashMap::new()))
-            .lock()
-            .expect("dedup registry poisoned");
-        let candidates = reg
-            .entry((scale, own.content_fnv(), own.mem_bytes()))
-            .or_default();
-        let found = candidates
-            .iter()
-            .copied()
-            .find(|&ix| ix == workload || shared_trace(ix, scale).same_ops(&own));
-        match found {
-            Some(ix) => ix,
-            None => {
-                candidates.push(workload);
-                workload
-            }
-        }
-    };
-    memo.lock()
-        .expect("dedup memo poisoned")
-        .insert((workload, scale), canon);
-    canon
 }
 
 /// Canonical memo key: the injective word encoding of a [`Job`],
@@ -435,9 +221,8 @@ fn memo_key(job: &Job) -> Option<MemoKey> {
 /// `EHSIM_RESULT_STORE=<dir>`: the persistent content-addressed result
 /// store ([`ehsim_farm::ResultStore`]). Read/written only on the memo
 /// miss path of the engine executor — the serial reference and the
-/// dual-path check modes (`EHSIM_EXACT`, `EHSIM_REPLAY_CHECK`,
-/// `EHSIM_BATCH_CHECK`) never touch it, since they exist to re-execute
-/// for real.
+/// `EHSIM_BATCH_CHECK` dual-path mode never touch it, since they exist
+/// to re-execute for real.
 fn result_store() -> Option<&'static ehsim_farm::ResultStore> {
     static S: OnceLock<Option<ehsim_farm::ResultStore>> = OnceLock::new();
     S.get_or_init(|| {
@@ -446,12 +231,6 @@ fn result_store() -> Option<&'static ehsim_farm::ResultStore> {
             .map(ehsim_farm::ResultStore::open)
     })
     .as_ref()
-}
-
-/// Whether this process's execution modes allow serving results from
-/// the store (any re-execution/cross-check mode opts out).
-fn store_eligible() -> bool {
-    !exact_mode() && !replay_check() && !batch_check()
 }
 
 /// The workload name whose simulations should also dump event
@@ -530,10 +309,9 @@ fn record_sim_ops(settles: u64, emit_stats: Option<StreamStatsHandle>) {
     }
 }
 
-/// Direct execution: builds the kernel suite and re-runs the kernel on
-/// the simulated machine (the exact path; also the serial-reference
-/// path). Panics with context on simulation errors — the harness
-/// treats them as fatal.
+/// Builds the job's kernel and runs it on the simulated machine,
+/// streaming its event timeline when `streaming`. Panics with context
+/// on simulation errors — the harness treats them as fatal.
 fn run_direct(job: &Job, streaming: bool) -> Report {
     let _t = telemetry::scope(Phase::DirectSim);
     let workloads = ehsim_workloads::all23(job.scale);
@@ -559,105 +337,50 @@ fn run_direct(job: &Job, streaming: bool) -> Report {
     report
 }
 
-/// Trace-driven execution: replays the process-wide shared Bus trace
-/// for this job's workload (recording it on first use).
-fn run_replay(job: &Job, streaming: bool) -> Report {
-    // Opened before `shared_trace` so a first-use recording nests as a
-    // trace-record child and is subtracted from replay self-time.
-    let _t = telemetry::scope(Phase::Replay);
-    let trace = shared_trace(job.workload, job.scale);
-    let (obs, emit_stats) = if streaming {
-        stream_sink(job, trace.name())
-    } else {
-        (ObserverBox::Noop, None)
-    };
-    counters().replays.fetch_add(1, Ordering::Relaxed);
-    let (report, machine) = Simulator::new(job.cfg.clone())
-        .replay_with(&trace, obs)
-        .unwrap_or_else(|e| {
-            panic!(
-                "{} / {} on {} (replay): {e}",
-                job.cfg.design.label(),
-                trace.name(),
-                job.cfg.trace_label()
-            )
-        });
-    record_sim_ops(machine.settle_windows(), emit_stats);
-    report
-}
-
-/// Runs one job to completion via the replay engine (or directly under
-/// `EHSIM_EXACT`), updating the process-wide counters.
-fn simulate(job: &Job) -> Report {
+/// Runs one job to completion under the engine label `engine`,
+/// updating the process-wide counters and emitting its heartbeat.
+/// `check` additionally re-runs it on the per-retire settlement path
+/// and asserts the two reports identical (`EHSIM_BATCH_CHECK`).
+fn simulate(job: &Job, engine: &str, check: bool) -> Report {
     let start_ns = telemetry::sim_clock_start();
-    let streaming = trace_workload() == Some(workload_name(job.workload));
-    let report = if exact_mode() {
-        run_direct(job, streaming)
-    } else {
-        let replayed = run_replay(job, streaming);
-        if replay_check() {
-            let direct = run_direct(job, false);
-            assert_eq!(
-                direct,
-                replayed,
-                "replay diverged from direct execution: {} / {} on {}",
-                job.cfg.design.label(),
-                workload_name(job.workload),
-                job.cfg.trace_label()
-            );
-        }
-        replayed
-    };
-    if batch_check() {
-        // Same simulation again, but with every machine constructed on
-        // the per-retire reference settlement path.
-        let reference = ehsim::with_settle_batching_disabled(|| {
-            if exact_mode() {
-                run_direct(job, false)
-            } else {
-                run_replay(job, false)
-            }
-        });
+    let workload = workload_name(job.workload);
+    let report = run_direct(job, trace_workload() == Some(workload));
+    if check {
+        let reference = ehsim::with_settle_batching_disabled(|| run_direct(job, false));
         assert_eq!(
             reference,
             report,
-            "batched settlement diverged from the per-retire reference: {} / {} on {}",
+            "batched settlement diverged from the per-retire reference: {} / {workload} on {}",
             job.cfg.design.label(),
-            workload_name(job.workload),
             job.cfg.trace_label()
         );
     }
-    count(&report);
+    let c = counters();
+    c.sims.fetch_add(1, Ordering::Relaxed);
+    c.instructions
+        .fetch_add(report.instructions, Ordering::Relaxed);
     telemetry::sim_completed(
         job.cfg.design.label(),
         job.cfg.trace_label(),
-        workload_name(job.workload),
-        engine(),
+        workload,
+        engine,
         start_ns,
         &report,
     );
     report
 }
 
-/// Counter bump shared by the engine and serial-reference paths.
-fn count(report: &Report) {
-    let c = counters();
-    c.sims.fetch_add(1, Ordering::Relaxed);
-    c.instructions
-        .fetch_add(report.instructions, Ordering::Relaxed);
-}
-
 /// Runs one memo miss: tries the persistent result store first (when
-/// configured and [`store_eligible`]), falling back to [`simulate`];
+/// configured and not in batch-check mode), falling back to [`simulate`];
 /// freshly executed results refresh the store best-effort. A store hit
 /// is *not* an executed simulation: no heartbeat, no `sims_run` bump —
 /// only `store_hits` — so "heartbeat count == sims actually executed"
 /// stays true for farm clients.
 fn simulate_or_load(job: &Job, key: Option<&MemoKey>) -> Report {
-    let store = result_store().filter(|_| store_eligible());
+    let store = result_store().filter(|_| !batch_check());
     let (store, key) = match (store, key) {
         (Some(s), Some(k)) => (s, k),
-        _ => return simulate(job),
+        _ => return simulate(job, engine(), batch_check()),
     };
     match store.load(key) {
         ehsim_farm::LoadOutcome::Hit(report) => {
@@ -672,7 +395,7 @@ fn simulate_or_load(job: &Job, key: Option<&MemoKey>) -> Report {
             eprintln!("warning: result store entry rejected ({reason}); re-executing");
         }
     }
-    let report = simulate(job);
+    let report = simulate(job, engine(), batch_check());
     if let Err(e) = store.save(key, &report) {
         eprintln!(
             "warning: failed to persist result for {}: {e}",
@@ -694,52 +417,11 @@ enum Slot {
 /// execute on a [`std::thread::scope`] work queue of [`jobs`] workers.
 pub fn run_batch(batch: &[Job]) -> Vec<Arc<Report>> {
     if serial_uncached() {
-        // The serial reference always re-executes kernels directly, so
-        // byte-identity tests comparing the engine against it pin the
-        // replay engine to direct execution across every figure.
         return batch
             .iter()
-            .map(|j| {
-                let start_ns = telemetry::sim_clock_start();
-                let streaming = trace_workload() == Some(workload_name(j.workload));
-                let report = run_direct(j, streaming);
-                count(&report);
-                telemetry::sim_completed(
-                    j.cfg.design.label(),
-                    j.cfg.trace_label(),
-                    workload_name(j.workload),
-                    "serial",
-                    start_ns,
-                    &report,
-                );
-                Arc::new(report)
-            })
+            .map(|j| Arc::new(simulate(j, "serial", false)))
             .collect();
     }
-
-    // Compute memo keys first, redirecting each job to its content
-    // dedup canonical workload (this may record traces, so it happens
-    // outside the cache lock). Exact mode opts out: it exists to
-    // re-execute every kernel for real, which sharing would undercut.
-    let dedup = !exact_mode();
-    let keys: Vec<Option<MemoKey>> = {
-        let _t = telemetry::scope(Phase::MemoLookup);
-        batch
-            .iter()
-            .map(|job| {
-                let key = memo_key(job)?;
-                if dedup {
-                    let canon = canonical_workload(job.workload, job.scale);
-                    if canon != job.workload {
-                        let mut twin = job.clone();
-                        twin.workload = canon;
-                        return memo_key(&twin);
-                    }
-                }
-                Some(key)
-            })
-            .collect()
-    };
 
     // Resolve against the cache and deduplicate within the batch.
     let mut slots: Vec<Slot> = Vec::with_capacity(batch.len());
@@ -749,8 +431,8 @@ pub fn run_batch(batch: &[Job]) -> Vec<Arc<Report>> {
         let _t = telemetry::scope(Phase::MemoLookup);
         let cache = cache().lock().expect("sweep cache poisoned");
         let mut pending: HashMap<MemoKey, usize> = HashMap::new();
-        for (job, key) in batch.iter().zip(keys) {
-            match key {
+        for job in batch {
+            match memo_key(job) {
                 Some(key) => {
                     if let Some(hit) = cache.get(&key) {
                         counters().memo_hits.fetch_add(1, Ordering::Relaxed);
@@ -818,42 +500,11 @@ pub fn run_batch(batch: &[Job]) -> Vec<Arc<Report>> {
     }
     slots
         .into_iter()
-        .zip(batch)
-        .map(|(slot, job)| {
-            let report = match slot {
-                Slot::Done(r) => r,
-                Slot::Pending(ix) => Arc::clone(&results[ix]),
-            };
-            // A report carrying another workload's name means this entry
-            // was served through the content-dedup canonical key. All
-            // simulated fields are shared (the op streams are
-            // byte-identical), but the report's identity is this job's:
-            // restore its own name and recorded kernel checksum.
-            let own_name = workload_name(job.workload);
-            if report.workload != own_name {
-                counters().deduped.fetch_add(1, Ordering::Relaxed);
-                let mut patched = (*report).clone();
-                patched.workload = own_name.to_string();
-                patched.checksum = shared_trace(job.workload, job.scale).checksum();
-                Arc::new(patched)
-            } else {
-                report
-            }
+        .map(|slot| match slot {
+            Slot::Done(r) => r,
+            Slot::Pending(ix) => Arc::clone(&results[ix]),
         })
         .collect()
-}
-
-/// The content-dedup canonical index of every suite workload at
-/// `scale` (diagnostics and tests; records any not-yet-recorded
-/// traces). `map[i] == i` means workload `i` is its own canonical
-/// representative. As of this writing the map is the identity — the
-/// suite's nominal twin pairs (susancorners/susanedges,
-/// jpegdecode/jpegencode) match in op *counts* but diverge in their
-/// access streams, so no sharing is currently possible; the engine
-/// stands ready should a future suite change produce true twins.
-pub fn canonical_map(scale: Scale) -> Vec<usize> {
-    let n = ehsim_workloads::all23(scale).len();
-    (0..n).map(|w| canonical_workload(w, scale)).collect()
 }
 
 /// Runs the full 23-workload suite for each configuration, sharing one

@@ -43,10 +43,6 @@ impl Backend for BenchBackend {
             ("sims_run", st.sims_run),
             ("memo_hits", st.memo_hits),
             ("simulated_instructions", st.simulated_instructions),
-            ("traces_recorded", st.traces_recorded),
-            ("sims_replayed", st.sims_replayed),
-            ("sims_deduped", st.sims_deduped),
-            ("trace_cache_hits", st.trace_cache_hits),
             ("store_hits", st.store_hits),
             ("store_misses", st.store_misses),
             ("store_rejects", st.store_rejects),

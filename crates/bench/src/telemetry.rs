@@ -344,10 +344,6 @@ pub fn registry() -> MetricsRegistry {
     m.set_counter("sims_run", st.sims_run);
     m.set_counter("memo_hits", st.memo_hits);
     m.set_counter("simulated_instructions", st.simulated_instructions);
-    m.set_counter("traces_recorded", st.traces_recorded);
-    m.set_counter("sims_replayed", st.sims_replayed);
-    m.set_counter("sims_deduped", st.sims_deduped);
-    m.set_counter("trace_cache_hits", st.trace_cache_hits);
     m.set_counter("store_hits", st.store_hits);
     m.set_counter("store_misses", st.store_misses);
     m.set_counter("store_rejects", st.store_rejects);

@@ -25,8 +25,7 @@ fn all_workloads_replay_exactly() {
 }
 
 /// Representative workloads, the whole design grid under several
-/// harvesting environments — one recording fanned across every cell,
-/// exactly as the sweep engine shares one trace per workload.
+/// harvesting environments — one recording fanned across every cell.
 #[test]
 fn design_grid_replays_exactly() {
     for name in ["sha", "dijkstra", "adpcmdecode"] {

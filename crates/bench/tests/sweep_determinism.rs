@@ -20,7 +20,7 @@ use ehsim_workloads::Scale;
 fn engine_reports_match_serial_reference() {
     // Every design (plus the dynamic WL variant) under a failure-free
     // and two harvested environments, on one small kernel. The batch
-    // deliberately repeats the first config so the dedup/memo path is
+    // deliberately repeats the first config so the in-batch memo path is
     // exercised on the engine side.
     let mut cfgs: Vec<SimConfig> = Vec::new();
     for trace in [TraceKind::None, TraceKind::Rf1, TraceKind::Solar] {

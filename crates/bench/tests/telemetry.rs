@@ -128,7 +128,7 @@ fn progress_stream_emits_one_heartbeat_per_executed_sim() {
     let sim_self: u64 = profile
         .phases
         .iter()
-        .filter(|p| p.phase == "replay" || p.phase == "direct-sim")
+        .filter(|p| p.phase == "direct-sim")
         .map(|p| p.self_ns)
         .sum();
     assert!(sim_self > 0, "sim execution phase has self time");

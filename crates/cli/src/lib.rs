@@ -1221,8 +1221,8 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             let _ = writeln!(s, "wall          {:.3} s", wall_ns as f64 / 1e9);
             let _ = writeln!(
                 s,
-                "sims          {} run ({} replayed), {} memoized, {} deduped",
-                stats.sims_run, stats.sims_replayed, stats.memo_hits, stats.sims_deduped
+                "sims          {} run, {} memoized",
+                stats.sims_run, stats.memo_hits
             );
             let _ = writeln!(
                 s,

@@ -328,27 +328,6 @@ impl BusTrace {
         self.bytes.len()
     }
 
-    /// FNV-1a hash of the encoded op stream — the content fingerprint
-    /// the sweep engine's trace dedup indexes by (the same hash the
-    /// on-disk format carries as its payload checksum). Equal streams
-    /// always hash equal; the converse is confirmed with
-    /// [`BusTrace::same_ops`] before any sharing happens.
-    pub fn content_fnv(&self) -> u64 {
-        fnv1a(&self.bytes)
-    }
-
-    /// Whether `other` records the same op stream over the same address
-    /// space: equal `mem_bytes` and byte-equal encoded payloads. The
-    /// encoding is canonical — one op sequence has exactly one encoding
-    /// (delta, varint and run-length decisions are all deterministic
-    /// functions of the sequence) — so byte equality is op-for-op
-    /// equality. The *name* and kernel checksum may differ: distinct
-    /// workloads can share one access pattern, which is exactly what
-    /// the sweep engine's dedup exploits.
-    pub fn same_ops(&self, other: &BusTrace) -> bool {
-        self.mem_bytes == other.mem_bytes && self.bytes == other.bytes
-    }
-
     /// A decoding cursor over the stream, yielding [`BusOp`]s in
     /// program order.
     pub fn cursor(&self) -> ReplayCursor<'_> {
@@ -386,7 +365,7 @@ impl BusTrace {
 
     // --- on-disk format (`TraceFile`) ---------------------------------
     //
-    //   magic    8 B   "EHBUSTR" + format version byte (currently 1)
+    //   magic    8 B   "EHBUSTR" + format version byte (currently 2)
     //   name_len 4 B   LE u32, followed by that many UTF-8 bytes
     //   mem      4 B   LE u32 address-space size
     //   checksum 8 B   LE u64 kernel checksum
@@ -396,7 +375,8 @@ impl BusTrace {
     //   cycles   8 B   LE u64 /
     //   len      8 B   LE u64 payload length
     //   payload        the compressed op stream
-    //   fnv      8 B   LE u64 FNV-1a of the payload
+    //   fnv      8 B   LE u64 FNV-1a of every byte before it (header
+    //                  and payload), so no field can change unnoticed
 
     /// Serializes the trace in the versioned `TraceFile` format.
     ///
@@ -404,36 +384,44 @@ impl BusTrace {
     ///
     /// Propagates writer errors.
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        w.write_all(MAGIC)?;
+        let mut header = MAGIC.to_vec();
         let name = self.name.as_bytes();
         let name_len = u32::try_from(name.len()).unwrap_or(u32::MAX);
-        w.write_all(&name_len.to_le_bytes())?;
-        w.write_all(&name[..name_len as usize])?;
-        w.write_all(&self.mem_bytes.to_le_bytes())?;
-        w.write_all(&self.checksum.to_le_bytes())?;
+        header.extend_from_slice(&name_len.to_le_bytes());
+        header.extend_from_slice(&name[..name_len as usize]);
+        header.extend_from_slice(&self.mem_bytes.to_le_bytes());
+        header.extend_from_slice(&self.checksum.to_le_bytes());
         for n in [
             self.counts.loads,
             self.counts.stores,
             self.counts.computes,
             self.counts.compute_cycles,
+            self.bytes.len() as u64,
         ] {
-            w.write_all(&n.to_le_bytes())?;
+            header.extend_from_slice(&n.to_le_bytes());
         }
-        w.write_all(&(self.bytes.len() as u64).to_le_bytes())?;
+        w.write_all(&header)?;
         w.write_all(&self.bytes)?;
-        w.write_all(&fnv1a(&self.bytes).to_le_bytes())?;
+        let fnv = fnv1a_extend(fnv1a_extend(FNV_OFFSET, &header), &self.bytes);
+        w.write_all(&fnv.to_le_bytes())?;
         Ok(())
     }
 
     /// Deserializes and **validates** a `TraceFile`: magic/version,
-    /// payload checksum, declared op totals against a full decode walk,
-    /// and every access against the declared address-space bound.
+    /// the file checksum, declared op totals against a full decode
+    /// walk, and every access against the declared address-space bound.
+    /// Nothing is allocated on the word of the header alone: a declared
+    /// payload length beyond the bytes actually present is an error.
     ///
     /// # Errors
     ///
     /// Returns a [`TraceFileError`] naming what failed; a trace that
     /// loads successfully replays without panicking.
     pub fn read_from(r: &mut impl Read) -> Result<BusTrace, TraceFileError> {
+        let r = &mut FnvReader {
+            inner: r,
+            hash: FNV_OFFSET,
+        };
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
         if magic[..7] != MAGIC[..7] {
@@ -464,14 +452,18 @@ impl BusTrace {
             compute_cycles: read_u64(r)?,
         };
         let len = read_u64(r)?;
-        let len = usize::try_from(len)
-            .map_err(|_| TraceFileError::Format(format!("payload length {len} overflows")))?;
-        let mut bytes = vec![0u8; len];
-        r.read_exact(&mut bytes)?;
-        let fnv = read_u64(r)?;
-        if fnv != fnv1a(&bytes) {
+        let mut bytes = Vec::new();
+        r.by_ref().take(len).read_to_end(&mut bytes)?;
+        if bytes.len() as u64 != len {
+            return Err(TraceFileError::Format(format!(
+                "payload truncated: header declares {len} bytes, file holds {}",
+                bytes.len()
+            )));
+        }
+        let expected = r.hash;
+        if read_u64(&mut r.inner)? != expected {
             return Err(TraceFileError::Format(
-                "payload checksum mismatch (truncated or corrupted file)".into(),
+                "file checksum mismatch (truncated or corrupted file)".into(),
             ));
         }
         let trace = BusTrace {
@@ -563,8 +555,8 @@ impl BusTrace {
     }
 }
 
-const MAGIC: &[u8; 8] = b"EHBUSTR\x01";
-const VERSION: u8 = 1;
+const MAGIC: &[u8; 8] = b"EHBUSTR\x02";
+const VERSION: u8 = 2;
 
 fn read_u32(r: &mut impl Read) -> Result<u32, TraceFileError> {
     let mut b = [0u8; 4];
@@ -578,14 +570,31 @@ fn read_u64(r: &mut impl Read) -> Result<u64, TraceFileError> {
     Ok(u64::from_le_bytes(b))
 }
 
-/// FNV-1a 64-bit hash (payload integrity check of the on-disk format).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues an FNV-1a 64-bit hash (the integrity check of the on-disk
+/// format) from state `h` over `bytes`.
+fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
+}
+
+/// A reader that folds every byte it yields into an FNV-1a hash, so
+/// the trailer can check the whole file as it was read.
+struct FnvReader<R> {
+    inner: R,
+    hash: u64,
+}
+
+impl<R: Read> Read for FnvReader<R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.hash = fnv1a_extend(self.hash, &buf[..n]);
+        Ok(n)
+    }
 }
 
 /// Error loading or validating a `TraceFile`.
@@ -1146,6 +1155,58 @@ mod tests {
         // Truncation.
         let bad = &buf[..buf.len() - 4];
         assert!(BusTrace::read_from(&mut &bad[..]).is_err());
+    }
+
+    /// A header declaring far more payload than the file holds must be
+    /// an error, not an allocation of the declared size.
+    #[test]
+    fn overstated_payload_length_is_an_error_not_an_abort() {
+        // 64-byte header (empty name, zero totals) declaring a 1 TiB
+        // payload, followed by a single payload byte.
+        let mut file = MAGIC.to_vec();
+        file.extend_from_slice(&0u32.to_le_bytes()); // name_len
+        file.extend_from_slice(&0u32.to_le_bytes()); // mem
+        file.extend_from_slice(&[0u8; 8 * 5]); // checksum + op totals
+        file.extend_from_slice(&(1u64 << 40).to_le_bytes()); // len
+        file.push(TAG_COMPUTE);
+        assert_eq!(file.len(), 65);
+        assert!(matches!(
+            BusTrace::read_from(&mut file.as_slice()),
+            Err(TraceFileError::Format(m)) if m.contains("truncated")
+        ));
+
+        // The same lie in a real recorded trace.
+        let t = BusTrace::record(&Mini);
+        let mut buf = Vec::new();
+        t.write_to(&mut buf).expect("write");
+        let len_at = 8 + 4 + t.name().len() + 4 + 8 + 4 * 8;
+        buf[len_at..len_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(BusTrace::read_from(&mut buf.as_slice()).is_err());
+    }
+
+    /// Every single-byte mutation and every truncation of a small
+    /// recorded trace either fails to load or loads the identical
+    /// trace — never a panic, never a silently different trace.
+    #[test]
+    fn byte_mutations_and_truncations_never_load_a_different_trace() {
+        let t = BusTrace::record(&Mini);
+        let mut buf = Vec::new();
+        t.write_to(&mut buf).expect("write");
+        for i in 0..buf.len() {
+            for mask in [0x01u8, 0x80, 0xff] {
+                let mut bad = buf.clone();
+                bad[i] ^= mask;
+                if let Ok(back) = BusTrace::read_from(&mut bad.as_slice()) {
+                    assert_eq!(back, t, "byte {i} ^ {mask:#04x} loaded a different trace");
+                }
+            }
+        }
+        for cut in 0..buf.len() {
+            assert!(
+                BusTrace::read_from(&mut &buf[..cut]).is_err(),
+                "a trace truncated to {cut} bytes loaded"
+            );
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! hotpath baseline parser, which uses the same idiom) can line-scan.
 
 use crate::event::Event;
+use crate::histogram::Quantile;
 use crate::recorder::RunTrace;
 use std::fmt::Write as _;
 
@@ -499,8 +500,8 @@ fn histogram_footer(out: &mut String, trace: &RunTrace) {
             hist.sum(),
             hist.mean(),
             opt(hist.min()),
-            opt(hist.percentile(0.5)),
-            opt(hist.percentile(0.99)),
+            opt(hist.quantile(Quantile::P50)),
+            opt(hist.quantile(Quantile::P99)),
             opt(hist.max()),
         );
         for (lower, upper, count) in hist.buckets() {

@@ -36,7 +36,7 @@ mod telemetry;
 
 pub use event::Event;
 pub use export::{validate_chrome_trace, TraceCheck, TraceInterval};
-pub use histogram::Histogram;
+pub use histogram::{Histogram, Quantile};
 pub use metrics::{MetricValue, MetricsRegistry};
 pub use observer::{NoopObserver, Observer, ObserverBox};
 pub use progress::{

@@ -2,14 +2,14 @@
 //! executor's previously ad-hoc statistics.
 //!
 //! `BENCH_sweep.json` used to be assembled from loose counters
-//! (`trace_cache_hits`, `sims_deduped`, memo hits, …) with the engine
+//! (sims run, memo hits, store hits, …) with the engine
 //! label and throughput formatted inline at the call site. The
 //! [`MetricsRegistry`] gives those one home: named counters, gauges,
 //! labels and [`Histogram`]s with deterministic iteration order
 //! (`BTreeMap`), a JSON exporter for benchmark artifacts, and a
 //! flattened `(name, value)` view for the end-of-sweep profile line.
 
-use crate::histogram::Histogram;
+use crate::histogram::{Histogram, Quantile};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -143,8 +143,8 @@ impl MetricsRegistry {
                         h.mean(),
                         h.min().unwrap_or(0),
                         h.max().unwrap_or(0),
-                        h.percentile(50.0).unwrap_or(0),
-                        h.percentile(99.0).unwrap_or(0)
+                        h.quantile(Quantile::P50).unwrap_or(0),
+                        h.quantile(Quantile::P99).unwrap_or(0)
                     );
                 }
             }
@@ -173,8 +173,8 @@ impl MetricsRegistry {
                 MetricValue::Histogram(h) => {
                     out.push((format!("{name}_count"), h.count().to_string()));
                     out.push((format!("{name}_mean"), h.mean().to_string()));
-                    let p50 = h.percentile(50.0).unwrap_or(0);
-                    let p99 = h.percentile(99.0).unwrap_or(0);
+                    let p50 = h.quantile(Quantile::P50).unwrap_or(0);
+                    let p99 = h.quantile(Quantile::P99).unwrap_or(0);
                     out.push((format!("{name}_p50"), p50.to_string()));
                     out.push((format!("{name}_p99"), p99.to_string()));
                 }
@@ -230,6 +230,34 @@ mod tests {
         let zeta = json.find("zeta").unwrap_or(0);
         assert!(alpha < zeta, "{json}");
         assert_eq!(json, m.clone().to_json("  "), "rendering is stable");
+    }
+
+    /// A skewed distribution (98 fast samples, 2 slow ones): the
+    /// median must sit in the fast bucket, far below the max, and the
+    /// 99th percentile must reach the slow tail.
+    #[test]
+    fn quantiles_are_true_quantiles_on_a_skewed_distribution() {
+        let mut m = MetricsRegistry::new();
+        let h = m.histogram_mut("sim_elapsed_us");
+        for _ in 0..98 {
+            h.record(10);
+        }
+        h.record(1_000_000);
+        h.record(1_000_000);
+        let json = m.to_json("");
+        assert!(json.contains("\"max\": 1000000"), "{json}");
+        assert!(json.contains("\"p50\": 15,"), "{json}");
+        assert!(json.contains("\"p99\": 1000000}"), "{json}");
+        let pairs = m.to_flat_pairs();
+        let get = |n: &str| {
+            pairs
+                .iter()
+                .find(|(k, _)| k == n)
+                .map(|(_, v)| v.as_str())
+                .unwrap_or_else(|| panic!("missing {n}"))
+        };
+        assert_eq!(get("sim_elapsed_us_p50"), "15");
+        assert_eq!(get("sim_elapsed_us_p99"), "1000000");
     }
 
     #[test]

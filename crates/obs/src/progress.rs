@@ -57,7 +57,8 @@ pub struct SimHeartbeat {
     pub trace: String,
     /// Workload name.
     pub workload: String,
-    /// Execution engine label (`replay`, `exact`, `+check` variants).
+    /// Execution engine label (`direct`, `direct+batch-check`, or
+    /// `serial` for the serial reference).
     pub engine: String,
     /// Wall-clock time this simulation took, in nanoseconds.
     pub elapsed_ns: u64,

@@ -53,19 +53,13 @@ impl Clock for NullClock {
 /// The named phases a sweep's wall time is attributed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Recording a workload's Bus trace (one kernel execution).
-    TraceRecord,
-    /// Loading a `.bustrace` file from the persistent trace store.
-    TraceCacheLoad,
-    /// Trace-driven simulation (replay engine).
-    Replay,
-    /// Direct simulation (kernel re-execution).
+    /// One simulation: the kernel running on the simulated machine.
     DirectSim,
     /// Capacitor settlement windows (op count from the machine; the
-    /// wall share is inside `Replay`/`DirectSim`).
+    /// wall share is inside `DirectSim`).
     Settle,
     /// Observer event emission (op count from the machine; the wall
-    /// share is inside `Replay`/`DirectSim`).
+    /// share is inside `DirectSim`).
     ObserverEmit,
     /// Memo-key construction, cache resolution and result publication.
     MemoLookup,
@@ -81,10 +75,7 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in report order.
-    pub const ALL: [Phase; 10] = [
-        Phase::TraceRecord,
-        Phase::TraceCacheLoad,
-        Phase::Replay,
+    pub const ALL: [Phase; 7] = [
         Phase::DirectSim,
         Phase::Settle,
         Phase::ObserverEmit,
@@ -97,9 +88,6 @@ impl Phase {
     /// Stable wire name (used in the progress stream and reports).
     pub fn name(self) -> &'static str {
         match self {
-            Phase::TraceRecord => "trace-record",
-            Phase::TraceCacheLoad => "trace-cache-load",
-            Phase::Replay => "replay",
             Phase::DirectSim => "direct-sim",
             Phase::Settle => "settle",
             Phase::ObserverEmit => "observer-emit",
@@ -452,7 +440,7 @@ mod tests {
     fn disabled_profiler_records_nothing() {
         let p = Profiler::new(Arc::new(TickClock::new(10)));
         {
-            let _g = p.scope(Phase::Replay);
+            let _g = p.scope(Phase::DirectSim);
         }
         p.add_ops(Phase::Settle, 100);
         let snap = p.snapshot();
@@ -510,7 +498,7 @@ mod tests {
         let p = Profiler::new(Arc::new(TickClock::new(25)));
         p.set_enabled(true);
         {
-            let _g = p.scope(Phase::Replay); // dt = 25
+            let _g = p.scope(Phase::DirectSim); // dt = 25
         }
         {
             let _g = p.scope(Phase::WorkerWait); // dt = 25, excluded
@@ -524,13 +512,13 @@ mod tests {
         let p = Profiler::new(Arc::new(TickClock::new(10)));
         p.set_enabled(true);
         {
-            let _g = p.scope(Phase::Replay);
+            let _g = p.scope(Phase::DirectSim);
         }
         p.add_ops(Phase::Settle, 42);
         let report = p.report(
             12345,
             vec![
-                ("engine".into(), "replay".into()),
+                ("engine".into(), "direct".into()),
                 ("sims_run".into(), "552".into()),
             ],
         );
