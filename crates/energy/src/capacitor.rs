@@ -1,9 +1,16 @@
 //! The capacitor energy buffer.
 
+use crate::select::{max0, min_to};
 use ehsim_mem::Pj;
 
 /// Joules → picojoules.
 const J_TO_PJ: f64 = 1e12;
+
+/// `J_TO_PJ / 2`, exact. [`Capacitor::voltage_for_energy`] computes
+/// `e / HALF_J_TO_PJ` where the original form was `2.0 * e / J_TO_PJ`:
+/// doubling is exact (below `f64::MAX / 2`), so both round the same
+/// real quotient and one multiply leaves the settlement chain.
+const HALF_J_TO_PJ: f64 = 5e11;
 
 /// The capacitor that buffers harvested energy (`E = ½CV²`).
 ///
@@ -114,12 +121,26 @@ impl Capacitor {
         (self.energy_at_pj(self.voltage) - self.e_at_v_min_pj).max(0.0)
     }
 
+    /// Stores a voltage that [`Capacitor::charged_voltage_at`] or
+    /// [`Capacitor::drained_voltage_at`] computed from this capacitor's
+    /// own voltage. Such a voltage already lies in `[0, v_max]`, so
+    /// unlike [`Capacitor::set_voltage`] this does not clamp, and the
+    /// register-carried settlement chain stays free of selects.
+    #[inline]
+    pub fn store_settled_voltage(&mut self, v: f64) {
+        debug_assert!(
+            (0.0..=self.v_max).contains(&v),
+            "settled voltage {v} outside [0, {}]",
+            self.v_max
+        );
+        self.voltage = v;
+    }
+
     /// Drains `pj` picojoules, lowering the voltage (floored at 0 V).
     /// Returns the new voltage.
     #[inline]
     pub fn drain_pj(&mut self, pj: Pj) -> f64 {
-        let e = (self.energy_pj() - pj).max(0.0);
-        self.voltage = self.voltage_for_energy(e);
+        self.voltage = self.drained_voltage_at(self.voltage, pj);
         self.voltage
     }
 
@@ -127,36 +148,34 @@ impl Capacitor {
     /// `v_max`). Returns the new voltage.
     #[inline]
     pub fn charge_pj(&mut self, pj: Pj) -> f64 {
-        let e = self.energy_pj() + pj;
-        self.voltage = self.voltage_for_energy(e).min(self.v_max);
+        self.voltage = self.charged_voltage_at(self.voltage, pj);
         self.voltage
     }
 
-    /// Voltage corresponding to a stored energy of `pj` picojoules.
+    /// Voltage corresponding to a stored energy of `pj` picojoules:
+    /// `sqrt(max(2·pj / J_TO_PJ / C, 0))`, computed as
+    /// `pj / (J_TO_PJ / 2) / C` with the same two roundings.
     #[inline]
     pub fn voltage_for_energy(&self, pj: Pj) -> f64 {
-        (2.0 * pj / J_TO_PJ / self.capacitance_f).max(0.0).sqrt()
+        max0(pj / HALF_J_TO_PJ / self.capacitance_f).sqrt()
     }
 
-    /// Register-carried counterpart of [`Capacitor::charge_pj`]: the
-    /// voltage after adding `pj` picojoules to a capacitor currently at
-    /// `v`, computed with the identical f64 operations in the identical
-    /// order, but with the voltage passed in and returned instead of
-    /// read from and written to `self.voltage`. The batched settlement
-    /// loop keeps the carried voltage in a register across a whole run
-    /// of settlements; bit-identity with the mutating path is pinned by
-    /// a proptest below.
+    /// The voltage after adding `pj` picojoules to a capacitor at `v`
+    /// (capped at `v_max`). This is [`Capacitor::charge_pj`] with the
+    /// voltage passed in and returned instead of read from and written
+    /// to `self.voltage`: the batched settlement loop keeps the carried
+    /// voltage in a register across a whole run of settlements.
     #[inline]
     pub fn charged_voltage_at(&self, v: f64, pj: Pj) -> f64 {
         let e = self.energy_at_pj(v) + pj;
-        self.voltage_for_energy(e).min(self.v_max)
+        min_to(self.voltage_for_energy(e), self.v_max)
     }
 
-    /// Register-carried counterpart of [`Capacitor::drain_pj`]: the
-    /// voltage after draining `pj` picojoules from a capacitor at `v`.
+    /// The voltage after draining `pj` picojoules from a capacitor at
+    /// `v` (floored at 0 V): the pure form of [`Capacitor::drain_pj`].
     #[inline]
     pub fn drained_voltage_at(&self, v: f64, pj: Pj) -> f64 {
-        let e = (self.energy_at_pj(v) - pj).max(0.0);
+        let e = max0(self.energy_at_pj(v) - pj);
         self.voltage_for_energy(e)
     }
 }
@@ -239,6 +258,88 @@ mod tests {
         let _ = Capacitor::new(0.0, 2.8, 3.5);
     }
 
+    /// The paper's buffer and every size the figures and tests sweep.
+    fn capacitors() -> Vec<Capacitor> {
+        [
+            0.1, 0.15, 0.2, 0.344, 1.0, 3.3, 10.0, 33.0, 100.0, 500.0, 1000.0,
+        ]
+        .into_iter()
+        .map(|uf| Capacitor::with_uf(uf, 2.8, 3.5))
+        .collect()
+    }
+
+    #[test]
+    fn settled_voltages_match_the_original_chain_at_the_edges() {
+        let tiny = f64::from_bits(1); // smallest subnormal
+        let vs = [
+            0.0,
+            -0.0,
+            tiny,
+            -tiny,
+            f64::MIN_POSITIVE,
+            1e-160, // v² underflows to a subnormal energy
+            2.8,
+            3.3,
+            3.5 - f64::EPSILON,
+            3.5,
+            3.54, // the default charging knee
+            4.0,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        let pjs = [
+            0.0,
+            -0.0,
+            tiny,
+            f64::MIN_POSITIVE,
+            1e-300,
+            1.0,
+            6.125e6, // the 1 µF buffer's whole charge at 3.5 V
+            1e7,
+            1e12,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for c in capacitors() {
+            for v in vs {
+                for pj in pjs {
+                    let charged = c.charged_voltage_at(v, pj);
+                    let drained = c.drained_voltage_at(v, pj);
+                    assert_eq!(
+                        charged.to_bits(),
+                        original::charged(&c, v, pj).to_bits(),
+                        "charge {pj} pJ at {v} V on {} F",
+                        c.capacitance_f
+                    );
+                    assert_eq!(
+                        drained.to_bits(),
+                        original::drained(&c, v, pj).to_bits(),
+                        "drain {pj} pJ at {v} V on {} F",
+                        c.capacitance_f
+                    );
+                }
+            }
+            // The saturating arms are reachable and keep their values.
+            assert_eq!(c.charged_voltage_at(3.5, 1e12), 3.5);
+            assert_eq!(c.drained_voltage_at(2.8, 1e12).to_bits(), 0.0f64.to_bits());
+        }
+    }
+
+    #[test]
+    fn a_drained_or_charged_voltage_never_leaves_the_operating_range() {
+        // `store_settled_voltage` relies on this instead of clamping.
+        for c in capacitors() {
+            for i in 0..=700 {
+                let v = f64::from(i) * 0.005;
+                for pj in [1e-4, 1.0, 1e3, 1e6, 1e9] {
+                    for out in [c.charged_voltage_at(v, pj), c.drained_voltage_at(v, pj)] {
+                        assert!((0.0..=c.v_max()).contains(&out), "{out} from {v}");
+                    }
+                }
+            }
+        }
+    }
+
     proptest! {
         #[test]
         fn voltage_for_energy_inverts_energy_at(v in 0.0f64..5.0) {
@@ -269,24 +370,80 @@ mod tests {
         }
 
         #[test]
-        fn charged_voltage_at_matches_charge_pj(v in 0.0f64..3.5, pj in 0.0f64..1e7) {
-            let mut c = Capacitor::paper_default();
-            c.set_voltage(v);
-            // Bit-identical, not approximately equal: the batched
-            // settlement loop substitutes the register-carried form for
-            // the mutating one mid-sequence.
-            let carried = c.charged_voltage_at(c.voltage(), pj);
-            c.charge_pj(pj);
-            prop_assert_eq!(carried.to_bits(), c.voltage().to_bits());
+        fn charged_voltage_at_matches_the_original_chain(v in 0.0f64..3.5, pj in 0.0f64..1e7) {
+            for c in capacitors() {
+                let want = original::charged(&c, v, pj);
+                prop_assert_eq!(c.charged_voltage_at(v, pj).to_bits(), want.to_bits());
+            }
         }
 
         #[test]
-        fn drained_voltage_at_matches_drain_pj(v in 0.0f64..3.5, pj in 0.0f64..1e7) {
-            let mut c = Capacitor::paper_default();
-            c.set_voltage(v);
-            let carried = c.drained_voltage_at(c.voltage(), pj);
-            c.drain_pj(pj);
-            prop_assert_eq!(carried.to_bits(), c.voltage().to_bits());
+        fn drained_voltage_at_matches_the_original_chain(v in 0.0f64..3.5, pj in 0.0f64..1e7) {
+            for c in capacitors() {
+                let want = original::drained(&c, v, pj);
+                prop_assert_eq!(c.drained_voltage_at(v, pj).to_bits(), want.to_bits());
+            }
         }
+
+        #[test]
+        fn charge_and_drain_pj_match_the_original_chain(v in 0.0f64..3.5, pj in 0.0f64..1e7) {
+            for mut c in capacitors() {
+                c.set_voltage(v);
+                let want = original::charged(&c, v, pj);
+                prop_assert_eq!(c.charge_pj(pj).to_bits(), want.to_bits());
+                prop_assert_eq!(c.voltage().to_bits(), want.to_bits());
+                let v = c.voltage();
+                let want = original::drained(&c, v, pj);
+                prop_assert_eq!(c.drain_pj(pj).to_bits(), want.to_bits());
+                prop_assert_eq!(c.voltage().to_bits(), want.to_bits());
+            }
+        }
+
+        #[test]
+        fn settled_voltages_match_the_original_chain_on_any_bits(v_bits: u64, pj_bits: u64) {
+            // Any f64 at all, NaNs and infinities included, inside the
+            // one documented limit of the rewrite: `2·e` must not
+            // overflow.
+            let (v, pj) = (f64::from_bits(v_bits), f64::from_bits(pj_bits));
+            for c in capacitors() {
+                let e = c.energy_at_pj(v);
+                if (e + pj).abs() > f64::MAX / 2.0 || (e - pj).abs() > f64::MAX / 2.0 {
+                    continue;
+                }
+                prop_assert_eq!(
+                    c.charged_voltage_at(v, pj).to_bits(),
+                    original::charged(&c, v, pj).to_bits()
+                );
+                prop_assert_eq!(
+                    c.drained_voltage_at(v, pj).to_bits(),
+                    original::drained(&c, v, pj).to_bits()
+                );
+            }
+        }
+    }
+}
+
+/// The settlement chain as first written, kept as the oracle the
+/// rewritten forms must match bit for bit (DESIGN.md §2.10).
+#[cfg(test)]
+mod original {
+    use super::{Capacitor, J_TO_PJ};
+
+    fn energy_at_pj(c: &Capacitor, v: f64) -> f64 {
+        0.5 * c.capacitance_f * v * v * J_TO_PJ
+    }
+
+    fn voltage_for_energy(c: &Capacitor, pj: f64) -> f64 {
+        (2.0 * pj / J_TO_PJ / c.capacitance_f).max(0.0).sqrt()
+    }
+
+    pub(super) fn charged(c: &Capacitor, v: f64, pj: f64) -> f64 {
+        let e = energy_at_pj(c, v) + pj;
+        voltage_for_energy(c, e).min(c.v_max)
+    }
+
+    pub(super) fn drained(c: &Capacitor, v: f64, pj: f64) -> f64 {
+        let e = (energy_at_pj(c, v) - pj).max(0.0);
+        voltage_for_energy(c, e)
     }
 }

@@ -1,5 +1,7 @@
 //! Harvesting front-end charging model.
 
+use crate::select::clamp01;
+
 /// Voltage-dependent charging efficiency of the harvesting front end.
 ///
 /// A real energy-harvesting rectifier delivers less and less of the
@@ -62,7 +64,7 @@ impl ChargingModel {
         } else {
             r.powi(self.steepness)
         };
-        (1.0 - p).clamp(0.0, 1.0)
+        clamp01(1.0 - p)
     }
 }
 
@@ -75,6 +77,81 @@ impl Default for ChargingModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `efficiency` as first written, kept as the oracle the branchy
+    /// clamp must match bit for bit.
+    fn original_efficiency(m: &ChargingModel, v: f64) -> f64 {
+        if !m.v_knee.is_finite() {
+            return 1.0;
+        }
+        let r = v / m.v_knee;
+        let p = if m.steepness == 8 {
+            let r2 = r * r;
+            let r4 = r2 * r2;
+            r4 * r4
+        } else {
+            r.powi(m.steepness)
+        };
+        (1.0 - p).clamp(0.0, 1.0)
+    }
+
+    /// The default front end, the ideal one, and odd and even
+    /// exponents off the squaring fast path.
+    fn models() -> [ChargingModel; 4] {
+        [
+            ChargingModel::paper_default(),
+            ChargingModel::ideal(),
+            ChargingModel {
+                v_knee: 3.54,
+                steepness: 3,
+            },
+            ChargingModel {
+                v_knee: 3.6,
+                steepness: 6,
+            },
+        ]
+    }
+
+    #[test]
+    fn efficiency_matches_the_original_at_the_edges() {
+        let tiny = f64::from_bits(1);
+        for m in models() {
+            for v in [
+                0.0,
+                -0.0,
+                tiny,
+                -tiny,
+                f64::MIN_POSITIVE,
+                -1.0,
+                -4.0,
+                3.5,
+                3.54,
+                3.55,
+                4.0,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::NAN,
+            ] {
+                assert_eq!(
+                    m.efficiency(v).to_bits(),
+                    original_efficiency(&m, v).to_bits(),
+                    "{m:?} at {v}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn efficiency_matches_the_original(v in 0.0f64..3.5, beyond in 3.5f64..8.0, bits: u64) {
+            for m in models() {
+                for v in [v, beyond, f64::from_bits(bits)] {
+                    prop_assert_eq!(m.efficiency(v).to_bits(), original_efficiency(&m, v).to_bits());
+                }
+            }
+        }
+    }
 
     #[test]
     fn efficiency_is_monotone_decreasing() {

@@ -11,7 +11,8 @@
 //! - [`PowerTrace`] / [`TraceCursor`] — harvesting-power traces. The
 //!   paper's recorded RF/solar/thermal traces are not distributed, so
 //!   [`TraceKind::build`] synthesises seeded, deterministic equivalents
-//!   calibrated to the paper's reported outage counts (DESIGN.md §4);
+//!   ordered by quality like the paper's, though not calibrated to its
+//!   absolute outage counts (DESIGN.md §4);
 //! - [`EnergyMeter`] — per-category energy accounting used for the
 //!   Fig 13(b) breakdown.
 //!
@@ -38,6 +39,7 @@
 mod capacitor;
 mod charging;
 mod meter;
+mod select;
 mod thresholds;
 mod trace;
 mod trace_io;

@@ -34,7 +34,9 @@ impl Error for TraceParseError {}
 /// # Errors
 ///
 /// Returns [`TraceParseError`] for malformed lines, non-positive
-/// durations, negative/non-finite power, or an empty trace.
+/// durations, durations that round to 0 ps or do not fit in a `u64`
+/// of picoseconds, negative/non-finite power, a trace whose total
+/// length overflows a `u64` of picoseconds, or an empty trace.
 ///
 /// # Examples
 ///
@@ -49,6 +51,7 @@ impl Error for TraceParseError {}
 /// ```
 pub fn parse_trace(text: &str) -> Result<PowerTrace, TraceParseError> {
     let mut segments: Vec<(Ps, f64)> = Vec::new();
+    let mut total_ps: Ps = 0;
     for (ix, raw) in text.lines().enumerate() {
         let line = ix + 1;
         let content = raw.split('#').next().unwrap_or("").trim();
@@ -76,7 +79,21 @@ pub fn parse_trace(text: &str) -> Result<PowerTrace, TraceParseError> {
         if power_uw < 0.0 || !power_uw.is_finite() {
             return Err(err(format!("power must be >= 0, got {power_uw}")));
         }
-        segments.push(((dur_us * 1e6).round() as Ps, power_uw));
+        let dur_ps = (dur_us * 1e6).round();
+        if dur_ps < 1.0 {
+            return Err(err(format!("duration {dur_us} us rounds to 0 ps")));
+        }
+        // 2^64: the first value a `u64` cannot hold (`as` would saturate).
+        if dur_ps >= 18_446_744_073_709_551_616.0 {
+            return Err(err(format!(
+                "duration {dur_us} us overflows u64 picoseconds"
+            )));
+        }
+        let dur_ps = dur_ps as Ps;
+        total_ps = total_ps
+            .checked_add(dur_ps)
+            .ok_or_else(|| err("total trace length overflows u64 picoseconds".into()))?;
+        segments.push((dur_ps, power_uw));
     }
     if segments.is_empty() {
         return Err(TraceParseError {
@@ -119,6 +136,119 @@ pub fn save_trace(trace: &PowerTrace, path: impl AsRef<Path>) -> std::io::Result
 mod tests {
     use super::*;
     use crate::TraceKind;
+    use proptest::prelude::*;
+
+    /// Checks the invariants every parsed trace must hold, and that the
+    /// same text parses to an identical trace a second time.
+    fn assert_well_formed(text: &str, trace: &PowerTrace) {
+        let mut sum: u128 = 0;
+        for (d, p) in trace.segments_iter() {
+            assert!(d > 0, "zero-length segment from {text:?}");
+            assert!(p >= 0.0 && p.is_finite(), "power {p} from {text:?}");
+            sum += u128::from(d);
+        }
+        assert_eq!(u128::from(trace.total_ps()), sum, "total of {text:?}");
+        assert!(parse_trace(text).is_ok_and(|again| again == *trace));
+    }
+
+    /// A small trace with comments on every kind of line.
+    const SAMPLE: &str = "# logger export\n\
+        120.5 8000 # burst\n\
+        \n\
+        900,35.25\n\
+        # fade\n\
+        1e-3\t0\n";
+
+    #[test]
+    fn sub_picosecond_duration_is_an_error_not_a_panic() {
+        let e = parse_trace("1e-7 100").unwrap_err();
+        assert_eq!(e.line, 1);
+        assert!(e.message.contains("rounds to 0 ps"), "{e}");
+        let e = parse_trace("100 5\n0.0000004 1\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        // Half a picosecond rounds up to one.
+        assert_eq!(parse_trace("5e-7 1").unwrap().total_ps(), 1);
+    }
+
+    #[test]
+    fn overflowing_durations_are_errors_not_wraps() {
+        let e = parse_trace("1e13 5\n1e13 5").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("total trace length overflows"), "{e}");
+        let e = parse_trace("1e20 5").unwrap_err();
+        assert_eq!(e.line, 1);
+        assert!(e.message.contains("overflows u64"), "{e}");
+        // The longest representable single segment still parses.
+        let t = parse_trace("1.8e13 5").unwrap();
+        assert_eq!(t.total_ps(), 18_000_000_000_000_000_000);
+    }
+
+    #[test]
+    fn every_byte_mutation_is_an_error_or_a_well_formed_trace() {
+        let original = parse_trace(SAMPLE).unwrap();
+        let bytes = SAMPLE.as_bytes();
+        for i in 0..bytes.len() {
+            let line_start = bytes[..i]
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map_or(0, |p| p + 1);
+            let in_comment = bytes[line_start..i].contains(&b'#') && bytes[i] != b'\n';
+            for b in [
+                0x00, b'0', b'9', b'#', b'\n', b' ', b'-', b'e', b'.', 0x80, 0xff,
+            ] {
+                let mut m = bytes.to_vec();
+                m[i] = b;
+                let text = String::from_utf8_lossy(&m);
+                if let Ok(t) = parse_trace(&text) {
+                    assert_well_formed(&text, &t);
+                    // A byte inside a comment carries no data unless it
+                    // ends the comment's line early.
+                    if in_comment && b != b'\n' {
+                        assert_eq!(t, original, "comment byte {i} -> {b:#x}");
+                    }
+                }
+            }
+        }
+        for cut in 0..bytes.len() {
+            let text = String::from_utf8_lossy(&bytes[..cut]);
+            if let Ok(t) = parse_trace(&text) {
+                assert_well_formed(&text, &t);
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn arbitrary_bytes_parse_to_an_error_or_a_well_formed_trace(
+            bytes in prop::collection::vec(any::<u8>(), 0..96),
+        ) {
+            let text = String::from_utf8_lossy(&bytes);
+            if let Ok(t) = parse_trace(&text) {
+                assert_well_formed(&text, &t);
+            }
+        }
+
+        #[test]
+        fn arbitrary_numeric_lines_parse_to_an_error_or_a_well_formed_trace(
+            lines in prop::collection::vec((0usize..8, 0usize..8, any::<u64>()), 1..6),
+        ) {
+            // Bytes alone rarely spell a number; these lines are built
+            // from numeric tokens at every scale the checks guard.
+            const TOKENS: [&str; 8] = ["0", "1e-7", "5e-7", "1", "-3", "1e13", "1.8e13", "1e308"];
+            let mut text = String::new();
+            for (d, p, bits) in lines {
+                let power = if bits % 2 == 0 {
+                    TOKENS[p].to_string()
+                } else {
+                    f64::from_bits(bits).to_string()
+                };
+                text.push_str(&format!("{} {power}\n", TOKENS[d]));
+            }
+            if let Ok(t) = parse_trace(&text) {
+                assert_well_formed(&text, &t);
+            }
+        }
+    }
 
     #[test]
     fn parse_accepts_comments_blanks_and_separators() {

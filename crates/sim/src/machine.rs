@@ -436,7 +436,28 @@ impl Machine {
         if !self.failures_enabled {
             return;
         }
-        let mut v = self.cap.voltage();
+        let v = self.settle_window(self.cap.voltage(), dt);
+        self.cap.store_settled_voltage(v);
+        debug_assert_eq!(
+            self.vth,
+            self.design.thresholds(),
+            "threshold mirror out of date — a design-code site is missing its re-derive"
+        );
+        while self.cap.voltage() < self.vth.v_backup {
+            self.power_failure();
+        }
+    }
+
+    /// One settlement window of the batched engine on the
+    /// register-carried voltage `v`: harvest `dt` picoseconds of the
+    /// trace at the front end's efficiency for `v`, then drain whatever
+    /// was metered since the last window. Returns the new voltage. The
+    /// f64 operations and their order are [`Machine::sync_energy`]'s
+    /// (`charge_pj` then `drain_pj`); `settle_lean` and the
+    /// `compute_batched` loop both call this, and the chain's cost is
+    /// laid out in DESIGN.md §2.10.
+    #[inline]
+    fn settle_window(&mut self, mut v: f64, dt: Ps) -> f64 {
         if dt > 0 {
             let harvested = self.cursor.advance(dt);
             let eta = self.charging.efficiency(v);
@@ -451,15 +472,7 @@ impl Machine {
             self.drained_pj = total;
             self.drained_version = self.meter.version();
         }
-        self.cap.set_voltage(v);
-        debug_assert_eq!(
-            self.vth,
-            self.design.thresholds(),
-            "threshold mirror out of date — a design-code site is missing its re-derive"
-        );
-        while self.cap.voltage() < self.vth.v_backup {
-            self.power_failure();
-        }
+        v
     }
 
     /// The full outage protocol (§3.2): checkpoint, verify, power off,
@@ -767,33 +780,20 @@ impl Machine {
                         .add(EnergyCategory::Compute, dt as f64 * static_uw * 1e-6);
                 }
                 self.last_sync = self.now;
-                if dt > 0 {
-                    let harvested = self.cursor.advance(dt);
-                    let eta = self.charging.efficiency(v);
-                    v = self.cap.charged_voltage_at(v, harvested * eta);
-                }
-                if self.meter.version() != self.drained_version {
-                    let total = self.meter.total();
-                    let spent = total - self.drained_pj;
-                    if spent > 0.0 {
-                        v = self.cap.drained_voltage_at(v, spent);
-                    }
-                    self.drained_pj = total;
-                    self.drained_version = self.meter.version();
-                }
+                v = self.settle_window(v, dt);
                 if v < v_backup {
                     // Run boundary: the outage protocol reads the
                     // capacitor, so write the carried voltage back
                     // first, then re-hoist everything it may have
                     // changed.
-                    self.cap.set_voltage(v);
+                    self.cap.store_settled_voltage(v);
                     while self.cap.voltage() < self.vth.v_backup {
                         self.power_failure();
                     }
                     continue 'runs;
                 }
             }
-            self.cap.set_voltage(v);
+            self.cap.store_settled_voltage(v);
         }
     }
 
