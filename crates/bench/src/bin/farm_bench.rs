@@ -1,15 +1,16 @@
 //! Cold-vs-warm benchmark of the persistent result store
 //! (`EHSIM_RESULT_STORE`), written to `BENCH_farm.json`.
 //!
-//! The store's value proposition is cross-*process* reuse (a restarted
-//! farm server resumes warm), so the in-memory memo cache must not be
-//! allowed to pollute the measurement: the parent re-execs itself as a
-//! `--child` once against an empty store (cold: every sim executes and
-//! persists) and once against the now-warm store (warm: every sim is
-//! served from disk). Each child regenerates the full Small-scale
-//! figure sweep and reports its executor counter deltas as one JSON
-//! line on stdout; the parent times the children wall-clock, checks
-//! the warm run executed *zero* simulations, and records the speedup.
+//! The store's value proposition is cross-*process* reuse (a later
+//! sweep process, even one started after a `kill -9`, resumes warm), so
+//! the in-memory memo cache must not be allowed to pollute the
+//! measurement: the parent re-execs itself as a `--child` once against
+//! an empty store (cold: every sim executes and persists) and once
+//! against the now-warm store (warm: every sim is served from disk).
+//! Each child regenerates the full Small-scale figure sweep and reports
+//! its executor counter deltas as one JSON line on stdout; the parent
+//! times the children wall-clock, checks the warm run executed *zero*
+//! simulations, and records the speedup.
 
 use ehsim_bench::{exec, figures, telemetry};
 use ehsim_workloads::Scale;

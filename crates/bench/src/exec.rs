@@ -233,6 +233,11 @@ fn result_store() -> Option<&'static ehsim_farm::ResultStore> {
     .as_ref()
 }
 
+/// Whether `EHSIM_RESULT_STORE` names a result store for this process.
+pub fn result_store_enabled() -> bool {
+    result_store().is_some()
+}
+
 /// The workload name whose simulations should also dump event
 /// timelines (`EHSIM_TRACE_WORKLOAD`), if any.
 fn trace_workload() -> Option<&'static str> {
@@ -374,8 +379,8 @@ fn simulate(job: &Job, engine: &str, check: bool) -> Report {
 /// configured and not in batch-check mode), falling back to [`simulate`];
 /// freshly executed results refresh the store best-effort. A store hit
 /// is *not* an executed simulation: no heartbeat, no `sims_run` bump —
-/// only `store_hits` — so "heartbeat count == sims actually executed"
-/// stays true for farm clients.
+/// only `store_hits` — so the progress stream carries one heartbeat per
+/// simulation actually executed.
 fn simulate_or_load(job: &Job, key: Option<&MemoKey>) -> Report {
     let store = result_store().filter(|_| !batch_check());
     let (store, key) = match (store, key) {
@@ -524,7 +529,7 @@ pub fn run_suites(cfgs: &[SimConfig], scale: Scale) -> Vec<Vec<Arc<Report>>> {
 mod tests {
     use super::*;
 
-    /// The memo key is the farm's [`ehsim_farm::SimKey`], verbatim —
+    /// The memo key is the store's [`ehsim_farm::SimKey`], verbatim —
     /// the per-field injectivity tests live next to the encoding in
     /// `ehsim-farm::key`; this pin only guards the delegation.
     #[test]

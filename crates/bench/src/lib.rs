@@ -14,7 +14,6 @@ use std::io::Write as _;
 use std::path::Path;
 
 pub mod exec;
-pub mod farm;
 pub mod figures;
 pub mod telemetry;
 

@@ -104,39 +104,11 @@ pub fn enable() {
     profiler().set_enabled(true);
 }
 
-/// Whether any telemetry consumer is active (profiler enabled, a
-/// progress stream open, or a heartbeat sink registered). The
-/// executor's per-sim clock reads are gated on this.
+/// Whether any telemetry consumer is active (profiler enabled or a
+/// progress stream open). The executor's per-sim clock reads are gated
+/// on this.
 pub fn active() -> bool {
-    profiler().enabled() || progress().is_some() || have_heartbeat_sinks()
-}
-
-/// Process-wide heartbeat fan-out: sinks registered here receive every
-/// [`SimHeartbeat`] the executor emits, in addition to the progress
-/// stream. The farm server uses this to stream per-sim progress to
-/// watching clients; registration is permanent for the process (a
-/// server owns its process).
-type HbSink = Arc<dyn Fn(&SimHeartbeat) + Send + Sync>;
-
-static HAVE_SINKS: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-fn heartbeat_sinks() -> &'static Mutex<Vec<HbSink>> {
-    static S: OnceLock<Mutex<Vec<HbSink>>> = OnceLock::new();
-    S.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-fn have_heartbeat_sinks() -> bool {
-    HAVE_SINKS.load(Ordering::Relaxed)
-}
-
-/// Registers a process-wide heartbeat sink (see [`active`]: a
-/// registered sink turns the per-sim clock on).
-pub fn add_heartbeat_sink(sink: Arc<dyn Fn(&SimHeartbeat) + Send + Sync>) {
-    heartbeat_sinks()
-        .lock()
-        .expect("heartbeat sinks poisoned")
-        .push(sink);
-    HAVE_SINKS.store(true, Ordering::Release);
+    profiler().enabled() || progress().is_some()
 }
 
 fn progress_cell() -> &'static OnceLock<Option<Mutex<ProgressStream>>> {
@@ -305,7 +277,7 @@ pub fn sim_completed(
             .record(instr_per_s as u64);
         h.histogram_mut("sim_elapsed_us").record(elapsed_ns / 1_000);
     }
-    if progress().is_some() || have_heartbeat_sinks() {
+    if let Some(p) = progress() {
         let hb = SimHeartbeat {
             ordinal,
             design: design.to_string(),
@@ -317,17 +289,8 @@ pub fn sim_completed(
             instructions: report.instructions,
             instr_per_s,
         };
-        if let Some(p) = progress() {
-            if let Ok(mut s) = p.lock() {
-                s.heartbeat(&hb);
-            }
-        }
-        if have_heartbeat_sinks() {
-            if let Ok(sinks) = heartbeat_sinks().lock() {
-                for sink in sinks.iter() {
-                    sink(&hb);
-                }
-            }
+        if let Ok(mut s) = p.lock() {
+            s.heartbeat(&hb);
         }
     }
 }

@@ -63,64 +63,8 @@ pub enum Command {
     /// Run one workload with full recording and export per-interval
     /// harvested/consumed energy as TSV and/or SVG.
     EnergyPlot(PlotOptions),
-    /// Run the sweep-farm server: a long-running process that serves
-    /// figure generation over loopback TCP, backed by the persistent
-    /// result store (see DESIGN.md §2.13).
-    Serve(ServeOptions),
-    /// Submit a figure sweep to a running farm server and block until
-    /// its `done` line.
-    Submit(SubmitOptions),
-    /// Print a running farm server's queue/active/counter snapshot.
-    Status(StatusOptions),
-    /// Fetch one figure's raw TSV bytes from a running farm server.
-    Fetch(FetchOptions),
     /// Print usage.
     Help,
-}
-
-/// Options for `serve`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeOptions {
-    /// Listen address (`host:port`; port 0 picks an ephemeral port).
-    pub addr: String,
-    /// Job-worker threads (figure-level parallelism).
-    pub workers: usize,
-    /// Result-store directory (sets `EHSIM_RESULT_STORE` before the
-    /// first simulation, so every executed sim persists its report).
-    pub store: Option<String>,
-}
-
-/// Options for `submit`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SubmitOptions {
-    /// Server address.
-    pub addr: String,
-    /// Figure/table names to generate (empty means all of them).
-    pub figures: Vec<String>,
-    /// Workload scale.
-    pub scale: Scale,
-    /// Stream per-sim heartbeat lines while the job runs.
-    pub watch: bool,
-}
-
-/// Options for `status`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StatusOptions {
-    /// Server address.
-    pub addr: String,
-}
-
-/// Options for `fetch`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FetchOptions {
-    /// Server address.
-    pub addr: String,
-    /// Figure name.
-    pub figure: String,
-    /// Workload scale.
-    pub scale: Scale,
-    /// Write the TSV bytes here (default: stdout).
-    pub out: Option<String>,
 }
 
 /// Options for `sweep`.
@@ -288,10 +232,6 @@ USAGE:
   ehsim-cli profile-sweep <progress.jsonl> [--tsv-out <p>] [--design-out <p>] [--svg-out <p>]
   ehsim-cli dq-plot --workload <name> [--tsv-out <p>] [--svg-out <p>] [options]
   ehsim-cli energy-plot --workload <name> [--tsv-out <p>] [--svg-out <p>] [options]
-  ehsim-cli serve [--addr <a>] [--workers <n>] [--store <dir>]
-  ehsim-cli submit [--figure <f>]... [--scale <s>] [--addr <a>] [--watch]
-  ehsim-cli status [--addr <a>]
-  ehsim-cli fetch --figure <f> [--scale <s>] [--addr <a>] [--out <p.tsv>]
   ehsim-cli list
   ehsim-cli help
 
@@ -329,15 +269,6 @@ OPTIONS:
   --progress-out <path> sweep: stream one JSONL heartbeat per completed
                         simulation, plus metadata and profile lines
   --design-out <path>   profile-sweep: write the per-design table as TSV
-  --addr <a>            serve/submit/status/fetch: server address
-                        (default: 127.0.0.1:7171; serve: port 0 picks
-                        an ephemeral port)
-  --workers <n>         serve: job-worker threads     (default: 1)
-  --store <dir>         serve: persistent result-store directory
-                        (EHSIM_RESULT_STORE; sims load warm results
-                        from it and save every executed one)
-  --watch               submit: stream per-sim heartbeat lines while
-                        the job set runs
 
 `record-bus` captures a workload's Bus access stream once (one kernel
 execution over flat memory); `replay` drives the full machine from the
@@ -348,16 +279,22 @@ diverging Bus operation.
 `sweep` regenerates `results/*.tsv` through the shared executor with
 the phase profiler enabled; `profile-sweep` turns the progress stream
 back into the per-phase attribution and per-design tables. Telemetry
-only observes: the TSVs are byte-identical with or without it.
-
-`serve` turns the same sweep machinery into a long-running service:
-`submit` queues figure generations (overlapping submissions share
-in-flight work), `status` snapshots the queue and executor counters,
-and `fetch` returns a figure's TSV bytes. With `--store`, every
-executed simulation's report persists to a content-addressed on-disk
-store, so a restarted server — even after `kill -9` — resumes warm.
-Stored results are byte-identical to direct execution.
+only observes: the TSVs are byte-identical with or without it. With
+`EHSIM_RESULT_STORE=<dir>` set, every executed simulation's report
+persists to a content-addressed on-disk store, so a later sweep — even
+after `kill -9` — loads it instead of re-simulating, and the summary
+gains a `store` hits/misses/rejects line. Stored results are
+byte-identical to direct execution.
 ";
+
+/// The `sweep` summary's result-store line (printed only when
+/// `EHSIM_RESULT_STORE` is set).
+fn store_summary(st: &exec::ExecStats) -> String {
+    format!(
+        "store         {} hits / {} misses / {} rejects\n",
+        st.store_hits, st.store_misses, st.store_rejects
+    )
+}
 
 /// Parses a command line (without the binary name).
 ///
@@ -486,114 +423,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 }
             }
             Ok(Command::Sweep(opt))
-        }
-        "serve" => {
-            let mut opt = ServeOptions {
-                addr: ehsim_farm::DEFAULT_ADDR.to_string(),
-                workers: 1,
-                store: None,
-            };
-            let mut it = args[1..].iter();
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{name} needs a value"))
-                };
-                match flag.as_str() {
-                    "--addr" => opt.addr = value("--addr")?,
-                    "--workers" => {
-                        opt.workers = value("--workers")?
-                            .parse()
-                            .map_err(|e| format!("--workers: {e}"))?
-                    }
-                    "--store" => opt.store = Some(value("--store")?),
-                    other => return Err(format!("unknown flag '{other}'")),
-                }
-            }
-            Ok(Command::Serve(opt))
-        }
-        "submit" => {
-            let mut opt = SubmitOptions {
-                addr: ehsim_farm::DEFAULT_ADDR.to_string(),
-                figures: Vec::new(),
-                scale: Scale::Default,
-                watch: false,
-            };
-            let mut it = args[1..].iter();
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{name} needs a value"))
-                };
-                match flag.as_str() {
-                    "--addr" => opt.addr = value("--addr")?,
-                    "--figure" => opt.figures.push(value("--figure")?),
-                    "--all" => opt.figures.clear(),
-                    "--scale" => {
-                        opt.scale = match value("--scale")?.as_str() {
-                            "small" => Scale::Small,
-                            "default" => Scale::Default,
-                            other => return Err(format!("unknown scale '{other}'")),
-                        }
-                    }
-                    "--watch" => opt.watch = true,
-                    other => return Err(format!("unknown flag '{other}'")),
-                }
-            }
-            Ok(Command::Submit(opt))
-        }
-        "status" => {
-            let mut opt = StatusOptions {
-                addr: ehsim_farm::DEFAULT_ADDR.to_string(),
-            };
-            let mut it = args[1..].iter();
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--addr" => {
-                        opt.addr = it
-                            .next()
-                            .cloned()
-                            .ok_or_else(|| "--addr needs a value".to_string())?
-                    }
-                    other => return Err(format!("unknown flag '{other}'")),
-                }
-            }
-            Ok(Command::Status(opt))
-        }
-        "fetch" => {
-            let mut addr = ehsim_farm::DEFAULT_ADDR.to_string();
-            let mut figure = None;
-            let mut scale = Scale::Default;
-            let mut out = None;
-            let mut it = args[1..].iter();
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{name} needs a value"))
-                };
-                match flag.as_str() {
-                    "--addr" => addr = value("--addr")?,
-                    "--figure" => figure = Some(value("--figure")?),
-                    "--out" => out = Some(value("--out")?),
-                    "--scale" => {
-                        scale = match value("--scale")?.as_str() {
-                            "small" => Scale::Small,
-                            "default" => Scale::Default,
-                            other => return Err(format!("unknown scale '{other}'")),
-                        }
-                    }
-                    other => return Err(format!("unknown flag '{other}'")),
-                }
-            }
-            Ok(Command::Fetch(FetchOptions {
-                addr,
-                figure: figure.ok_or("fetch needs --figure")?,
-                scale,
-                out,
-            }))
         }
         "profile-sweep" => {
             let Some(input) = args.get(1) else {
@@ -1224,6 +1053,9 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 "sims          {} run, {} memoized",
                 stats.sims_run, stats.memo_hits
             );
+            if exec::result_store_enabled() {
+                s.push_str(&store_summary(&stats));
+            }
             let _ = writeln!(
                 s,
                 "attributed    {:.1} % of wall in named phases",
@@ -1342,81 +1174,6 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             }
             Ok(s)
         }
-        Command::Serve(opt) => {
-            if let Some(dir) = &opt.store {
-                // The executor reads EHSIM_RESULT_STORE once, lazily,
-                // before the first simulation — set it now, while the
-                // process is still single-purpose.
-                std::env::set_var("EHSIM_RESULT_STORE", dir);
-            }
-            let server = ehsim_farm::Server::bind(
-                &opt.addr,
-                Box::new(ehsim_bench::farm::BenchBackend),
-                ehsim_farm::ServerConfig {
-                    workers: opt.workers,
-                },
-            )
-            .map_err(|e| format!("bind {}: {e}", opt.addr))?;
-            let addr = server.local_addr();
-            eprintln!(
-                "[farm listening on {addr}, {} worker{}{}]",
-                opt.workers.max(1),
-                if opt.workers.max(1) == 1 { "" } else { "s" },
-                match &opt.store {
-                    Some(dir) => format!(", store {dir}"),
-                    None => String::new(),
-                }
-            );
-            telemetry::enable();
-            server.run().map_err(|e| format!("serve: {e}"))?;
-            Ok(format!("farm on {addr} shut down cleanly\n"))
-        }
-        Command::Submit(opt) => {
-            let figures: Vec<String> = if opt.figures.is_empty() {
-                figures::ALL.iter().map(|&(n, _)| n.to_string()).collect()
-            } else {
-                opt.figures.clone()
-            };
-            let done =
-                ehsim_farm::client::submit(&opt.addr, &figures, opt.scale, opt.watch, |line| {
-                    println!("{line}")
-                })?;
-            let mut s = String::new();
-            let _ = writeln!(
-                s,
-                "figures       {} generated at scale {}",
-                done.figures,
-                ehsim_farm::protocol::scale_label(opt.scale)
-            );
-            let _ = writeln!(s, "wall          {:.3} s", done.wall_ns as f64 / 1e9);
-            let _ = writeln!(
-                s,
-                "sims          {} run, {} memoized, store {} hits / {} misses / {} rejects",
-                done.sims_run,
-                done.memo_hits,
-                done.store_hits,
-                done.store_misses,
-                done.store_rejects
-            );
-            Ok(s)
-        }
-        Command::Status(opt) => {
-            let line = ehsim_farm::client::status(&opt.addr)?;
-            Ok(format!("{line}\n"))
-        }
-        Command::Fetch(opt) => {
-            let tsv = ehsim_farm::client::fetch(&opt.addr, &opt.figure, opt.scale)?;
-            match &opt.out {
-                Some(path) => {
-                    std::fs::write(path, &tsv).map_err(|e| format!("--out {path}: {e}"))?;
-                    Ok(format!("{path} ({} bytes)\n", tsv.len()))
-                }
-                None => {
-                    Ok(String::from_utf8(tsv)
-                        .map_err(|e| format!("fetched TSV is not UTF-8: {e}"))?)
-                }
-            }
-        }
         Command::Compare(opt) => {
             let w = workload_of(&opt.workload, opt.scale)?;
             let mut s = format!(
@@ -1478,52 +1235,6 @@ mod tests {
         assert!(parse(&argv("run --bogus 1")).is_err());
         assert!(parse(&argv("frobnicate")).is_err());
         assert!(parse(&argv("run --cache")).is_err());
-    }
-
-    #[test]
-    fn parses_farm_verbs() {
-        let cmd = parse(&argv("serve --addr 127.0.0.1:0 --workers 2 --store /tmp/s")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Serve(ServeOptions {
-                addr: "127.0.0.1:0".into(),
-                workers: 2,
-                store: Some("/tmp/s".into()),
-            })
-        );
-        let cmd = parse(&argv(
-            "submit --figure fig04 --figure fig05 --scale small --watch",
-        ))
-        .unwrap();
-        assert_eq!(
-            cmd,
-            Command::Submit(SubmitOptions {
-                addr: ehsim_farm::DEFAULT_ADDR.into(),
-                figures: vec!["fig04".into(), "fig05".into()],
-                scale: Scale::Small,
-                watch: true,
-            })
-        );
-        let cmd = parse(&argv("status")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Status(StatusOptions {
-                addr: ehsim_farm::DEFAULT_ADDR.into(),
-            })
-        );
-        let cmd = parse(&argv("fetch --figure fig04 --scale small --out /tmp/f.tsv")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Fetch(FetchOptions {
-                addr: ehsim_farm::DEFAULT_ADDR.into(),
-                figure: "fig04".into(),
-                scale: Scale::Small,
-                out: Some("/tmp/f.tsv".into()),
-            })
-        );
-        assert!(parse(&argv("fetch")).is_err(), "fetch needs --figure");
-        assert!(parse(&argv("serve --workers")).is_err());
-        assert!(parse(&argv("submit --bogus")).is_err());
     }
 
     #[test]
@@ -1872,6 +1583,20 @@ mod tests {
         };
         assert!(opt.figures.is_empty());
         assert!(parse(&argv("sweep --progress-out")).is_err());
+        // The summary's result-store line.
+        let st = exec::ExecStats {
+            sims_run: 0,
+            memo_hits: 0,
+            simulated_instructions: 0,
+            traces_recorded: 0,
+            store_hits: 12,
+            store_misses: 3,
+            store_rejects: 1,
+        };
+        assert_eq!(
+            store_summary(&st),
+            "store         12 hits / 3 misses / 1 rejects\n"
+        );
 
         let Command::ProfileSweep(ps) = parse(&argv(
             "profile-sweep p.jsonl --tsv-out a.tsv --design-out d.tsv --svg-out s.svg",

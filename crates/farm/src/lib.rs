@@ -1,41 +1,23 @@
-//! Sweep farm: a persistent content-addressed result store and a
-//! std-only sim-as-a-service job server.
+//! Persistent content-addressed result store for sweep simulations.
 //!
-//! Two layers, usable independently:
-//!
-//! * **[`store`]** — `EHSIM_RESULT_STORE=<dir>` promotes the sweep
-//!   executor's in-memory memo map to disk: one fully-validated,
-//!   checksummed `.ehres` file per simulation, keyed by the injective
-//!   [`key::SimKey`] encoding of (configuration, workload, scale).
-//!   Deterministic simulation makes the store a pure cache: a hit is
-//!   byte-identical to execution, any validation failure falls back to
-//!   execution, and a sweep warms the store for every later process —
-//!   including a server restarted after `kill -9`.
-//! * **[`server`]** — a [`std::net::TcpListener`] job service with a
-//!   FIFO queue, request dedup over an in-flight map, a configurable
-//!   worker pool and streamed per-sim progress in the PR 8 heartbeat
-//!   JSONL wire format. `ehsim-cli` (`serve`/`submit`/`status`/
-//!   `fetch`) is one client; anything speaking newline-delimited JSON
-//!   over TCP is another.
+//! `EHSIM_RESULT_STORE=<dir>` promotes the sweep executor's in-memory
+//! memo map to disk: one fully-validated, checksummed `.ehres` file per
+//! simulation ([`store`]), keyed by the injective [`key::SimKey`]
+//! encoding of (configuration, workload, scale). Deterministic
+//! simulation makes the store a pure cache: a hit is byte-identical to
+//! execution, any validation failure falls back to execution, and a
+//! sweep warms the store for every later process — including one
+//! started after a `kill -9` of its predecessor.
 //!
 //! The crate deliberately does not depend on `ehsim-bench`: bench's
-//! executor uses [`key`]/[`store`] for its memo and store layers, and
-//! provides the [`server::Backend`] implementation that turns figure
-//! names into TSVs. `ehsim-farm` itself builds with std only — the
-//! build environment has no crates.io access, and a vendored async
-//! runtime would dwarf the problem being solved.
+//! executor uses [`key`]/[`store`] for its memo and store layers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod client;
 mod codec;
 pub mod key;
-pub mod protocol;
-pub mod server;
 pub mod store;
 
 pub use key::{sim_key, SimKey, KEY_VERSION};
-pub use protocol::DEFAULT_ADDR;
-pub use server::{Backend, HeartbeatSink, Server, ServerConfig, ServerHandle};
 pub use store::{LoadOutcome, ResultStore, STORE_VERSION};

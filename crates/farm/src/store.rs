@@ -30,9 +30,13 @@
 //! the caller falls back to execution — a corrupt store can make a
 //! sweep slower, never wrong, and never panics.
 //!
-//! Writes go through a temp file + rename so a crash mid-write (the CI
-//! farm job kill -9s a server mid-sweep) leaves either no entry or a
-//! complete one; concurrent writers of the same key race benignly
+//! Load reads at most one byte past the largest well-formed entry, so an
+//! oversized or sparse file in the store directory is rejected without
+//! being read whole.
+//!
+//! Writes go through a temp file + rename so a crash mid-write (the
+//! `store_resume` test SIGKILLs a sweep mid-run) leaves either no entry
+//! or a complete one; concurrent writers of the same key race benignly
 //! because both write identical bytes (simulation is deterministic).
 
 use crate::codec::{decode_report, encode_report};
@@ -55,6 +59,11 @@ const MAX_KEY_WORDS: u32 = 4096;
 
 /// Sanity bound on the payload length (real payloads are < 1 KiB).
 const MAX_PAYLOAD: u64 = 16 << 20;
+
+/// Size of the largest well-formed entry: magic, key-encoding version
+/// and word count, a maximal key, the payload length, a maximal payload
+/// and the checksum.
+const MAX_ENTRY: u64 = 8 + 8 + MAX_KEY_WORDS as u64 * 8 + 8 + MAX_PAYLOAD + 8;
 
 /// Result of a store lookup.
 #[derive(Debug)]
@@ -100,11 +109,17 @@ impl ResultStore {
         match std::fs::File::open(&path) {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return LoadOutcome::Miss,
             Err(e) => return LoadOutcome::Reject(format!("open {}: {e}", path.display())),
-            Ok(mut f) => {
-                if let Err(e) = f.read_to_end(&mut bytes) {
+            Ok(f) => {
+                if let Err(e) = f.take(MAX_ENTRY + 1).read_to_end(&mut bytes) {
                     return LoadOutcome::Reject(format!("read {}: {e}", path.display()));
                 }
             }
+        }
+        if bytes.len() as u64 > MAX_ENTRY {
+            return LoadOutcome::Reject(format!(
+                "{}: file exceeds the {MAX_ENTRY}-byte entry bound",
+                path.display()
+            ));
         }
         match validate(&bytes, key) {
             Ok(report) => LoadOutcome::Hit(Box::new(report)),
@@ -247,39 +262,96 @@ mod tests {
         }
     }
 
-    #[test]
-    fn truncation_rejects() {
-        let store = ResultStore::open(tmpdir("trunc"));
-        let (key, report) = sample();
-        store.save(&key, &report).unwrap();
-        let path = store.path_for(&key);
-        let full = std::fs::read(&path).unwrap();
-        for cut in [0, 7, 8, 20, full.len() - 1] {
-            std::fs::write(&path, &full[..cut]).unwrap();
-            assert!(
-                matches!(store.load(&key), LoadOutcome::Reject(_)),
-                "prefix of {cut} bytes was not rejected"
-            );
+    /// Asserts the store's decode property on one candidate file: a
+    /// reject, or a report identical to the one saved — never a panic.
+    fn assert_reject_or_identical(bytes: &[u8], key: &SimKey, report: &Report, what: &str) {
+        if let Ok(r) = validate(bytes, key) {
+            assert_eq!(&r, report, "{what} decoded to a different report");
         }
     }
 
     #[test]
-    fn flipped_byte_rejects_via_checksum() {
-        let store = ResultStore::open(tmpdir("flip"));
+    fn every_byte_mutation_and_truncation_rejects_or_round_trips() {
+        let (key, report) = sample();
+        let full = serialize(&key, &report).unwrap();
+        for at in 0..full.len() {
+            for x in [0x01, 0x80, 0xff] {
+                let mut bad = full.clone();
+                bad[at] ^= x;
+                assert_reject_or_identical(&bad, &key, &report, &format!("byte {at} ^ {x:#04x}"));
+            }
+        }
+        for cut in 0..full.len() {
+            assert_reject_or_identical(&full[..cut], &key, &report, &format!("prefix {cut}"));
+        }
+        // The file path agrees: a truncated entry on disk is rejected.
+        let store = ResultStore::open(tmpdir("trunc"));
+        store.save(&key, &report).unwrap();
+        std::fs::write(store.path_for(&key), &full[..full.len() - 1]).unwrap();
+        assert!(matches!(store.load(&key), LoadOutcome::Reject(_)));
+    }
+
+    /// Byte mutations with the checksum re-sealed, so each one reaches
+    /// the key comparison and `decode_report` instead of stopping at
+    /// the FNV check. The checksum is what catches a changed counter: a
+    /// re-sealed payload flip can decode to a valid but different
+    /// report. The decoder's property is that it accepts only canonical
+    /// payloads: any report it returns re-serializes to exactly the
+    /// mutated file.
+    #[test]
+    fn resealed_mutations_reject_or_decode_canonically() {
+        let (key, report) = sample();
+        let full = serialize(&key, &report).unwrap();
+        let payload_start = 16 + key.words().len() * 8 + 8;
+        let body_end = full.len() - 8;
+        let (mut rejected, mut decoded) = (0, 0);
+        for at in 8..body_end {
+            for x in [0x01, 0x80, 0xff] {
+                let mut bad = full.clone();
+                bad[at] ^= x;
+                let sum = fnv1a(&bad[8..body_end]);
+                bad[body_end..].copy_from_slice(&sum.to_le_bytes());
+                match validate(&bad, &key) {
+                    Err(_) => rejected += 1,
+                    Ok(r) => {
+                        decoded += 1;
+                        assert!(at >= payload_start, "header byte {at} ^ {x:#04x} accepted");
+                        assert_eq!(
+                            serialize(&key, &r).unwrap(),
+                            bad,
+                            "byte {at} ^ {x:#04x} decoded to a non-canonical report"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            rejected > 0 && decoded > 0,
+            "{rejected} rejected, {decoded} decoded"
+        );
+    }
+
+    #[test]
+    fn oversized_file_rejects_without_being_read_whole() {
+        let store = ResultStore::open(tmpdir("oversized"));
         let (key, report) = sample();
         store.save(&key, &report).unwrap();
         let path = store.path_for(&key);
-        let full = std::fs::read(&path).unwrap();
-        // Flip one byte at every offset; every single one must reject
-        // (header checks, key comparison or the checksum catch it).
-        for at in 0..full.len() {
-            let mut bad = full.clone();
-            bad[at] ^= 0x40;
-            std::fs::write(&path, &bad).unwrap();
-            assert!(
-                matches!(store.load(&key), LoadOutcome::Reject(_)),
-                "flip at offset {at} was not rejected"
-            );
+        let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        // A valid entry extended by a sparse hole: only the first
+        // MAX_ENTRY + 1 bytes are read, then the size bound rejects.
+        for len in [8 * MAX_ENTRY, MAX_ENTRY + 1] {
+            f.set_len(len).unwrap();
+            match store.load(&key) {
+                LoadOutcome::Reject(msg) => assert!(msg.contains("entry bound"), "{len}: {msg}"),
+                other => panic!("{len} bytes: expected reject, got {other:?}"),
+            }
+        }
+        // At the bound itself, the content checks reject instead.
+        f.set_len(MAX_ENTRY).unwrap();
+        match store.load(&key) {
+            LoadOutcome::Reject(msg) => assert!(!msg.contains("entry bound"), "{msg}"),
+            other => panic!("expected reject, got {other:?}"),
         }
     }
 

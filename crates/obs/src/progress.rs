@@ -1,9 +1,9 @@
 //! The sweep progress stream: one JSONL heartbeat per completed
 //! simulation, plus sweep metadata and the end-of-sweep profile line.
 //!
-//! This is the wire format the future sweep farm streams to clients
-//! (ROADMAP "sweep farm / sim-as-a-service"). Three line kinds share
-//! one file:
+//! `ehsim-cli sweep --progress-out` and `EHSIM_PROGRESS` write it, and
+//! `ehsim-cli profile-sweep` reads it back. Three line kinds share one
+//! file:
 //!
 //! * `{"kind":"meta",...}` — once at stream open: host core count,
 //!   worker count, engine, git revision, scale.
@@ -30,8 +30,8 @@ use std::io;
 
 /// Default heartbeat buffer capacity. Heartbeats are a live progress
 /// feed at per-simulation rate (one every ~0.1–10 s), so the default
-/// writes each line through immediately; a farm fanning into one sink
-/// can raise it via [`ProgressStream::with_capacity`].
+/// writes each line through immediately; a caller that wants batched
+/// writes can raise it via [`ProgressStream::with_capacity`].
 pub const DEFAULT_PROGRESS_CAPACITY: usize = 1;
 
 /// Replaces the characters the JSONL field scanner cannot represent

@@ -51,7 +51,7 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "L002",
-        summary: "no Instant/SystemTime/thread_rng outside crates/{bench,cli,farm}",
+        summary: "no Instant/SystemTime/thread_rng outside crates/{bench,cli}",
         rationale: "wall-clock or OS randomness breaks run-to-run bit-identity",
     },
     Rule {
@@ -81,13 +81,13 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "L008",
-        summary: "no std::env::var outside crates/{bench,cli,farm}",
+        summary: "no std::env::var outside crates/{bench,cli}",
         rationale: "environment knobs in deterministic crates make sim results depend on invisible ambient state",
     },
     Rule {
         id: "L009",
-        summary: "no std::net sockets outside crates/{farm,cli}",
-        rationale: "the farm is the one sanctioned network service (and the cli its client); sockets anywhere else would grow untracked I/O surface in deterministic code",
+        summary: "no std::net sockets in any crate",
+        rationale: "the simulator is a batch program with no network service; a socket would grow untracked I/O surface",
     },
 ];
 
@@ -269,11 +269,12 @@ pub fn lint_file(
     let lines: Vec<&str> = blanked.lines().collect();
     let is_bench = crate_name == "bench";
     // The crates whose whole job is ambient state: `bench` drives
-    // sweeps from env knobs, `cli` parses a user session, `farm` runs a
-    // wall-clock-timed network service. Everything else — including
-    // crates outside DETERMINISTIC_CRATES, like `verify` and `hwcost` —
-    // must stay free of wall-clock and environment reads.
-    let ambient_ok = matches!(crate_name, "bench" | "cli" | "farm");
+    // sweeps from env knobs and wall-clock timers, `cli` parses a user
+    // session. Everything else — including crates outside
+    // DETERMINISTIC_CRATES, like `verify`, `hwcost` and `farm` (whose
+    // store directory is handed in by bench) — must stay free of
+    // wall-clock and environment reads.
+    let ambient_ok = matches!(crate_name, "bench" | "cli");
     let timing = TIMING_CRATES.contains(&crate_name);
 
     let mut push = |rule_id: &'static str, line: usize, out: &mut Vec<Finding>| {
@@ -328,9 +329,8 @@ pub fn lint_file(
         // L004: panicking accessors in library code. The required open
         // paren keeps `unwrap_or`/`unwrap_or_else` out of scope. The
         // harness crates are excepted: bench treats sim errors as
-        // fatal by design, and the farm's poisoned-lock expects are
-        // deliberate fail-fast semantics for a crash-recoverable
-        // service (the store survives kill -9; so does a panic).
+        // fatal by design, and the farm's expects are fixed-width slice
+        // conversions behind the store's own length checks.
         if !is_bench
             && crate_name != "farm"
             && !test_line
@@ -361,12 +361,10 @@ pub fn lint_file(
             push("L008", lineno, out);
         }
 
-        // L009: sockets only in the farm (the one network service) and
-        // the cli (its client). `std::net` catches qualified forms and
-        // `use` lines; the type idents catch `use`d handles. Tests
+        // L009: no sockets anywhere. `std::net` catches qualified forms
+        // and `use` lines; the type idents catch `use`d handles. Tests
         // excepted (a unit test may bind an ephemeral loopback port).
-        if !matches!(crate_name, "farm" | "cli")
-            && !test_line
+        if !test_line
             && (line.contains("std::net")
                 || has_ident(line, "TcpListener")
                 || has_ident(line, "TcpStream")

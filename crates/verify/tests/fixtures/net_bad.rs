@@ -1,4 +1,4 @@
-// Sockets outside the farm/cli (triggers L009 four times: the `use`
+// Sockets in a crate (triggers L009 four times: the `use`
 // line, a `use`d handle, and two `std::net::`-qualified forms).
 use std::net::TcpListener;
 

@@ -1,9 +1,9 @@
 // Socket mentions that must NOT trip L009: doc comments, string
 // literals, superstring idents, and #[cfg(test)] regions.
 
-/// Never bind a `TcpListener` here; route jobs through the farm.
+/// Never bind a `TcpListener` here; sweeps run in-process.
 pub fn doc_only() -> &'static str {
-    "std::net::TcpStream is banned outside crates/{farm,cli}"
+    "std::net::TcpStream is banned in every crate"
 }
 
 pub struct TcpStreamStats;

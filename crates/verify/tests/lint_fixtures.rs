@@ -56,8 +56,9 @@ fn l002_wall_clock_and_randomness() {
         include_str!("fixtures/determinism_bad.rs"),
     );
     assert_eq!(rules_of(&hwcost), ["L002"; 5], "{hwcost:?}");
-    // Only the ambient-state crates are exempt.
-    for exempt in ["bench", "cli", "farm"] {
+    // Only the ambient-state crates are exempt; the farm (a result
+    // store handed its directory by bench) is not.
+    for exempt in ["bench", "cli"] {
         let ok = lint(
             exempt,
             "time.rs",
@@ -65,6 +66,12 @@ fn l002_wall_clock_and_randomness() {
         );
         assert!(ok.is_empty(), "{exempt}: {ok:?}");
     }
+    let farm = lint(
+        "farm",
+        "time.rs",
+        include_str!("fixtures/determinism_bad.rs"),
+    );
+    assert_eq!(rules_of(&farm), ["L002"; 5], "{farm:?}");
 }
 
 #[test]
@@ -123,12 +130,14 @@ fn l008_environment_knobs() {
         good.is_empty(),
         "comments/strings/macros/tests must not trip: {good:?}"
     );
-    // bench, cli and farm are the sanctioned homes for environment
-    // knobs (the farm server configures its result store from env).
-    for exempt in ["bench", "cli", "farm"] {
+    // bench and cli are the sanctioned homes for environment knobs;
+    // the farm's store directory is handed in by bench's executor.
+    for exempt in ["bench", "cli"] {
         let ok = lint(exempt, "knobs.rs", include_str!("fixtures/env_bad.rs"));
         assert!(ok.is_empty(), "{exempt}: {ok:?}");
     }
+    let farm = lint("farm", "knobs.rs", include_str!("fixtures/env_bad.rs"));
+    assert_eq!(rules_of(&farm), ["L008"; 3], "{farm:?}");
 }
 
 #[test]
@@ -140,13 +149,10 @@ fn l009_sockets() {
         good.is_empty(),
         "comments/strings/superstrings/tests must not trip: {good:?}"
     );
-    // Even bench may not open sockets; only the farm service and the
-    // cli client may.
-    let bench = lint("bench", "srv.rs", include_str!("fixtures/net_bad.rs"));
-    assert_eq!(rules_of(&bench), ["L009"; 4], "{bench:?}");
-    for exempt in ["farm", "cli"] {
-        let ok = lint(exempt, "srv.rs", include_str!("fixtures/net_bad.rs"));
-        assert!(ok.is_empty(), "{exempt}: {ok:?}");
+    // No crate is exempt, not even the ambient-state ones.
+    for krate in ["bench", "cli", "farm"] {
+        let found = lint(krate, "srv.rs", include_str!("fixtures/net_bad.rs"));
+        assert_eq!(rules_of(&found), ["L009"; 4], "{krate}: {found:?}");
     }
 }
 
