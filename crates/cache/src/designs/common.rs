@@ -42,6 +42,7 @@ impl WbCore {
     }
 
     /// Per-access LRU bookkeeping overhead (zero under FIFO replacement).
+    #[inline]
     fn lru_overhead(&self, ctx: &mut MemCtx<'_>) -> Ps {
         if self.array.policy() == ReplacementPolicy::Lru {
             ctx.meter
@@ -60,12 +61,24 @@ impl WbCore {
     /// Hit/miss *timing for the access itself* (read vs. write) is added
     /// by [`WbCore::load`] / [`WbCore::store_resident`]; this method
     /// accounts only the miss-path costs.
+    ///
+    /// The hit path inlines into the designs' access methods; the miss
+    /// path stays out of line in [`WbCore::miss`].
+    #[inline]
     pub fn ensure_resident(&mut self, ctx: &mut MemCtx<'_>, addr: u32) -> (SetWay, bool) {
         ctx.now += self.lru_overhead(ctx);
         if let Some(sw) = self.array.lookup(addr) {
             self.array.touch(sw);
             return (sw, true);
         }
+        (self.miss(ctx, addr), false)
+    }
+
+    /// The miss tail of [`WbCore::ensure_resident`]: tag probe,
+    /// dirty-victim write-back, then demand fill. Returns the filled
+    /// slot.
+    #[inline(never)]
+    fn miss(&mut self, ctx: &mut MemCtx<'_>, addr: u32) -> SetWay {
         // Miss detect: tag probe.
         ctx.now += self.tech.miss_detect_ps;
         ctx.meter.add(EnergyCategory::CacheRead, self.tech.read_pj);
@@ -89,11 +102,12 @@ impl WbCore {
             .add(EnergyCategory::CacheWrite, self.tech.write_pj);
         ctx.now += self.tech.write_hit_ps;
         ctx.stats.line_fills += 1;
-        (victim, false)
+        victim
     }
 
     /// Full load path: residency + array read. Updates counters and
     /// `ctx.now`; returns `(slot, value, hit)`.
+    #[inline]
     pub fn load(
         &mut self,
         ctx: &mut MemCtx<'_>,
@@ -115,6 +129,7 @@ impl WbCore {
     /// array write. Does **not** set the dirty bit — the caller decides
     /// (WL-Cache couples that transition to DirtyQueue insertion).
     /// Returns `(slot, was_dirty_before, hit)`.
+    #[inline]
     pub fn store_resident(
         &mut self,
         ctx: &mut MemCtx<'_>,

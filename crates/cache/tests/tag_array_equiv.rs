@@ -4,6 +4,11 @@
 //! asserts every observable agrees at every step — lookups, victim
 //! selection, read-back values, dirty accounting, and the exact
 //! iteration order of `dirty_lines`/`valid_lines`.
+//!
+//! The reference keeps a separate valid bit per line; the array under
+//! test folds it into the tag as a sentinel, so the sequences run both
+//! at the bottom and at the top of the 32-bit address space (the
+//! largest tags) and check slot validity after every invalidation.
 
 use ehsim_cache::{CacheGeometry, ReplacementPolicy, SetWay, TagArray};
 use ehsim_mem::AccessSize;
@@ -187,9 +192,10 @@ const GEOMS: [(u32, u32, u32); 4] = [
 ];
 
 /// Applies one decoded operation to both arrays and checks the
-/// observables they expose afterwards.
-fn step(new: &mut TagArray, old: &mut RefArray, word: u64, addr_space: u32) {
-    let addr = (word as u32) % addr_space;
+/// observables they expose afterwards. Addresses fall in
+/// `base..base + addr_space`.
+fn step(new: &mut TagArray, old: &mut RefArray, word: u64, base: u32, addr_space: u32) {
+    let addr = base + (word as u32) % addr_space;
     let op = (word >> 32) % 100;
     let line_bytes = old.geom.line_bytes();
     let aligned = addr & !(line_bytes - 1);
@@ -213,7 +219,7 @@ fn step(new: &mut TagArray, old: &mut RefArray, word: u64, addr_space: u32) {
             if let Some(sw) = hn {
                 new.touch(sw);
                 old.touch(sw);
-                let wa = (addr & !7).min(aligned + line_bytes - 8);
+                let wa = (addr & !7).min(aligned + (line_bytes - 8));
                 new.write(sw, wa, AccessSize::B8, word);
                 old.write(sw, wa, AccessSize::B8, word);
                 new.set_dirty(sw, true);
@@ -229,28 +235,43 @@ fn step(new: &mut TagArray, old: &mut RefArray, word: u64, addr_space: u32) {
                 }
             }
         }
-        // Invalidate a resident line.
+        // Invalidate a resident line: its slot stops hitting at once (a
+        // duplicate fill of the same line in another way still may).
         85..=97 => {
             if let Some(sw) = old.lookup(addr) {
                 new.invalidate(sw);
                 old.invalidate(sw);
+                assert!(!new.is_valid(sw) && !new.is_dirty(sw));
+                let hit = new.lookup(addr);
+                assert_ne!(hit, Some(sw), "invalidated 0x{addr:x} still hits");
+                assert_eq!(hit, old.lookup(addr), "lookup(0x{addr:x}) after invalidate");
             }
         }
         // Rare full flush.
         _ => {
             new.invalidate_all();
             old.invalidate_all();
+            assert_eq!(new.lookup(addr), None, "0x{addr:x} hits after a flush");
         }
     }
 }
 
 /// Full-state comparison across every observable the designs use.
-fn assert_equivalent(new: &TagArray, old: &RefArray, addr_space: u32) {
+fn assert_equivalent(new: &TagArray, old: &RefArray, base: u32, addr_space: u32) {
     assert_eq!(new.count_dirty(), old.count_dirty());
     assert_eq!(new.dirty_lines().collect::<Vec<_>>(), old.dirty_lines());
     assert_eq!(new.valid_lines().collect::<Vec<_>>(), old.valid_lines());
+    for i in 0..old.geom.n_lines() {
+        let ways = old.geom.ways();
+        let sw = SetWay {
+            set: i / ways,
+            way: i % ways,
+        };
+        assert_eq!(new.is_valid(sw), old.lines[old.ix(sw)].valid, "{sw:?}");
+        assert_eq!(new.is_dirty(sw), old.is_dirty(sw), "{sw:?}");
+    }
     let line_bytes = old.geom.line_bytes();
-    for addr in (0..addr_space).step_by(line_bytes as usize) {
+    for addr in (base..=base + (addr_space - line_bytes)).step_by(line_bytes as usize) {
         let hn = new.lookup(addr);
         assert_eq!(hn, old.lookup(addr), "lookup(0x{addr:x})");
         assert_eq!(new.victim(addr), old.victim(addr), "victim(0x{addr:x})");
@@ -270,13 +291,15 @@ fn assert_equivalent(new: &TagArray, old: &RefArray, addr_space: u32) {
     }
 }
 
+// Default case count (256, or `PROPTEST_CASES`): CI runs these at
+// 20000 cases, since the folded valid bit and the fixed-width accesses
+// are only exact if these hold.
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
     #[test]
     fn soa_array_matches_seed_implementation(
         geom_ix in 0usize..GEOMS.len(),
         policy_ix in 0usize..2,
+        top in proptest::arbitrary::any::<bool>(),
         ops in prop::collection::vec(proptest::arbitrary::any::<u64>(), 50..400),
     ) {
         let (size, ways, line) = GEOMS[geom_ix];
@@ -286,13 +309,49 @@ proptest! {
         } else {
             ReplacementPolicy::Fifo
         };
-        // 4× the cache capacity so fills conflict and evict.
+        // 4× the cache capacity so fills conflict and evict, at the
+        // bottom or the very top of the address space.
         let addr_space = size * 4;
+        let base = if top { 0u32.wrapping_sub(addr_space) } else { 0 };
         let mut new = TagArray::new(geom, policy);
         let mut old = RefArray::new(geom, policy);
         for &word in &ops {
-            step(&mut new, &mut old, word, addr_space);
+            step(&mut new, &mut old, word, base, addr_space);
         }
-        assert_equivalent(&new, &old, addr_space);
+        assert_equivalent(&new, &old, base, addr_space);
+    }
+
+    /// Every width at every in-line offset (aligned or not) of a
+    /// random line reads and writes exactly the bytes the reference's
+    /// byte loops do.
+    #[test]
+    fn fixed_width_access_matches_the_byte_loops(
+        geom_ix in 0usize..GEOMS.len(),
+        pattern in proptest::arbitrary::any::<u64>(),
+        value in proptest::arbitrary::any::<u64>(),
+        line_ix in 0u32..4,
+    ) {
+        let (size, ways, line) = GEOMS[geom_ix];
+        let geom = CacheGeometry::new(size, ways, line);
+        let base = line_ix * size + 3 * line;
+        let fill: Vec<u8> = (0..line)
+            .map(|i| (pattern.rotate_left(i * 7 % 64) ^ u64::from(i)) as u8)
+            .collect();
+        let mut new = TagArray::new(geom, ReplacementPolicy::Lru);
+        let mut old = RefArray::new(geom, ReplacementPolicy::Lru);
+        let sw = new.victim(base);
+        new.fill(sw, base, &fill);
+        old.fill(sw, base, &fill);
+        for size in [AccessSize::B1, AccessSize::B2, AccessSize::B4, AccessSize::B8] {
+            for off in 0..=line - size.bytes() {
+                let addr = base + off;
+                prop_assert_eq!(new.read(sw, addr, size), old.read(sw, addr, size));
+                let (mut n, mut o) = (new.clone(), RefArray::new(geom, ReplacementPolicy::Lru));
+                o.fill(sw, base, &fill);
+                n.write(sw, addr, size, value);
+                o.write(sw, addr, size, value);
+                prop_assert_eq!(n.line_data(sw), &o.lines[o.ix(sw)].data[..]);
+            }
+        }
     }
 }

@@ -56,16 +56,24 @@ impl ChargingModel {
         // `powi` with a runtime exponent is a library call on the settle
         // hot path. For the default steepness of 8 the call computes
         // `1.0 * ((r²)²)²` by repeated squaring; doing the same squaring
-        // chain inline is bit-identical.
+        // chain inline is bit-identical. Other exponents call `powi`
+        // from an out-of-line function: written inline, LLVM hoists the
+        // pure call above the branch and pays it on every window.
         let p = if self.steepness == 8 {
             let r2 = r * r;
             let r4 = r2 * r2;
             r4 * r4
         } else {
-            r.powi(self.steepness)
+            powi_cold(r, self.steepness)
         };
         clamp01(1.0 - p)
     }
+}
+
+#[cold]
+#[inline(never)]
+fn powi_cold(r: f64, n: i32) -> f64 {
+    r.powi(n)
 }
 
 impl Default for ChargingModel {

@@ -41,7 +41,7 @@ impl EnergyCategory {
 }
 
 /// Accumulates energy consumption per [`EnergyCategory`].
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyMeter {
     /// Core computation energy (pJ).
     pub compute: Pj,
@@ -53,22 +53,6 @@ pub struct EnergyMeter {
     pub mem_read: Pj,
     /// NVM write energy (pJ).
     pub mem_write: Pj,
-    /// Count of [`EnergyMeter::add`] calls — a cheap change detector so
-    /// callers caching [`EnergyMeter::total`] know when the cached sum
-    /// is stale without re-summing the categories.
-    adds: u64,
-}
-
-/// Equality is over the accumulated energies only; the internal add
-/// counter is bookkeeping, not state.
-impl PartialEq for EnergyMeter {
-    fn eq(&self, other: &Self) -> bool {
-        self.compute == other.compute
-            && self.cache_read == other.cache_read
-            && self.cache_write == other.cache_write
-            && self.mem_read == other.mem_read
-            && self.mem_write == other.mem_write
-    }
 }
 
 impl EnergyMeter {
@@ -81,7 +65,6 @@ impl EnergyMeter {
     #[inline]
     pub fn add(&mut self, category: EnergyCategory, pj: Pj) {
         debug_assert!(pj >= 0.0, "energy must be non-negative, got {pj}");
-        self.adds += 1;
         match category {
             EnergyCategory::Compute => self.compute += pj,
             EnergyCategory::CacheRead => self.cache_read += pj,
@@ -104,21 +87,11 @@ impl EnergyMeter {
 
     /// Total energy across all categories (pJ).
     ///
-    /// The sum is evaluated left-to-right in a fixed category order;
-    /// callers that cache the result (keyed on [`EnergyMeter::version`])
-    /// and re-call `total()` when stale therefore always observe the
-    /// exact value a fresh sum would produce.
+    /// The sum is evaluated left-to-right in a fixed category order, so
+    /// two calls with nothing metered in between return the same bits.
     #[inline]
     pub fn total(&self) -> Pj {
         self.compute + self.cache_read + self.cache_write + self.mem_read + self.mem_write
-    }
-
-    /// Monotonically increasing counter that changes on every
-    /// [`EnergyMeter::add`]. Equal versions mean nothing was metered in
-    /// between, so a cached [`EnergyMeter::total`] is still exact.
-    #[inline]
-    pub fn version(&self) -> u64 {
-        self.adds
     }
 
     /// Component-wise sum of two meters.
@@ -129,7 +102,6 @@ impl EnergyMeter {
             cache_write: self.cache_write + other.cache_write,
             mem_read: self.mem_read + other.mem_read,
             mem_write: self.mem_write + other.mem_write,
-            adds: self.adds + other.adds,
         }
     }
 }

@@ -27,7 +27,7 @@
 //! order, so the sharing refactor must not (and does not) change a
 //! single floating-point operation.
 
-use ehsim_mem::{Pj, Ps};
+use ehsim_mem::{ps_to_f64, Pj, Ps};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::sync::{Arc, OnceLock};
@@ -365,7 +365,7 @@ impl TraceCursor {
         if dt < self.seg_left_ps {
             self.seg_left_ps -= dt;
             self.offset_ps += dt;
-            return self.seg_power_uw * dt as f64 * UW_PS_TO_PJ;
+            return self.seg_power_uw * ps_to_f64(dt) * UW_PS_TO_PJ;
         }
         self.advance_slow(dt)
     }

@@ -56,6 +56,18 @@ pub type Ps = u64;
 /// Picojoules — the simulator's base energy unit.
 pub type Pj = f64;
 
+/// `ps as f64`, computed through `i64`.
+///
+/// The signed conversion is one instruction on x86-64, where the
+/// unsigned one is a branchy sequence. Both round the same integer to
+/// the nearest `f64`, so the result is identical for every `ps` below
+/// `2^63` (debug-asserted); a simulated span that long is ~106 days.
+#[inline(always)]
+pub fn ps_to_f64(ps: Ps) -> f64 {
+    debug_assert!(ps < 1 << 63, "time span {ps} ps overflows i64");
+    ps as i64 as f64
+}
+
 /// Picoseconds per CPU cycle at the paper's 1 GHz clock.
 pub const PS_PER_CYCLE: Ps = 1_000;
 
@@ -84,6 +96,23 @@ mod tests {
         assert_eq!(line_base(63, 64), 0);
         assert_eq!(line_base(64, 64), 64);
         assert_eq!(line_base(0x12345, 64), 0x12340);
+    }
+
+    #[test]
+    fn ps_to_f64_matches_the_unsigned_conversion() {
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        for shift in 0..63 {
+            for ps in [
+                1u64 << shift,
+                (1u64 << shift) - 1,
+                (1 << shift) + 1,
+                x >> (shift + 1),
+            ] {
+                assert_eq!(ps_to_f64(ps).to_bits(), (ps as f64).to_bits(), "{ps}");
+            }
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+        }
+        assert_eq!(ps_to_f64((1 << 63) - 1), ((1u64 << 63) - 1) as f64);
     }
 
     #[test]

@@ -1294,6 +1294,108 @@ w 0x47 1
         assert!(import_column_trace("0x40", "x").is_err(), "op-less address");
     }
 
+    /// Every single-byte mutation (three xor masks) and every truncation
+    /// of a column trace imports without panicking. The text carries no
+    /// checksum, so a damaged digit can spell another valid trace; what
+    /// must hold is that an accepted import is well-formed and differs
+    /// from the original only at the damaged line (two lines when a
+    /// newline is hit or made): the ops of every line before it and
+    /// every line after it come through unchanged.
+    #[test]
+    fn import_survives_every_byte_mutation_and_truncation() {
+        let text = "\
+# header, L 0x40 4
+l 0x40 4
+0x80,W
+
+s 0x100 8
+; c 99
+C 250
+128 r 2
+// w 0x47 1
+store, 4096, 1
+0X1F0 read 8
+";
+        let orig: Vec<BusOp> = import_column_trace(text, "x")
+            .expect("imports")
+            .cursor()
+            .collect();
+        // Ops contributed by the lines before line `l` of the original.
+        let lines: Vec<&str> = text.split('\n').collect();
+        let is_op = |l: &str| {
+            let l = l.trim();
+            !(l.is_empty() || l.starts_with('#') || l.starts_with(';') || l.starts_with("//"))
+        };
+        let ops_before = |l: usize| lines[..l].iter().filter(|x| is_op(x)).count();
+        let n = orig.len();
+        // Checks an import whose damage spans original lines
+        // `first..=last` (ops of lines past the cut are gone when
+        // `truncated`).
+        let check = |bad: &[u8], first: usize, last: usize, truncated: bool, what: &str| {
+            let Ok(bad) = std::str::from_utf8(bad) else {
+                return None; // `read_to_string` refuses it first
+            };
+            let t = import_column_trace(bad, "x").ok()?;
+            assert_eq!((t.name(), t.checksum()), ("x", 0), "{what}");
+            assert_eq!(t.mem_bytes() % crate::LINE_BYTES, 0, "{what}");
+            let got: Vec<BusOp> = t.cursor().collect();
+            for op in &got {
+                if let BusOp::Load { addr, size } | BusOp::Store { addr, size } = *op {
+                    assert_eq!(addr % size.bytes(), 0, "{what}: misaligned {op:?}");
+                    assert!(
+                        addr + size.bytes() <= t.mem_bytes(),
+                        "{what}: {op:?} past the span"
+                    );
+                }
+            }
+            let pre = ops_before(first);
+            let post = if truncated {
+                0
+            } else {
+                n - ops_before(last + 1)
+            };
+            assert!(
+                got.len() >= pre + post && got.len() <= pre + post + 2,
+                "{what}: {got:?}"
+            );
+            assert_eq!(
+                got[..pre],
+                orig[..pre],
+                "{what}: lines before the damage changed"
+            );
+            assert_eq!(
+                got[got.len() - post..],
+                orig[n - post..],
+                "{what}: lines after changed"
+            );
+            Some(got == orig)
+        };
+        let bytes = text.as_bytes();
+        let (mut rejected, mut same, mut different) = (0, 0, 0);
+        for i in 0..bytes.len() {
+            let line = bytes[..i].iter().filter(|&&b| b == b'\n').count();
+            for mask in [0x01u8, 0x80, 0xff] {
+                let mut bad = bytes.to_vec();
+                bad[i] ^= mask;
+                let joins = bytes[i] == b'\n';
+                let what = format!("byte {i} ^ {mask:#04x}");
+                match check(&bad, line, line + usize::from(joins), false, &what) {
+                    None => rejected += 1,
+                    Some(true) => same += 1,
+                    Some(false) => different += 1,
+                }
+            }
+        }
+        assert!(
+            rejected > 0 && same > 0 && different > 0,
+            "{rejected}/{same}/{different}"
+        );
+        for cut in 0..bytes.len() {
+            let line = bytes[..cut].iter().filter(|&&b| b == b'\n').count();
+            let _ = check(&bytes[..cut], line, line, true, &format!("cut at {cut}"));
+        }
+    }
+
     #[test]
     fn varint_and_zigzag_round_trip() {
         for v in [0u64, 1, 127, 128, 300, u64::from(u32::MAX), u64::MAX] {

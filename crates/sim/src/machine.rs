@@ -9,7 +9,7 @@ use ehsim_energy::{
     Capacitor, ChargingModel, EnergyCategory, EnergyMeter, TraceCursor, TraceKind,
     VoltageThresholds,
 };
-use ehsim_mem::{AccessSize, Bus, FunctionalMem, NvmPort, Pj, Ps};
+use ehsim_mem::{ps_to_f64, AccessSize, Bus, FunctionalMem, NvmPort, Pj, Ps};
 use ehsim_obs::{Event, ObserverBox};
 
 /// Panic payload used to abort a run from inside the [`Bus`] methods
@@ -67,9 +67,10 @@ pub struct Machine {
     /// fig13a golden caught it; this one is invalidated at exactly the
     /// sites that can move thresholds.)
     vth: VoltageThresholds,
-    /// Whether `vth` must be re-derived after design code runs (true
+    /// Whether `vth` must be re-derived after design code runs: true
     /// only for WL-Cache, the one design whose controller moves
-    /// thresholds mid-run).
+    /// thresholds mid-run, and only with failures enabled — without a
+    /// capacitor in play nothing reads the mirror.
     vth_volatile: bool,
     /// Event sink. [`ObserverBox::Noop`] by default; every emission site
     /// is guarded by [`ObserverBox::enabled`] and observers can never
@@ -89,11 +90,8 @@ pub struct Machine {
     now: Ps,
     boot_time: Ps,
     last_sync: Ps,
+    /// `meter.total()` as of the last drain of the capacitor.
     drained_pj: Pj,
-    /// Meter version at which `drained_pj` was last brought up to date;
-    /// when unchanged, nothing was metered and the capacitor drain can
-    /// be skipped without re-summing the meter.
-    drained_version: u64,
     instructions: u64,
     outages: u64,
     /// Settlement windows resolved: one per [`Machine::settle`] call
@@ -149,7 +147,7 @@ impl Machine {
         });
         let instr_hook = design.has_instruction_hook();
         let vth = design.thresholds();
-        let vth_volatile = matches!(cfg.design, crate::DesignKind::Wl { .. });
+        let vth_volatile = failures && matches!(cfg.design, crate::DesignKind::Wl { .. });
         let mut obs = obs;
         if obs.enabled() {
             if let Some(wl) = design.as_wl() {
@@ -191,7 +189,6 @@ impl Machine {
             boot_time: 0,
             last_sync: 0,
             drained_pj: 0.0,
-            drained_version: 0,
             instructions: 0,
             outages: 0,
             settles: 0,
@@ -308,24 +305,38 @@ impl Machine {
         std::panic::panic_any(Abort)
     }
 
-    fn check_error(&self) {
+    /// Entry check of every [`Bus`] op: one branch on the common path
+    /// (booted, no error), the abort re-raise and first boot out of
+    /// line.
+    #[inline]
+    fn enter(&mut self) {
+        if !(self.booted && self.error.is_none()) {
+            self.enter_slow();
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn enter_slow(&mut self) {
         if self.error.is_some() {
             std::panic::panic_any(Abort)
         }
+        self.boot();
     }
 
     /// Integrates harvested energy and drains metered consumption,
     /// without triggering the failure protocol.
     ///
-    /// `drained_pj` caches `meter.total()` as of the previous
-    /// settlement, tagged with the meter's add-count
-    /// (`drained_version`). Because `total()` is a fixed left-to-right
-    /// sum over the category fields, re-evaluating it only when
-    /// something was metered — and only once per settlement — yields the
-    /// exact values the seed computed by re-summing (twice) every time;
-    /// accumulating deltas instead would round differently and was
-    /// rejected. With failures disabled the cache is never read, so
-    /// no-failure runs do no total-summing at all.
+    /// `drained_pj` holds `meter.total()` as of the previous drain, and
+    /// the drain is the fresh total minus it. `total()` is a fixed
+    /// left-to-right sum over the category fields, so summing once per
+    /// settlement yields the exact values the seed computed by
+    /// re-summing (twice); accumulating deltas instead would round
+    /// differently and was rejected. Every caller metered something
+    /// just before (the retire, the compute chunk, the register
+    /// checkpoint or restore), and were that ever not so the total
+    /// would equal `drained_pj` bit for bit and the `spent > 0.0` guard
+    /// would skip the drain. With failures disabled nothing is summed.
     fn sync_energy(&mut self) {
         let dt = self.now - self.last_sync;
         if dt > 0 {
@@ -333,7 +344,7 @@ impl Machine {
             // not energy-free).
             self.meter.add(
                 EnergyCategory::Compute,
-                dt as f64 * self.cpu.static_power_uw * 1e-6,
+                ps_to_f64(dt) * self.cpu.static_power_uw * 1e-6,
             );
         }
         if self.failures_enabled {
@@ -346,15 +357,12 @@ impl Machine {
                     self.harvested_pj += harvested;
                 }
             }
-            if self.meter.version() != self.drained_version {
-                let total = self.meter.total();
-                let spent = total - self.drained_pj;
-                if spent > 0.0 {
-                    self.cap.drain_pj(spent);
-                }
-                self.drained_pj = total;
-                self.drained_version = self.meter.version();
+            let total = self.meter.total();
+            let spent = total - self.drained_pj;
+            if spent > 0.0 {
+                self.cap.drain_pj(spent);
             }
+            self.drained_pj = total;
             if self.obs.enabled() {
                 let th = self.design.thresholds();
                 Self::emit_crossings(&mut self.obs, &th, self.now, v_before, self.cap.voltage());
@@ -380,10 +388,7 @@ impl Machine {
     /// First power-up: harvest from an empty capacitor to `Von` before
     /// any work happens. This initial charge is part of execution time
     /// (the paper's Fig 10(b) sweeps hinge on it) but is not an outage.
-    fn boot_if_needed(&mut self) {
-        if self.booted {
-            return;
-        }
+    fn boot(&mut self) {
         self.booted = true;
         if self.failures_enabled {
             self.recharge_to_von();
@@ -429,7 +434,7 @@ impl Machine {
         if dt > 0 {
             self.meter.add(
                 EnergyCategory::Compute,
-                dt as f64 * self.cpu.static_power_uw * 1e-6,
+                ps_to_f64(dt) * self.cpu.static_power_uw * 1e-6,
             );
         }
         self.last_sync = self.now;
@@ -463,15 +468,12 @@ impl Machine {
             let eta = self.charging.efficiency(v);
             v = self.cap.charged_voltage_at(v, harvested * eta);
         }
-        if self.meter.version() != self.drained_version {
-            let total = self.meter.total();
-            let spent = total - self.drained_pj;
-            if spent > 0.0 {
-                v = self.cap.drained_voltage_at(v, spent);
-            }
-            self.drained_pj = total;
-            self.drained_version = self.meter.version();
+        let total = self.meter.total();
+        let spent = total - self.drained_pj;
+        if spent > 0.0 {
+            v = self.cap.drained_voltage_at(v, spent);
         }
+        self.drained_pj = total;
         v
     }
 
@@ -690,7 +692,8 @@ impl Machine {
     /// `on_instructions`, checkpoint, reboot), so re-deriving the
     /// threshold mirror on exit catches every site where WL-Cache's
     /// controller can have moved a threshold — including the mid-store
-    /// dynamic `maxline` raise.
+    /// dynamic `maxline` raise. `vth_volatile` is false without
+    /// failures, when nothing reads the mirror.
     fn with_ctx<R>(&mut self, f: impl FnOnce(&mut DesignBox, &mut MemCtx<'_>) -> R) -> R {
         let cap_voltage = self.cap.voltage();
         let mut ctx = MemCtx {
@@ -754,7 +757,7 @@ impl Machine {
                 let dt = self.now - self.last_sync;
                 if dt > 0 {
                     self.meter
-                        .add(EnergyCategory::Compute, dt as f64 * static_uw * 1e-6);
+                        .add(EnergyCategory::Compute, ps_to_f64(dt) * static_uw * 1e-6);
                 }
                 self.last_sync = self.now;
             }
@@ -777,7 +780,7 @@ impl Machine {
                 let dt = self.now - self.last_sync;
                 if dt > 0 {
                     self.meter
-                        .add(EnergyCategory::Compute, dt as f64 * static_uw * 1e-6);
+                        .add(EnergyCategory::Compute, ps_to_f64(dt) * static_uw * 1e-6);
                 }
                 self.last_sync = self.now;
                 v = self.settle_window(v, dt);
@@ -811,8 +814,7 @@ impl Machine {
 
 impl Bus for Machine {
     fn load(&mut self, addr: u32, size: AccessSize) -> u64 {
-        self.check_error();
-        self.boot_if_needed();
+        self.enter();
         let start = self.now;
         let (done, value) = self.with_ctx(|design, ctx| design.load(ctx, addr, size));
         // In-order core: an instruction takes at least one cycle.
@@ -823,8 +825,7 @@ impl Bus for Machine {
     }
 
     fn store(&mut self, addr: u32, size: AccessSize, value: u64) {
-        self.check_error();
-        self.boot_if_needed();
+        self.enter();
         let start = self.now;
         let done = self.with_ctx(|design, ctx| design.store(ctx, addr, size, value));
         self.now = done.max(start + self.cpu.ps_per_cycle);
@@ -836,8 +837,7 @@ impl Bus for Machine {
     }
 
     fn compute(&mut self, cycles: u64) {
-        self.check_error();
-        self.boot_if_needed();
+        self.enter();
         if self.batch && !self.instr_hook && !self.obs.enabled() {
             // A pure compute stretch runs no design code (no bus ops,
             // no instruction hook), so it is a fusable run: see
