@@ -76,7 +76,7 @@ fn main() {
         let json = format!(
             "{{\n  \"wall_clock_seconds\": {wall:.3},\n  \"jobs\": {},\n  \"jobs_note\": \"{jobs_note}\",\n  \"engine\": \"{}\",\n  \"sims_run\": {},\n  \"memo_hits\": {},\n  \"simulated_instructions\": {},\n  \"simulated_instructions_per_second\": {ips:.1},\n  \"meta\": {},\n  \"profile\": {{\n    \"attributed_pct\": {:.2},\n  \"phases\": [\n{}\n  ]\n  }},\n  \"metrics\": {}\n}}\n",
             exec::jobs(),
-            exec::engine(),
+            exec::ENGINE,
             stats.sims_run,
             stats.memo_hits,
             stats.simulated_instructions,

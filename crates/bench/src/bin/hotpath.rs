@@ -32,10 +32,7 @@
 //!
 //! Two auxiliary sections ride along, both excluded from the
 //! aggregate: `recording_observer` (what full event capture costs) and
-//! `settlement_batching` (per-retire reference settlement paired
-//! same-window against the default batched engine, on both the
-//! bus-heavy aggregate mix and a compute-heavy mix whose long stretches
-//! the engine can actually fuse).
+//! `recording_emit` (the recording observer's per-event emit cost).
 //!
 //! `--smoke` shrinks the iteration counts to a few milliseconds total
 //! for CI smoke runs (throughput numbers are then meaningless; the run
@@ -69,28 +66,6 @@ fn drive(m: &mut Machine, iters: u32) -> u64 {
             x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
         }
         m.compute(64);
-    }
-    m.instructions()
-}
-
-/// Instructions per [`drive_compute`] iteration: 2 bus ops + one long
-/// compute stretch.
-const INSTR_PER_COMPUTE_ITER: u64 = 2 + 32_768;
-
-/// Compute-dominated mix: one store/load pair, then a 32 768-cycle
-/// stretch — sixteen settlement chunks with no intervening bus access,
-/// the shape the batched engine fuses into a single register-carried
-/// run. [`drive`] is the opposite extreme (a bus access every fifth
-/// instruction, so every run is one chunk long); real workloads sit in
-/// between, most of them near [`drive`].
-fn drive_compute(m: &mut Machine, iters: u32) -> u64 {
-    let mut x = 0x9e37_79b9u32;
-    for _ in 0..iters {
-        let addr = (x >> 7) % (MEM_BYTES / 4) * 4;
-        m.store_u32(addr, x);
-        black_box(m.load_u32(addr));
-        x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-        m.compute(32_768);
     }
     m.instructions()
 }
@@ -135,36 +110,15 @@ fn field_num(line: &str, key: &str) -> Option<f64> {
 }
 
 fn run_scenario(cfg: &SimConfig, iters: u32, reps: u32) -> (u64, f64) {
-    run_scenario_on(cfg, iters, reps, drive, false)
-}
-
-/// `per_retire` forces the reference settlement path (the programmatic
-/// form of `EHSIM_NO_BATCH=1`) for every machine of the run, so the
-/// batched engine can be paired against per-retire settlement inside
-/// one process window; `mix` selects the drive kernel.
-fn run_scenario_on(
-    cfg: &SimConfig,
-    iters: u32,
-    reps: u32,
-    mix: fn(&mut Machine, u32) -> u64,
-    per_retire: bool,
-) -> (u64, f64) {
-    let new_machine = |cfg: &SimConfig| {
-        if per_retire {
-            ehsim::with_settle_batching_disabled(|| Machine::new(cfg, MEM_BYTES))
-        } else {
-            Machine::new(cfg, MEM_BYTES)
-        }
-    };
     // Warm-up pass (not timed): page in code and trace storage.
-    let mut warm = new_machine(cfg);
-    mix(&mut warm, (iters / 8).max(1));
+    let mut warm = Machine::new(cfg, MEM_BYTES);
+    drive(&mut warm, (iters / 8).max(1));
     let mut best = f64::INFINITY;
     let mut instructions = 0;
     for _ in 0..reps {
-        let mut m = new_machine(cfg);
+        let mut m = Machine::new(cfg, MEM_BYTES);
         let t0 = Instant::now();
-        instructions = mix(&mut m, iters);
+        instructions = drive(&mut m, iters);
         let dt = t0.elapsed().as_secs_f64();
         best = best.min(dt);
     }
@@ -444,55 +398,6 @@ fn main() {
     let emit_n: u32 = if smoke { 4_096 } else { 256 * 1024 };
     let emit_rows = run_emit_section(emit_n, reps);
 
-    // Settlement-batching rows, paired per-retire vs batched inside one
-    // process window. Two drive mixes bracket the engine's range:
-    // `bus-heavy` (the aggregate's own kernel — a bus access every
-    // fifth instruction, so every fusable run is a single chunk and the
-    // rows measure pure engine overhead) and `compute-heavy` (16-chunk
-    // stretches the engine fuses into register-carried runs). The
-    // bus-heavy batched numbers reuse the scenario measurements above;
-    // compute-heavy runs both paths back to back. Like the recording
-    // section, all rows stay out of the aggregate — the aggregate
-    // tracks the shipping configuration (batched) on the bus-heavy mix.
-    type Mix = (&'static str, fn(&mut Machine, u32) -> u64, u32);
-    let mixes: [Mix; 2] = [
-        ("bus-heavy", drive, iters),
-        (
-            "compute-heavy",
-            drive_compute,
-            ((iters as u64 * INSTR_PER_ITER / INSTR_PER_COMPUTE_ITER) as u32).max(1),
-        ),
-    ];
-    let mut batching = Vec::new();
-    for (mix, kernel, mix_iters) in mixes {
-        for cfg in SimConfig::all_designs() {
-            for trace in [TraceKind::None, TraceKind::Rf1] {
-                let cfg = cfg.clone().with_trace(trace);
-                let design = cfg.design.label();
-                let (instructions, wall) = run_scenario_on(&cfg, mix_iters, reps, kernel, true);
-                let ips_ref = instructions as f64 / wall;
-                let ips_batched = if mix == "bus-heavy" {
-                    scenarios
-                        .iter()
-                        .find(|s| s.design == design && s.trace == trace.label())
-                        .map(|s| s.ips)
-                        .unwrap_or(ips_ref)
-                } else {
-                    let (instructions, wall) =
-                        run_scenario_on(&cfg, mix_iters, reps, kernel, false);
-                    instructions as f64 / wall
-                };
-                let speedup = ips_batched / ips_ref;
-                eprintln!(
-                    "hotpath: {design:>9} / {:<10} {ips_ref:>12.0} instr/s per-retire \
-                     {mix} (batching {speedup:.2}x)",
-                    trace.label()
-                );
-                batching.push((design, trace.label(), mix, ips_ref, ips_batched, speedup));
-            }
-        }
-    }
-
     let total_instr: u64 = scenarios.iter().map(|s| s.instructions).sum();
     let total_wall: f64 = scenarios.iter().map(|s| s.best_wall_s).sum();
     let aggregate = total_instr as f64 / total_wall;
@@ -565,29 +470,6 @@ fn main() {
             (emit_rows.iter().map(|r| r.speedup.ln()).sum::<f64>() / emit_rows.len() as f64).exp();
         let _ = writeln!(json, "  \"recording_emit_geomean_speedup\": {g:.3},");
         println!("hotpath: recording-emit geomean {g:.2}x vs seed path (same window)");
-    }
-    json.push_str("  \"settlement_batching\": [\n");
-    for (i, (design, trace, mix, ips_ref, ips_batched, speedup)) in batching.iter().enumerate() {
-        let sep = if i + 1 == batching.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"design\": \"{design}\", \"trace\": \"{trace}\", \"mix\": \"{mix}\", \"ips_per_retire\": {ips_ref:.1}, \"ips_batched\": {ips_batched:.1}, \"batching_speedup\": {speedup:.3}}}{sep}",
-        );
-    }
-    json.push_str("  ],\n");
-    for mix in ["bus-heavy", "compute-heavy"] {
-        let ratios: Vec<f64> = batching
-            .iter()
-            .filter(|b| b.2 == mix)
-            .map(|b| b.5.ln())
-            .collect();
-        if ratios.is_empty() {
-            continue;
-        }
-        let g = (ratios.iter().sum::<f64>() / ratios.len() as f64).exp();
-        let key = mix.replace('-', "_");
-        let _ = writeln!(json, "  \"settlement_batching_geomean_{key}\": {g:.3},");
-        println!("hotpath: settlement batching geomean {g:.2}x vs per-retire ({mix}, same window)");
     }
     let speedups: Vec<f64> = scenarios
         .iter()

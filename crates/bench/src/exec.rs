@@ -14,9 +14,6 @@
 //! on the simulated machine ([`ehsim::Simulator::run_with`]). Nothing
 //! is shared between simulations but the memoized reports, so a
 //! sweep's footprint is one machine per worker plus the memo.
-//! `EHSIM_BATCH_CHECK=1` runs every simulation through both
-//! the batched settlement engine and the per-retire reference path and
-//! asserts the reports identical.
 //!
 //! **Persistent result store.** `EHSIM_RESULT_STORE=<dir>` persists
 //! completed *reports* across processes in
@@ -25,9 +22,8 @@
 //! anything; a validated hit returns the stored report (byte-identical
 //! to execution — simulation is deterministic and the codec is
 //! bit-exact), any validation failure falls back to execution, and
-//! fresh results refresh the store. The serial reference and the
-//! batch-check mode never touch it. Hits/misses/rejects are counted
-//! in [`ExecStats`].
+//! fresh results refresh the store. The serial reference never
+//! touches it. Hits/misses/rejects are counted in [`ExecStats`].
 //!
 //! Guarantees:
 //!
@@ -171,22 +167,8 @@ fn serial_uncached() -> bool {
     std::env::var_os("EHSIM_SWEEP_SERIAL").is_some_and(|v| v != "0")
 }
 
-/// Execution-engine label for benchmark artifacts: `"direct"`
-/// normally, `"direct+batch-check"` under `EHSIM_BATCH_CHECK=1`.
-pub fn engine() -> &'static str {
-    if batch_check() {
-        "direct+batch-check"
-    } else {
-        "direct"
-    }
-}
-
-/// `EHSIM_BATCH_CHECK=1`: run every simulation through *both*
-/// settlement engines — the default batched one and the per-retire
-/// reference path — and assert the reports field-for-field identical.
-fn batch_check() -> bool {
-    std::env::var_os("EHSIM_BATCH_CHECK").is_some_and(|v| v != "0")
-}
+/// Execution-engine label for benchmark artifacts and heartbeats.
+pub const ENGINE: &str = "direct";
 
 /// Name of workload `ix` in the fixed 23-kernel suite, without
 /// constructing the kernels (names are scale-independent and built
@@ -220,9 +202,8 @@ fn memo_key(job: &Job) -> Option<MemoKey> {
 
 /// `EHSIM_RESULT_STORE=<dir>`: the persistent content-addressed result
 /// store ([`ehsim_farm::ResultStore`]). Read/written only on the memo
-/// miss path of the engine executor — the serial reference and the
-/// `EHSIM_BATCH_CHECK` dual-path mode never touch it, since they exist
-/// to re-execute for real.
+/// miss path of the engine executor — the serial reference never
+/// touches it, since it exists to re-execute for real.
 fn result_store() -> Option<&'static ehsim_farm::ResultStore> {
     static S: OnceLock<Option<ehsim_farm::ResultStore>> = OnceLock::new();
     S.get_or_init(|| {
@@ -344,22 +325,10 @@ fn run_direct(job: &Job, streaming: bool) -> Report {
 
 /// Runs one job to completion under the engine label `engine`,
 /// updating the process-wide counters and emitting its heartbeat.
-/// `check` additionally re-runs it on the per-retire settlement path
-/// and asserts the two reports identical (`EHSIM_BATCH_CHECK`).
-fn simulate(job: &Job, engine: &str, check: bool) -> Report {
+fn simulate(job: &Job, engine: &str) -> Report {
     let start_ns = telemetry::sim_clock_start();
     let workload = workload_name(job.workload);
     let report = run_direct(job, trace_workload() == Some(workload));
-    if check {
-        let reference = ehsim::with_settle_batching_disabled(|| run_direct(job, false));
-        assert_eq!(
-            reference,
-            report,
-            "batched settlement diverged from the per-retire reference: {} / {workload} on {}",
-            job.cfg.design.label(),
-            job.cfg.trace_label()
-        );
-    }
     let c = counters();
     c.sims.fetch_add(1, Ordering::Relaxed);
     c.instructions
@@ -376,16 +345,15 @@ fn simulate(job: &Job, engine: &str, check: bool) -> Report {
 }
 
 /// Runs one memo miss: tries the persistent result store first (when
-/// configured and not in batch-check mode), falling back to [`simulate`];
-/// freshly executed results refresh the store best-effort. A store hit
+/// configured), falling back to [`simulate`]; freshly executed results
+/// refresh the store best-effort. A store hit
 /// is *not* an executed simulation: no heartbeat, no `sims_run` bump —
 /// only `store_hits` — so the progress stream carries one heartbeat per
 /// simulation actually executed.
 fn simulate_or_load(job: &Job, key: Option<&MemoKey>) -> Report {
-    let store = result_store().filter(|_| !batch_check());
-    let (store, key) = match (store, key) {
+    let (store, key) = match (result_store(), key) {
         (Some(s), Some(k)) => (s, k),
-        _ => return simulate(job, engine(), batch_check()),
+        _ => return simulate(job, ENGINE),
     };
     match store.load(key) {
         ehsim_farm::LoadOutcome::Hit(report) => {
@@ -400,7 +368,7 @@ fn simulate_or_load(job: &Job, key: Option<&MemoKey>) -> Report {
             eprintln!("warning: result store entry rejected ({reason}); re-executing");
         }
     }
-    let report = simulate(job, engine(), batch_check());
+    let report = simulate(job, ENGINE);
     if let Err(e) = store.save(key, &report) {
         eprintln!(
             "warning: failed to persist result for {}: {e}",
@@ -424,7 +392,7 @@ pub fn run_batch(batch: &[Job]) -> Vec<Arc<Report>> {
     if serial_uncached() {
         return batch
             .iter()
-            .map(|j| Arc::new(simulate(j, "serial", false)))
+            .map(|j| Arc::new(simulate(j, "serial")))
             .collect();
     }
 

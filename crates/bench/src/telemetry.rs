@@ -206,7 +206,7 @@ pub fn sweep_meta(scale: &str) -> SweepMeta {
     SweepMeta {
         host_cores: host_cores(),
         jobs: crate::exec::jobs(),
-        engine: crate::exec::engine().to_string(),
+        engine: crate::exec::ENGINE.to_string(),
         git_rev: git_rev().unwrap_or_else(|| "unknown".to_string()),
         scale: scale.to_string(),
     }
@@ -312,7 +312,7 @@ pub fn registry() -> MetricsRegistry {
     m.set_counter("store_rejects", st.store_rejects);
     m.set_counter("jobs", crate::exec::jobs() as u64);
     m.set_counter("host_cores", host_cores() as u64);
-    m.set_text("engine", crate::exec::engine());
+    m.set_text("engine", crate::exec::ENGINE);
     m
 }
 

@@ -121,21 +121,6 @@ impl Capacitor {
         (self.energy_at_pj(self.voltage) - self.e_at_v_min_pj).max(0.0)
     }
 
-    /// Stores a voltage that [`Capacitor::charged_voltage_at`] or
-    /// [`Capacitor::drained_voltage_at`] computed from this capacitor's
-    /// own voltage. Such a voltage already lies in `[0, v_max]`, so
-    /// unlike [`Capacitor::set_voltage`] this does not clamp, and the
-    /// register-carried settlement chain stays free of selects.
-    #[inline]
-    pub fn store_settled_voltage(&mut self, v: f64) {
-        debug_assert!(
-            (0.0..=self.v_max).contains(&v),
-            "settled voltage {v} outside [0, {}]",
-            self.v_max
-        );
-        self.voltage = v;
-    }
-
     /// Drains `pj` picojoules, lowering the voltage (floored at 0 V).
     /// Returns the new voltage.
     #[inline]
@@ -161,12 +146,10 @@ impl Capacitor {
     }
 
     /// The voltage after adding `pj` picojoules to a capacitor at `v`
-    /// (capped at `v_max`). This is [`Capacitor::charge_pj`] with the
-    /// voltage passed in and returned instead of read from and written
-    /// to `self.voltage`: the batched settlement loop keeps the carried
-    /// voltage in a register across a whole run of settlements.
+    /// (capped at `v_max`): the pure form of [`Capacitor::charge_pj`],
+    /// kept separate so the tests can drive it on any `v`.
     #[inline]
-    pub fn charged_voltage_at(&self, v: f64, pj: Pj) -> f64 {
+    fn charged_voltage_at(&self, v: f64, pj: Pj) -> f64 {
         let e = self.energy_at_pj(v) + pj;
         min_to(self.voltage_for_energy(e), self.v_max)
     }
@@ -174,7 +157,7 @@ impl Capacitor {
     /// The voltage after draining `pj` picojoules from a capacitor at
     /// `v` (floored at 0 V): the pure form of [`Capacitor::drain_pj`].
     #[inline]
-    pub fn drained_voltage_at(&self, v: f64, pj: Pj) -> f64 {
+    fn drained_voltage_at(&self, v: f64, pj: Pj) -> f64 {
         let e = max0(self.energy_at_pj(v) - pj);
         self.voltage_for_energy(e)
     }
@@ -327,7 +310,7 @@ mod tests {
 
     #[test]
     fn a_drained_or_charged_voltage_never_leaves_the_operating_range() {
-        // `store_settled_voltage` relies on this instead of clamping.
+        // `charge_pj`/`drain_pj` rely on this instead of clamping.
         for c in capacitors() {
             for i in 0..=700 {
                 let v = f64::from(i) * 0.005;

@@ -57,8 +57,8 @@ pub struct SimHeartbeat {
     pub trace: String,
     /// Workload name.
     pub workload: String,
-    /// Execution engine label (`direct`, `direct+batch-check`, or
-    /// `serial` for the serial reference).
+    /// Execution engine label (`direct`, or `serial` for the serial
+    /// reference).
     pub engine: String,
     /// Wall-clock time this simulation took, in nanoseconds.
     pub elapsed_ns: u64,
@@ -358,6 +358,69 @@ mod tests {
         let line = h.to_jsonl();
         let back = SimHeartbeat::parse(&line).unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(back.workload, "we_ird_na_me__");
+    }
+
+    fn to_jsonl(line: &ProgressLine) -> String {
+        match line {
+            ProgressLine::Meta(m) => m.to_jsonl(),
+            ProgressLine::Sim(h) => h.to_jsonl(),
+            ProgressLine::Profile(p) => p.to_jsonl(),
+        }
+    }
+
+    /// Progress lines carry no checksum, so a damaged digit can parse to
+    /// another value. What must hold is no panic, and that whatever is
+    /// accepted is a value the writer reproduces exactly.
+    #[test]
+    fn every_byte_mutation_and_truncation_rejects_or_round_trips() {
+        let lines = [
+            ProgressLine::Meta(SweepMeta {
+                host_cores: 2,
+                jobs: 2,
+                engine: "direct".into(),
+                git_rev: "0123abcd".into(),
+                scale: "small".into(),
+            }),
+            ProgressLine::Sim(hb(7)),
+            ProgressLine::Profile(ProfileReport {
+                wall_ns: 12_345,
+                attributed_pct: 97.5,
+                phases: vec![
+                    crate::telemetry::PhaseRow {
+                        phase: "direct-sim".into(),
+                        total_ns: 900,
+                        self_ns: 800,
+                        count: 3,
+                        ops: 0,
+                    },
+                    crate::telemetry::PhaseRow {
+                        phase: "settle".into(),
+                        total_ns: 0,
+                        self_ns: 0,
+                        count: 0,
+                        ops: 42,
+                    },
+                ],
+                metrics: vec![
+                    ("engine".into(), "direct".into()),
+                    ("sims_run".into(), "552".into()),
+                ],
+            }),
+        ];
+        let (mut rejected, mut accepted) = (0, 0);
+        for line in &lines {
+            for bad in crate::stream::damaged_lines(&to_jsonl(line)) {
+                match parse_progress_line(&bad) {
+                    Err(_) => rejected += 1,
+                    Ok(got) => {
+                        accepted += 1;
+                        let again = to_jsonl(&got);
+                        assert_eq!(parse_progress_line(&again), Ok(got), "{bad:?} -> {again}");
+                    }
+                }
+            }
+        }
+        assert!(rejected > 0 && accepted > 0, "{rejected}/{accepted}");
     }
 
     #[test]

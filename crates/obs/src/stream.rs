@@ -119,10 +119,16 @@ pub(crate) fn field<'a>(line: &'a str, key: &str) -> Result<&'a str, String> {
 }
 
 pub(crate) fn field_str<'a>(line: &'a str, key: &str) -> Result<&'a str, String> {
-    let raw = field(line, key)?;
+    unquote(field(line, key)?).ok_or_else(|| format!("field \"{key}\" is not a string in `{line}`"))
+}
+
+/// The inside of a quoted string value, or `None` when `raw` is not
+/// quoted or holds a character no writer emits inside one (the ones
+/// `sanitize_field` replaces): such a value could not be written back.
+pub(crate) fn unquote(raw: &str) -> Option<&str> {
     raw.strip_prefix('"')
         .and_then(|r| r.strip_suffix('"'))
-        .ok_or_else(|| format!("field \"{key}\" is not a string in `{line}`"))
+        .filter(|s| !s.contains(['"', '\\', ',', '{', '}']))
 }
 
 pub(crate) fn field_u64(line: &str, key: &str) -> Result<u64, String> {
@@ -508,6 +514,25 @@ impl Drop for StreamingObserver {
     }
 }
 
+/// Every single-byte mutation (`^ 0x01`, `^ 0x80`, `^ 0xff`) and every
+/// truncation of `line`, decoded lossily as a line reader handed
+/// arbitrary bytes would pass them on. Shared by the JSONL codecs'
+/// mutation tests.
+#[cfg(test)]
+pub(crate) fn damaged_lines(line: &str) -> Vec<String> {
+    let bytes = line.as_bytes();
+    let mut out = Vec::with_capacity(4 * bytes.len());
+    for i in 0..bytes.len() {
+        for mask in [0x01u8, 0x80, 0xff] {
+            let mut bad = bytes.to_vec();
+            bad[i] ^= mask;
+            out.push(String::from_utf8_lossy(&bad).into_owned());
+        }
+    }
+    out.extend((0..bytes.len()).map(|cut| String::from_utf8_lossy(&bytes[..cut]).into_owned()));
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,6 +606,27 @@ mod tests {
             let (ts2, ev2) = parse_jsonl_line(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!((at, ev), (ts2, ev2), "{line}");
         }
+    }
+
+    /// Event lines carry no checksum, so a damaged digit can parse to
+    /// another value. What must hold is no panic, and that whatever is
+    /// accepted is a value the writer reproduces exactly.
+    #[test]
+    fn every_byte_mutation_and_truncation_rejects_or_round_trips() {
+        let (mut rejected, mut accepted) = (0, 0);
+        for (at, ev) in all_variants() {
+            for bad in damaged_lines(&event_to_jsonl(at, &ev)) {
+                match parse_jsonl_line(&bad) {
+                    Err(_) => rejected += 1,
+                    Ok(got) => {
+                        accepted += 1;
+                        let again = event_to_jsonl(got.0, &got.1);
+                        assert_eq!(parse_jsonl_line(&again), Ok(got), "{bad:?} -> {again}");
+                    }
+                }
+            }
+        }
+        assert!(rejected > 0 && accepted > 0, "{rejected}/{accepted}");
     }
 
     #[test]

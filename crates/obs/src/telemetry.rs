@@ -361,7 +361,7 @@ impl ProfileReport {
     ///
     /// Returns a message naming the missing or malformed part.
     pub fn parse(line: &str) -> Result<ProfileReport, String> {
-        use crate::stream::{field_f64, field_u64};
+        use crate::stream::{field_f64, field_u64, unquote};
         if crate::stream::field_str(line, "kind")? != "profile" {
             return Err(format!("not a profile line: `{line}`"));
         }
@@ -396,11 +396,9 @@ impl ProfileReport {
         for pair in metrics_raw.split(',').filter(|p| !p.is_empty()) {
             let (name, value) = pair
                 .split_once(':')
+                .and_then(|(n, v)| Some((unquote(n)?, unquote(v)?)))
                 .ok_or_else(|| format!("malformed metrics pair `{pair}`"))?;
-            metrics.push((
-                name.trim_matches('"').to_string(),
-                value.trim_matches('"').to_string(),
-            ));
+            metrics.push((name.to_string(), value.to_string()));
         }
         Ok(ProfileReport {
             wall_ns,

@@ -43,7 +43,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 mod config;
 mod design_box;
 mod error;
@@ -52,7 +51,6 @@ pub mod params;
 mod report;
 mod simulator;
 
-pub use batch::with_settle_batching_disabled;
 pub use config::{DesignKind, SimConfig};
 pub use ehsim_mem::{BusOp, BusTrace, TraceRecorder};
 pub use ehsim_obs::{Event, ObserverBox, Recorder, RunTrace};

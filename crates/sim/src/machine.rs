@@ -49,29 +49,6 @@ pub struct Machine {
     /// tracking (one cache line).
     verify_line_bytes: u32,
     max_outages: u64,
-    /// Whether this machine uses the batched settlement engine
-    /// (default) or the per-retire reference path (`EHSIM_NO_BATCH=1` /
-    /// [`crate::with_settle_batching_disabled`]). Sampled once at
-    /// construction; both engines produce bit-identical results.
-    batch: bool,
-    /// Mirror of `design.thresholds()`, re-derived after every piece of
-    /// design code runs (every [`Machine::with_ctx`] call and
-    /// `power_off`) when `vth_volatile` — the *only* sites where
-    /// WL-Cache's adaptive controller can move a threshold (dyn-raise
-    /// during a store, reconfigure during reboot). For designs with
-    /// construction-fixed thresholds the mirror is derived once. The
-    /// batched engine reads `Vbackup` from here instead of re-querying
-    /// the design per settlement; a debug assert pins mirror == design
-    /// at every batched failure check. (PR 2 tried a Vbackup mirror
-    /// without the re-derive-after-design-code discipline and the
-    /// fig13a golden caught it; this one is invalidated at exactly the
-    /// sites that can move thresholds.)
-    vth: VoltageThresholds,
-    /// Whether `vth` must be re-derived after design code runs: true
-    /// only for WL-Cache, the one design whose controller moves
-    /// thresholds mid-run, and only with failures enabled — without a
-    /// capacitor in play nothing reads the mirror.
-    vth_volatile: bool,
     /// Event sink. [`ObserverBox::Noop`] by default; every emission site
     /// is guarded by [`ObserverBox::enabled`] and observers can never
     /// mutate simulation state, so results are bit-identical with or
@@ -94,11 +71,9 @@ pub struct Machine {
     drained_pj: Pj,
     instructions: u64,
     outages: u64,
-    /// Settlement windows resolved: one per [`Machine::settle`] call
-    /// plus one per fused chunk in the batched compute path. Telemetry
-    /// only — nothing simulated reads it, and both settlement engines
-    /// count identically (the batched path fuses the same chunk
-    /// sequence the reference path settles one call at a time).
+    /// Settlement windows resolved: one per [`Machine::settle`] call,
+    /// i.e. one per bus op and one per compute chunk. Telemetry only —
+    /// nothing simulated reads it.
     settles: u64,
     off_time_ps: Ps,
     checkpoint_time_ps: Ps,
@@ -146,8 +121,6 @@ impl Machine {
             oracle
         });
         let instr_hook = design.has_instruction_hook();
-        let vth = design.thresholds();
-        let vth_volatile = failures && matches!(cfg.design, crate::DesignKind::Wl { .. });
         let mut obs = obs;
         if obs.enabled() {
             if let Some(wl) = design.as_wl() {
@@ -178,9 +151,6 @@ impl Machine {
             verify_oracle,
             verify_line_bytes: line,
             max_outages: cfg.max_outages,
-            batch: crate::batch::batching_enabled(),
-            vth,
-            vth_volatile,
             obs_voltage: obs.voltage_sampling(),
             obs,
             harvested_pj: 0.0,
@@ -214,9 +184,9 @@ impl Machine {
         self.outages
     }
 
-    /// Settlement windows resolved so far (telemetry op count for the
-    /// sweep profiler's `settle` phase; identical under both settlement
-    /// engines).
+    /// Settlement windows resolved so far: one per bus op plus one per
+    /// `COMPUTE_CHUNK_CYCLES` chunk of each compute stretch (telemetry
+    /// op count for the sweep profiler's `settle` phase).
     pub fn settle_windows(&self) -> u64 {
         self.settles
     }
@@ -403,78 +373,15 @@ impl Machine {
     /// Energy settlement plus the power-failure check.
     fn settle(&mut self) {
         self.settles += 1;
-        if !self.batch || self.obs.enabled() {
-            // Reference path (`EHSIM_NO_BATCH=1`), also taken whenever
-            // an observer is attached: crossing detection needs the
-            // pre-settlement voltage and the full threshold set anyway.
-            self.sync_energy();
-            if self.failures_enabled {
-                // `Vbackup` must be re-read from the design on every
-                // check: WL-Cache(dyn) raises it mid-run via the
-                // opportunistic dynamic `maxline` raise, not only at
-                // reboot.
-                while self.cap.voltage() < self.design.thresholds().v_backup {
-                    self.power_failure();
-                }
+        self.sync_energy();
+        if self.failures_enabled {
+            // `Vbackup` must be re-read from the design on every check:
+            // WL-Cache(dyn) raises it mid-run via the opportunistic
+            // dynamic `maxline` raise, not only at reboot.
+            while self.cap.voltage() < self.design.thresholds().v_backup {
+                self.power_failure();
             }
-            return;
         }
-        self.settle_lean();
-    }
-
-    /// The batched engine's per-access settlement: the same f64
-    /// operations in the same order as [`Machine::sync_energy`] plus
-    /// the failure check, with everything the reference path does for
-    /// observers stripped (no observer is attached here), the carried
-    /// voltage kept in a register between charge and drain, and
-    /// `Vbackup` read from the `vth` mirror instead of re-queried from
-    /// the design.
-    fn settle_lean(&mut self) {
-        let dt = self.now - self.last_sync;
-        if dt > 0 {
-            self.meter.add(
-                EnergyCategory::Compute,
-                ps_to_f64(dt) * self.cpu.static_power_uw * 1e-6,
-            );
-        }
-        self.last_sync = self.now;
-        if !self.failures_enabled {
-            return;
-        }
-        let v = self.settle_window(self.cap.voltage(), dt);
-        self.cap.store_settled_voltage(v);
-        debug_assert_eq!(
-            self.vth,
-            self.design.thresholds(),
-            "threshold mirror out of date — a design-code site is missing its re-derive"
-        );
-        while self.cap.voltage() < self.vth.v_backup {
-            self.power_failure();
-        }
-    }
-
-    /// One settlement window of the batched engine on the
-    /// register-carried voltage `v`: harvest `dt` picoseconds of the
-    /// trace at the front end's efficiency for `v`, then drain whatever
-    /// was metered since the last window. Returns the new voltage. The
-    /// f64 operations and their order are [`Machine::sync_energy`]'s
-    /// (`charge_pj` then `drain_pj`); `settle_lean` and the
-    /// `compute_batched` loop both call this, and the chain's cost is
-    /// laid out in DESIGN.md §2.10.
-    #[inline]
-    fn settle_window(&mut self, mut v: f64, dt: Ps) -> f64 {
-        if dt > 0 {
-            let harvested = self.cursor.advance(dt);
-            let eta = self.charging.efficiency(v);
-            v = self.cap.charged_voltage_at(v, harvested * eta);
-        }
-        let total = self.meter.total();
-        let spent = total - self.drained_pj;
-        if spent > 0.0 {
-            v = self.cap.drained_voltage_at(v, spent);
-        }
-        self.drained_pj = total;
-        v
     }
 
     /// The full outage protocol (§3.2): checkpoint, verify, power off,
@@ -532,9 +439,6 @@ impl Machine {
 
         // Power off: volatile state is lost.
         self.design.power_off();
-        if self.vth_volatile {
-            self.vth = self.design.thresholds();
-        }
         self.port.reset();
         if self.obs.enabled() {
             self.obs.emit(self.now, Event::PowerOff);
@@ -686,14 +590,9 @@ impl Machine {
     }
 
     /// Runs `f` with a fresh [`MemCtx`] at the current time; returns
-    /// `f`'s result (usually a completion time).
-    ///
-    /// Every run of design code goes through here (loads, stores,
-    /// `on_instructions`, checkpoint, reboot), so re-deriving the
-    /// threshold mirror on exit catches every site where WL-Cache's
-    /// controller can have moved a threshold — including the mid-store
-    /// dynamic `maxline` raise. `vth_volatile` is false without
-    /// failures, when nothing reads the mirror.
+    /// `f`'s result (usually a completion time). Every run of design
+    /// code goes through here: loads, stores, `on_instructions`,
+    /// checkpoint and reboot.
     fn with_ctx<R>(&mut self, f: impl FnOnce(&mut DesignBox, &mut MemCtx<'_>) -> R) -> R {
         let cap_voltage = self.cap.voltage();
         let mut ctx = MemCtx {
@@ -707,97 +606,7 @@ impl Machine {
             cap_voltage,
             obs: &mut self.obs,
         };
-        let r = f(&mut self.design, &mut ctx);
-        if self.vth_volatile {
-            self.vth = self.design.thresholds();
-        }
-        r
-    }
-
-    /// The batched settlement engine's compute loop: the whole stretch
-    /// is one *run* in the sense of DESIGN.md §2.10 — no design code
-    /// executes inside it (the caller checked `instr_hook` is off and a
-    /// compute stretch issues no bus ops), so every design threshold is
-    /// constant between outages and the per-chunk settlement sequence
-    /// can be fused into a loop that keeps the capacitor voltage in a
-    /// register and compares it against a hoisted `Vbackup`.
-    ///
-    /// Flush boundaries: an outage runs design code (checkpoint,
-    /// power-off, reboot/adapt), each site re-deriving the `vth` mirror
-    /// through [`Machine::with_ctx`] / `power_off`, so the outer `'runs`
-    /// loop re-hoists the thresholds and re-loads the voltage after
-    /// every failure before fusing the next stretch.
-    ///
-    /// Every f64 operation below reproduces, in order, exactly what the
-    /// reference path (`compute` chunk loop + [`Machine::sync_energy`] +
-    /// the `Vbackup` while-check) performs for the same chunk sequence —
-    /// the equivalence pins live in `tests/batch_equiv.rs` and the
-    /// fig13a determinism suite.
-    fn compute_batched(&mut self, cycles: u64) {
-        let ppc = self.cpu.ps_per_cycle;
-        let cpj = self.cpu.compute_pj_per_cycle;
-        let static_uw = self.cpu.static_power_uw;
-        // Chunk consumption below is monotone (run boundaries never
-        // re-consume), so the fused loops resolve exactly
-        // ceil(cycles/chunk) settlement windows — the same count the
-        // reference path reaches via one `settle` call per chunk.
-        // Counted here, off the inner loops.
-        self.settles += cycles.div_ceil(COMPUTE_CHUNK_CYCLES);
-        let mut remaining = cycles;
-        if !self.failures_enabled {
-            // No capacitor in play: only time, instruction count and the
-            // two meter adds per chunk (dynamic, then static — the
-            // seed's order).
-            while remaining > 0 {
-                let chunk = remaining.min(COMPUTE_CHUNK_CYCLES);
-                remaining -= chunk;
-                self.now += chunk * ppc;
-                self.meter.add(EnergyCategory::Compute, chunk as f64 * cpj);
-                self.instructions += chunk;
-                let dt = self.now - self.last_sync;
-                if dt > 0 {
-                    self.meter
-                        .add(EnergyCategory::Compute, ps_to_f64(dt) * static_uw * 1e-6);
-                }
-                self.last_sync = self.now;
-            }
-            return;
-        }
-        'runs: while remaining > 0 {
-            debug_assert_eq!(
-                self.vth,
-                self.design.thresholds(),
-                "threshold mirror out of date — a design-code site is missing its re-derive"
-            );
-            let v_backup = self.vth.v_backup;
-            let mut v = self.cap.voltage();
-            while remaining > 0 {
-                let chunk = remaining.min(COMPUTE_CHUNK_CYCLES);
-                remaining -= chunk;
-                self.now += chunk * ppc;
-                self.meter.add(EnergyCategory::Compute, chunk as f64 * cpj);
-                self.instructions += chunk;
-                let dt = self.now - self.last_sync;
-                if dt > 0 {
-                    self.meter
-                        .add(EnergyCategory::Compute, ps_to_f64(dt) * static_uw * 1e-6);
-                }
-                self.last_sync = self.now;
-                v = self.settle_window(v, dt);
-                if v < v_backup {
-                    // Run boundary: the outage protocol reads the
-                    // capacitor, so write the carried voltage back
-                    // first, then re-hoist everything it may have
-                    // changed.
-                    self.cap.store_settled_voltage(v);
-                    while self.cap.voltage() < self.vth.v_backup {
-                        self.power_failure();
-                    }
-                    continue 'runs;
-                }
-            }
-            self.cap.store_settled_voltage(v);
-        }
+        f(&mut self.design, &mut ctx)
     }
 
     fn retire_instruction(&mut self) {
@@ -838,13 +647,6 @@ impl Bus for Machine {
 
     fn compute(&mut self, cycles: u64) {
         self.enter();
-        if self.batch && !self.instr_hook && !self.obs.enabled() {
-            // A pure compute stretch runs no design code (no bus ops,
-            // no instruction hook), so it is a fusable run: see
-            // `Machine::compute_batched` and DESIGN.md §2.10.
-            self.compute_batched(cycles);
-            return;
-        }
         let mut remaining = cycles;
         while remaining > 0 {
             let chunk = remaining.min(COMPUTE_CHUNK_CYCLES);
