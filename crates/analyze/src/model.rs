@@ -182,6 +182,11 @@ impl Run {
         let c_harv_cum = col("harvested_cum_pj");
         let c_cons_cum = col("consumed_cum_pj");
 
+        // Rebuild what the rows determine. A checkpoint-closed row is
+        // one outage with an exact on-interval length and flush count;
+        // the final RunEnd-closed row (dirty_flushed = `-`) is not.
+        let mut counters = ObsCounters::default();
+        let mut histograms = ObsHistograms::default();
         let mut intervals = Vec::new();
         for (i, line) in lines.enumerate() {
             if line.is_empty() || line.starts_with('#') {
@@ -222,7 +227,7 @@ impl Run {
                     v.parse().map(Some).map_err(|e| format!("row {n}: {e}"))
                 }
             };
-            intervals.push(TraceInterval {
+            let row = TraceInterval {
                 interval: num(c_interval)?,
                 start_ps: num(c_start)?,
                 end_ps: num(c_end)?,
@@ -240,31 +245,30 @@ impl Run {
                 consumed_delta_pj: opt_f64(c_cons)?,
                 harvested_cum_pj: opt_f64(c_harv_cum)?,
                 consumed_cum_pj: opt_f64(c_cons_cum)?,
-            });
-        }
-        if intervals.is_empty() {
-            return Err("no interval rows in TSV input".to_string());
-        }
-
-        // Rebuild what the rows determine. A checkpoint-closed row is
-        // one outage with an exact on-interval length and flush count;
-        // the final RunEnd-closed row (dirty_flushed = `-`) is not.
-        let mut counters = ObsCounters::default();
-        let mut histograms = ObsHistograms::default();
-        for row in &intervals {
+            };
+            let add = |total: u64, v: u64, col: &str| {
+                total
+                    .checked_add(v)
+                    .ok_or_else(|| format!("row {n}: `{col}` total overflows u64"))
+            };
             counters.power_ons += 1;
-            counters.dq_enqueues += row.enqueues;
-            counters.dq_acks += row.acks;
-            counters.dq_stalls += row.stalls;
-            counters.stale_drops += row.stale_drops;
-            counters.dyn_raises += row.dyn_raises;
-            counters.writebacks_issued += row.cleanings;
+            counters.dq_enqueues = add(counters.dq_enqueues, row.enqueues, "enqueues")?;
+            counters.dq_acks = add(counters.dq_acks, row.acks, "acks")?;
+            counters.dq_stalls = add(counters.dq_stalls, row.stalls, "stalls")?;
+            counters.stale_drops = add(counters.stale_drops, row.stale_drops, "stale_drops")?;
+            counters.dyn_raises = add(counters.dyn_raises, row.dyn_raises, "dyn_raises")?;
+            counters.writebacks_issued =
+                add(counters.writebacks_issued, row.cleanings, "cleanings")?;
             if let Some(flushed) = row.dirty_flushed {
                 counters.outages += 1;
                 counters.checkpoints += 1;
                 histograms.outage_interval_ps.record(row.on_ps);
                 histograms.dirty_at_checkpoint.record(flushed);
             }
+            intervals.push(row);
+        }
+        if intervals.is_empty() {
+            return Err("no interval rows in TSV input".to_string());
         }
         Ok(Run {
             name: None,
@@ -469,6 +473,44 @@ mod tests {
         assert_eq!(run.counters.outages, 1);
         assert_eq!(run.counters.power_ons, 2);
         assert_eq!(run.histograms.dirty_at_checkpoint.sum(), 1);
+    }
+
+    #[test]
+    fn interval_tsv_counter_overflow_is_an_error() {
+        let tsv = sample_trace().interval_metrics_tsv();
+        let mut lines: Vec<String> = tsv.lines().map(str::to_string).collect();
+        let cols: Vec<&str> = lines[0].split('\t').collect();
+        let enq = cols.iter().position(|c| *c == "enqueues").unwrap();
+        for line in &mut lines[1..3] {
+            let mut f: Vec<&str> = line.split('\t').collect();
+            f[enq] = "18446744073709551615";
+            *line = f.join("\t");
+        }
+        let err = Run::from_interval_tsv(&lines.join("\n")).unwrap_err();
+        assert_eq!(err, "row 3: `enqueues` total overflows u64");
+    }
+
+    /// The interval TSV carries no checksum, so a damaged digit can
+    /// parse to another value; what must hold is no panic.
+    #[test]
+    fn every_interval_tsv_byte_mutation_and_truncation_is_handled() {
+        let bytes = sample_trace().interval_metrics_tsv().into_bytes();
+        let mut damaged: Vec<Vec<u8>> = (0..bytes.len()).map(|cut| bytes[..cut].to_vec()).collect();
+        for i in 0..bytes.len() {
+            for mask in [0x01u8, 0x80, 0xff] {
+                let mut bad = bytes.clone();
+                bad[i] ^= mask;
+                damaged.push(bad);
+            }
+        }
+        let (mut rejected, mut accepted) = (0, 0);
+        for bad in &damaged {
+            match Run::from_interval_tsv(&String::from_utf8_lossy(bad)) {
+                Ok(_) => accepted += 1,
+                Err(_) => rejected += 1,
+            }
+        }
+        assert!(rejected > 0 && accepted > 0, "{rejected}/{accepted}");
     }
 
     #[test]

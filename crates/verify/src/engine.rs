@@ -9,17 +9,6 @@
 //! state (e.g. the concrete `WlCache` harness) return `None` from
 //! [`Model::fingerprint`] and get exhaustive bounded enumeration
 //! instead of dedup.
-//!
-//! [`explore_parallel`] is the scalable variant: a level-synchronous
-//! BFS that expands each depth level across worker threads and merges
-//! the successors single-threaded, in an order that depends only on
-//! the frontier order — never on the worker count or thread timing.
-//! With one worker it reproduces [`explore`]'s outcome field for field
-//! (same states, transitions, dedup hits, and the same counterexample),
-//! and the N-worker run is pinned identical to the 1-worker run by
-//! tests and CI. Both explorers report an approximate memory footprint
-//! (fingerprint set + lineage arena + frontier states) and honour
-//! [`Limits::max_mem_bytes`].
 
 use std::collections::BTreeSet;
 use std::collections::VecDeque;
@@ -56,14 +45,6 @@ pub trait Model {
     /// A collision-resistant-enough fingerprint for dedup, or `None` to
     /// disable dedup (every path is then explored to the depth bound).
     fn fingerprint(&self, state: &Self::State) -> Option<u64>;
-
-    /// Approximate heap + inline size of one state, in bytes, used for
-    /// the memory-budget accounting. The default covers inline-only
-    /// states; models whose states own heap allocations should add
-    /// them.
-    fn state_bytes(&self, _state: &Self::State) -> usize {
-        std::mem::size_of::<Self::State>()
-    }
 }
 
 /// Exploration budget.
@@ -73,30 +54,21 @@ pub struct Limits {
     pub max_depth: usize,
     /// Maximum number of distinct states to visit.
     pub max_states: usize,
-    /// Budget on the explorer's approximate memory footprint
-    /// (fingerprints + lineage + frontier states); `usize::MAX`
-    /// disables the check.
-    pub max_mem_bytes: usize,
 }
 
 impl Limits {
-    /// A budget with the given depth and state caps and no memory cap.
+    /// A budget with the given depth and state caps.
     pub fn new(max_depth: usize, max_states: usize) -> Self {
         Self {
             max_depth,
             max_states,
-            max_mem_bytes: usize::MAX,
         }
     }
 }
 
 impl Default for Limits {
     fn default() -> Self {
-        Self {
-            max_depth: 64,
-            max_states: 1_000_000,
-            max_mem_bytes: usize::MAX,
-        }
+        Self::new(64, 1_000_000)
     }
 }
 
@@ -133,11 +105,6 @@ pub struct Outcome {
     pub max_depth: usize,
     /// Successors discarded because their fingerprint was already seen.
     pub dedup_hits: usize,
-    /// Widest BFS level encountered (states alive at one depth).
-    pub peak_level: usize,
-    /// Peak approximate memory footprint in bytes (fingerprint set +
-    /// lineage arena + frontier states).
-    pub approx_mem_bytes: usize,
     /// Whether a budget limit cut the search short.
     pub truncated: bool,
     /// First invariant violation found, if any (search stops there).
@@ -163,7 +130,6 @@ pub fn explore<M: Model>(model: &M, limits: Limits) -> Outcome {
     let mut seen: BTreeSet<u64> = BTreeSet::new();
     let mut lineage: Vec<Lineage<M::Action>> = Vec::new();
     let mut frontier: VecDeque<(M::State, usize, usize)> = VecDeque::new();
-    let mut frontier_bytes = 0usize;
 
     let init = model.initial();
     if let Err(msg) = model.check(&init) {
@@ -181,14 +147,11 @@ pub fn explore<M: Model>(model: &M, limits: Limits) -> Outcome {
         parent: usize::MAX,
         action: None,
     });
-    frontier_bytes += model.state_bytes(&init);
     frontier.push_back((init, 0, 0));
     out.states = 1;
-    out.approx_mem_bytes = approx_mem::<M>(seen.len(), lineage.len(), frontier_bytes);
 
     let mut actions: Vec<M::Action> = Vec::new();
     while let Some((state, node, depth)) = frontier.pop_front() {
-        frontier_bytes = frontier_bytes.saturating_sub(model.state_bytes(&state));
         if depth >= limits.max_depth {
             out.truncated = true;
             continue;
@@ -227,13 +190,6 @@ pub fn explore<M: Model>(model: &M, limits: Limits) -> Outcome {
                 out.truncated = true;
                 return out;
             }
-            frontier_bytes += model.state_bytes(&succ);
-            let mem = approx_mem::<M>(seen.len(), lineage.len() + 1, frontier_bytes);
-            out.approx_mem_bytes = out.approx_mem_bytes.max(mem);
-            if mem > limits.max_mem_bytes {
-                out.truncated = true;
-                return out;
-            }
             lineage.push(Lineage {
                 parent: node,
                 action: Some(action.clone()),
@@ -241,237 +197,6 @@ pub fn explore<M: Model>(model: &M, limits: Limits) -> Outcome {
             frontier.push_back((succ, lineage.len() - 1, depth + 1));
         }
     }
-    out
-}
-
-/// Approximate explorer footprint: the fingerprint set, the lineage
-/// arena, and the states currently held by the frontier.
-fn approx_mem<M: Model>(seen: usize, lineage: usize, frontier_bytes: usize) -> usize {
-    seen * std::mem::size_of::<u64>()
-        + lineage * std::mem::size_of::<Lineage<M::Action>>()
-        + frontier_bytes
-}
-
-/// One successor produced by a parallel expansion worker, in the
-/// deterministic (parent, action) order of its chunk.
-enum Expanded<M: Model> {
-    /// A successfully generated successor with its precomputed
-    /// fingerprint, invariant verdict, and size.
-    Succ {
-        parent: usize,
-        action: M::Action,
-        state: M::State,
-        fp: Option<u64>,
-        check: Option<String>,
-        bytes: usize,
-    },
-    /// `Model::step` itself raised an invariant violation.
-    StepErr {
-        parent: usize,
-        action: M::Action,
-        message: String,
-    },
-}
-
-/// Level-synchronous breadth-first exploration with `workers` threads.
-///
-/// Each depth level is split into contiguous chunks, one per worker;
-/// workers expand their chunk in frontier order and the results are
-/// merged single-threaded by concatenating the chunks — so the merge
-/// order equals the sequential expansion order and the outcome (state
-/// count, dedup hits, verdict, counterexample) is identical for any
-/// worker count, including 1, and identical to [`explore`] whenever no
-/// budget limit fires mid-search. Determinism is pinned by tests and
-/// the CI coherence job.
-pub fn explore_parallel<M>(model: &M, limits: Limits, workers: usize) -> Outcome
-where
-    M: Model + Sync,
-    M::State: Send + Sync,
-    M::Action: Send,
-{
-    let workers = workers.max(1);
-    let mut out = Outcome::default();
-    let mut seen: BTreeSet<u64> = BTreeSet::new();
-    let mut lineage: Vec<Lineage<M::Action>> = Vec::new();
-
-    let init = model.initial();
-    if let Err(msg) = model.check(&init) {
-        out.states = 1;
-        out.violation = Some(Violation {
-            message: msg,
-            trace: Vec::new(),
-        });
-        return out;
-    }
-    if let Some(fp) = model.fingerprint(&init) {
-        seen.insert(fp);
-    }
-    let mut level_bytes = model.state_bytes(&init);
-    lineage.push(Lineage {
-        parent: usize::MAX,
-        action: None,
-    });
-    let mut level: Vec<(M::State, usize)> = vec![(init, 0)];
-    out.states = 1;
-    out.peak_level = 1;
-    out.approx_mem_bytes = approx_mem::<M>(seen.len(), lineage.len(), level_bytes);
-
-    let mut depth = 0usize;
-    while !level.is_empty() {
-        if depth >= limits.max_depth {
-            out.truncated = true;
-            break;
-        }
-        // Expand the level in parallel. Chunks are contiguous slices of
-        // the (deterministically ordered) level, so concatenating the
-        // per-chunk outputs reproduces the sequential expansion order
-        // regardless of how many workers ran or how they were
-        // scheduled.
-        let chunk = level.len().div_ceil(workers);
-        let expanded: Vec<Vec<Expanded<M>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = level
-                .chunks(chunk)
-                .map(|slice| scope.spawn(move || expand_chunk(model, slice)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(v) => v,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
-
-        // Merge single-threaded, in deterministic order.
-        let mut next: Vec<(M::State, usize)> = Vec::new();
-        let mut next_bytes = 0usize;
-        'merge: for item in expanded.into_iter().flatten() {
-            match item {
-                Expanded::StepErr {
-                    parent,
-                    action,
-                    message,
-                } => {
-                    out.violation = Some(Violation {
-                        message,
-                        trace: trace_of(&lineage, parent, Some(&action)),
-                    });
-                    break 'merge;
-                }
-                Expanded::Succ {
-                    parent,
-                    action,
-                    state,
-                    fp,
-                    check,
-                    bytes,
-                } => {
-                    out.transitions += 1;
-                    if let Some(fp) = fp {
-                        if !seen.insert(fp) {
-                            out.dedup_hits += 1;
-                            continue;
-                        }
-                    }
-                    if let Some(msg) = check {
-                        out.violation = Some(Violation {
-                            message: msg,
-                            trace: trace_of(&lineage, parent, Some(&action)),
-                        });
-                        break 'merge;
-                    }
-                    out.states += 1;
-                    out.max_depth = out.max_depth.max(depth + 1);
-                    if out.states >= limits.max_states {
-                        out.truncated = true;
-                        break 'merge;
-                    }
-                    next_bytes += bytes;
-                    let mem =
-                        approx_mem::<M>(seen.len(), lineage.len() + 1, level_bytes + next_bytes);
-                    out.approx_mem_bytes = out.approx_mem_bytes.max(mem);
-                    if mem > limits.max_mem_bytes {
-                        out.truncated = true;
-                        break 'merge;
-                    }
-                    lineage.push(Lineage {
-                        parent,
-                        action: Some(action),
-                    });
-                    next.push((state, lineage.len() - 1));
-                }
-            }
-        }
-        if out.violation.is_some() || out.truncated {
-            break;
-        }
-        out.peak_level = out.peak_level.max(next.len());
-        level = next;
-        level_bytes = next_bytes;
-        depth += 1;
-    }
-    out
-}
-
-/// Expand one contiguous chunk of a BFS level, in order. Fingerprint
-/// and invariant checks run here (in parallel); dedup and violation
-/// selection stay with the deterministic merge.
-fn expand_chunk<M: Model>(model: &M, slice: &[(M::State, usize)]) -> Vec<Expanded<M>> {
-    let mut out = Vec::new();
-    let mut actions: Vec<M::Action> = Vec::new();
-    for (state, node) in slice {
-        actions.clear();
-        model.actions(state, &mut actions);
-        for action in actions.iter() {
-            match model.step(state, action) {
-                Ok(None) => {}
-                Ok(Some(succ)) => {
-                    let fp = model.fingerprint(&succ);
-                    let check = model.check(&succ).err();
-                    let bytes = model.state_bytes(&succ);
-                    out.push(Expanded::Succ {
-                        parent: *node,
-                        action: action.clone(),
-                        state: succ,
-                        fp,
-                        check,
-                        bytes,
-                    });
-                }
-                Err(message) => {
-                    out.push(Expanded::StepErr {
-                        parent: *node,
-                        action: action.clone(),
-                        message,
-                    });
-                }
-            }
-        }
-    }
-    out
-}
-
-/// All permutations of `0..n` in lexicographic order. Used for
-/// symmetry-reduction canonicalization (core relabelling); `n` is tiny
-/// (≤ 4 in practice), so the factorial cost is irrelevant.
-pub fn permutations(n: usize) -> Vec<Vec<usize>> {
-    fn rec(n: usize, cur: &mut Vec<usize>, used: &mut Vec<bool>, out: &mut Vec<Vec<usize>>) {
-        if cur.len() == n {
-            out.push(cur.clone());
-            return;
-        }
-        for i in 0..n {
-            if !used[i] {
-                used[i] = true;
-                cur.push(i);
-                rec(n, cur, used, out);
-                cur.pop();
-                used[i] = false;
-            }
-        }
-    }
-    let mut out = Vec::new();
-    rec(n, &mut Vec::new(), &mut vec![false; n], &mut out);
     out
 }
 
@@ -665,74 +390,6 @@ mod tests {
         assert!(run_path(&m, &[Op::Inc]).is_ok());
         let v = run_path(&m, &[Op::Inc, Op::Inc]).unwrap_err();
         assert_eq!(v.trace.len(), 2);
-    }
-
-    #[test]
-    fn parallel_explore_matches_serial_for_any_worker_count() {
-        let m = Counter { n: 10, bad: None };
-        let serial = explore(&m, Limits::new(100, 1000));
-        for workers in [1, 2, 4, 7] {
-            let par = explore_parallel(&m, Limits::new(100, 1000), workers);
-            assert_eq!(par.states, serial.states, "workers={workers}");
-            assert_eq!(par.transitions, serial.transitions, "workers={workers}");
-            assert_eq!(par.dedup_hits, serial.dedup_hits, "workers={workers}");
-            assert_eq!(par.max_depth, serial.max_depth, "workers={workers}");
-            assert_eq!(par.truncated, serial.truncated, "workers={workers}");
-            assert!(par.holds(), "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn parallel_explore_finds_the_same_shortest_counterexample() {
-        let m = Counter {
-            n: 10,
-            bad: Some(7),
-        };
-        let serial = explore(&m, Limits::new(100, 1000));
-        let sv = serial.violation.expect("7 is reachable");
-        for workers in [1, 3] {
-            let par = explore_parallel(&m, Limits::new(100, 1000), workers);
-            let pv = par.violation.expect("7 is reachable in parallel too");
-            assert_eq!(pv.trace, sv.trace, "workers={workers}");
-            assert_eq!(pv.message, sv.message, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn parallel_explore_reports_peak_level_and_memory() {
-        let m = Counter { n: 10, bad: None };
-        let out = explore_parallel(&m, Limits::new(100, 1000), 2);
-        // Levels: {0}, {1, 9}, {2, 8}, … — widest has 2 states.
-        assert_eq!(out.peak_level, 2);
-        assert!(out.approx_mem_bytes > 0);
-    }
-
-    #[test]
-    fn memory_budget_truncates_both_explorers() {
-        let m = Counter { n: 200, bad: None };
-        let tight = Limits {
-            max_depth: 1000,
-            max_states: usize::MAX,
-            max_mem_bytes: 64,
-        };
-        let s = explore(&m, tight);
-        let p = explore_parallel(&m, tight, 2);
-        assert!(s.truncated && p.truncated);
-        assert!(s.states < 200 && p.states < 200);
-    }
-
-    #[test]
-    fn permutations_are_complete_and_lexicographic() {
-        assert_eq!(permutations(0), vec![Vec::<usize>::new()]);
-        assert_eq!(permutations(1), vec![vec![0]]);
-        let p3 = permutations(3);
-        assert_eq!(p3.len(), 6);
-        assert_eq!(p3[0], vec![0, 1, 2]);
-        assert_eq!(p3[5], vec![2, 1, 0]);
-        let mut sorted = p3.clone();
-        sorted.sort();
-        sorted.dedup();
-        assert_eq!(sorted, p3, "lexicographic and duplicate-free");
     }
 
     #[test]

@@ -3,10 +3,9 @@
 //! Exit codes: 0 = clean / invariants hold, 1 = findings or a
 //! counterexample, 2 = usage or I/O error.
 
-use ehsim_obs::{MetricValue, MetricsRegistry};
+use ehsim_obs::MetricsRegistry;
 use ehsim_verify::allow::Allowlist;
-use ehsim_verify::coherence::{CohMutation, CoherenceModel};
-use ehsim_verify::engine::{explore, explore_parallel, Limits, Outcome};
+use ehsim_verify::engine::{explore, Limits, Outcome};
 use ehsim_verify::lint::{lint_workspace, RULES};
 use ehsim_verify::model::{Mutation, WriteBackModel};
 use std::path::PathBuf;
@@ -17,11 +16,8 @@ ehsim-verify: workspace invariant linter + bounded model checker
 
 USAGE:
   ehsim-verify lint [--root DIR] [--json] [--warn]
-  ehsim-verify model-check [writeback] [--depth N] [--max-states N] [--smoke]
+  ehsim-verify model-check [--depth N] [--max-states N] [--smoke]
                            [--mutant NAME] [--json]
-  ehsim-verify model-check coherence [--cores N] [--workers N] [--depth N]
-                           [--max-states N] [--max-mem-bytes N] [--smoke]
-                           [--no-symmetry] [--quotient] [--mutant NAME] [--json]
   ehsim-verify rules
 
 lint options:
@@ -30,29 +26,15 @@ lint options:
   --json        machine-readable findings on stdout
   --warn        report findings but always exit 0 (deny is the default)
 
-model-check options (both models):
-  --depth N       BFS depth bound
-  --max-states N  distinct-state budget
+model-check options (the §5 write-back protocol model):
+  --depth N       BFS depth bound (default 12)
+  --max-states N  distinct-state budget (default 1000000)
+  --smoke         CI preset: --depth 8 --max-states 150000; cannot be
+                  combined with --depth or --max-states
   --json          machine-readable run summary on stdout
-  --smoke         CI preset (writeback: --depth 8 --max-states 150000;
-                  coherence: --depth 6 --max-states 200000)
-  --mutant NAME   inject a protocol bug and expect a counterexample
-                  writeback: skip-jit-flush | skip-stale-drop |
-                    overfill-queue | skip-min-recompute | lower-threshold |
-                    free-slot-at-issue
-                  coherence: migrate-without-writeback | forward-drops-dirty |
-                    crash-skips-inflight-dirty | skip-invalidate-on-store |
-                    ack-wrong-core | ticket-reuse |
-                    fixed-priority-arbitration | ack-lowers-maxline
-
-model-check coherence options:
-  --cores N          number of cores (default 2; 2 is exhaustive-friendly)
-  --workers N        parallel BFS workers (default 1; any N gives
-                     identical results — determinism is pinned by CI)
-  --max-mem-bytes N  approximate explorer memory budget
-  --no-symmetry      fingerprint raw states (no core-relabelling quotient)
-  --quotient         also run without symmetry and report raw state count
-                     and the quotient ratio in the summary
+  --mutant NAME   inject a protocol bug and expect a counterexample:
+                  skip-jit-flush | skip-stale-drop | overfill-queue |
+                  skip-min-recompute | lower-threshold | free-slot-at-issue
 ";
 
 fn main() -> ExitCode {
@@ -134,29 +116,23 @@ fn cmd_lint(args: &[String]) -> ExitCode {
 }
 
 fn cmd_model_check(args: &[String]) -> ExitCode {
-    match args.first().map(String::as_str) {
-        Some("coherence") => cmd_check_coherence(&args[1..]),
-        Some("writeback") => cmd_check_writeback(&args[1..]),
-        _ => cmd_check_writeback(args),
-    }
-}
-
-fn cmd_check_writeback(args: &[String]) -> ExitCode {
-    let mut limits = Limits::new(12, 1_000_000);
+    let mut depth: Option<usize> = None;
+    let mut max_states: Option<usize> = None;
+    let mut smoke = false;
     let mut mutation: Option<Mutation> = None;
     let mut json = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--depth" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => limits.max_depth = n,
+                Some(n) => depth = Some(n),
                 None => return usage_err("--depth needs an integer"),
             },
             "--max-states" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => limits.max_states = n,
+                Some(n) => max_states = Some(n),
                 None => return usage_err("--max-states needs an integer"),
             },
-            "--smoke" => limits = Limits::new(8, 150_000),
+            "--smoke" => smoke = true,
             "--json" => json = true,
             "--mutant" => {
                 let Some(name) = it.next() else {
@@ -175,10 +151,18 @@ fn cmd_check_writeback(args: &[String]) -> ExitCode {
             other => return usage_err(&format!("unknown model-check flag `{other}`")),
         }
     }
+    let limits = if smoke {
+        if depth.is_some() || max_states.is_some() {
+            return usage_err("--smoke is a fixed budget; drop --depth/--max-states");
+        }
+        Limits::new(8, 150_000)
+    } else {
+        Limits::new(depth.unwrap_or(12), max_states.unwrap_or(1_000_000))
+    };
     let model = WriteBackModel { mutation };
     let out = explore(&model, limits);
     if json {
-        let mut reg = run_summary(&out, "writeback");
+        let mut reg = run_summary(&out);
         if let Some(m) = mutation {
             reg.set_text("mutant", &format!("{m:?}"));
         }
@@ -200,117 +184,14 @@ fn cmd_check_writeback(args: &[String]) -> ExitCode {
     report_verdict(&out, mutation.map(|m| format!("{m:?}")), json)
 }
 
-fn cmd_check_coherence(args: &[String]) -> ExitCode {
-    let mut limits = Limits::new(24, 30_000_000);
-    let mut cores: u8 = 2;
-    let mut workers: usize = 1;
-    let mut symmetry = true;
-    let mut quotient = false;
-    let mut json = false;
-    let mut mutation: Option<CohMutation> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--depth" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => limits.max_depth = n,
-                None => return usage_err("--depth needs an integer"),
-            },
-            "--max-states" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => limits.max_states = n,
-                None => return usage_err("--max-states needs an integer"),
-            },
-            "--max-mem-bytes" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => limits.max_mem_bytes = n,
-                None => return usage_err("--max-mem-bytes needs an integer"),
-            },
-            "--cores" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if (1..=4).contains(&n) => cores = n,
-                _ => return usage_err("--cores needs an integer in 1..=4"),
-            },
-            "--workers" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => workers = n,
-                _ => return usage_err("--workers needs a positive integer"),
-            },
-            "--smoke" => limits = Limits::new(6, 200_000),
-            "--no-symmetry" => symmetry = false,
-            "--quotient" => quotient = true,
-            "--json" => json = true,
-            "--mutant" => {
-                let Some(name) = it.next() else {
-                    return usage_err("--mutant needs a name");
-                };
-                mutation = match CohMutation::parse(name) {
-                    Some(m) => Some(m),
-                    None => return usage_err(&format!("unknown coherence mutant `{name}`")),
-                };
-            }
-            other => return usage_err(&format!("unknown model-check coherence flag `{other}`")),
-        }
-    }
-    let model = match mutation {
-        Some(m) => CoherenceModel::mutated(cores, m),
-        None => {
-            if symmetry {
-                CoherenceModel::faithful(cores)
-            } else {
-                CoherenceModel::faithful_raw(cores)
-            }
-        }
-    };
-    let out = explore_parallel(&model, limits, workers);
-    let mut reg = run_summary(&out, "coherence");
-    reg.set_counter("cores", u64::from(cores));
-    reg.set_flag("symmetry", model.symmetry);
-    if let Some(m) = mutation {
-        reg.set_text("mutant", m.name());
-        reg.set_text("intended_invariant", m.intended_invariant());
-    }
-    if quotient && mutation.is_none() && model.symmetry {
-        // Re-run with raw fingerprints to measure the symmetry quotient.
-        let raw = explore_parallel(&CoherenceModel::faithful_raw(cores), limits, workers);
-        reg.set_counter("states_raw", raw.states as u64);
-        reg.set_flag("raw_truncated", raw.truncated);
-        if out.states > 0 {
-            reg.set_gauge("symmetry_quotient", raw.states as f64 / out.states as f64);
-        }
-    }
-    if json {
-        // Note: the summary deliberately excludes `workers`, so CI can
-        // diff the JSON across worker counts to pin BFS determinism.
-        println!("{}", reg.to_json(""));
-    } else {
-        println!(
-            "ehsim-verify model-check coherence: {cores} cores, {} states, {} transitions, \
-             depth {}, peak level {}, {} dedup hits, ~{} KiB{}{}",
-            out.states,
-            out.transitions,
-            out.max_depth,
-            out.peak_level,
-            out.dedup_hits,
-            out.approx_mem_bytes / 1024,
-            if out.truncated { " (budget hit)" } else { "" },
-            match mutation {
-                Some(m) => format!(" [mutant {}]", m.name()),
-                None => String::new(),
-            },
-        );
-        if let Some(MetricValue::Gauge(g)) = reg.get("symmetry_quotient") {
-            println!("symmetry quotient: {g:.3}x (raw states / canonical states)");
-        }
-    }
-    report_verdict(&out, mutation.map(|m| m.name().to_string()), json)
-}
-
 /// Builds the machine-readable run summary for a model-check outcome.
-fn run_summary(out: &Outcome, model: &str) -> MetricsRegistry {
+fn run_summary(out: &Outcome) -> MetricsRegistry {
     let mut reg = MetricsRegistry::new();
-    reg.set_text("model", model);
+    reg.set_text("model", "writeback");
     reg.set_counter("states", out.states as u64);
     reg.set_counter("transitions", out.transitions as u64);
     reg.set_counter("dedup_hits", out.dedup_hits as u64);
     reg.set_counter("depth_reached", out.max_depth as u64);
-    reg.set_counter("peak_level", out.peak_level as u64);
-    reg.set_counter("approx_mem_bytes", out.approx_mem_bytes as u64);
     reg.set_flag("truncated", out.truncated);
     reg.set_flag("holds", out.holds());
     reg

@@ -6,9 +6,10 @@
 use ehsim_verify::engine::{explore, run_path, Limits};
 use ehsim_verify::model::{Act, Mutation, WriteBackModel};
 
-/// The ISSUE's headline number: ≥ 100,000 deduplicated states with all
-/// five invariants holding. (The full reachable space is ~9.86 M
-/// states; the CLI's default budget covers it in release.)
+/// The headline number: ≥ 100,000 deduplicated states with all five
+/// invariants holding. (The full reachable space is ~9.86 M states; the
+/// CLI's default budget of depth 12 / 1 M states stops at the state cap
+/// at depth 11.)
 #[test]
 fn faithful_protocol_holds_over_100k_deduplicated_states() {
     let out = explore(&WriteBackModel::faithful(), Limits::new(64, 120_000));
