@@ -35,6 +35,17 @@ fn ps_of(us: f64) -> Ps {
     (us * 1e6).round() as Ps
 }
 
+/// The end `ts + dur` of a complete (`X`) event. A damaged `dur` (say
+/// `0.04e500`, which saturates to `u64::MAX` ps) overflows; that is an
+/// error, not a panic.
+fn span_end(line: &str, lineno: usize, ts: Ps) -> Result<Ps, String> {
+    let dur = field_num(line, "\"dur\":")
+        .map(ps_of)
+        .ok_or_else(|| format!("line {lineno}: missing dur"))?;
+    ts.checked_add(dur)
+        .ok_or_else(|| format!("line {lineno}: ts + dur overflows"))
+}
+
 fn arg_u64(line: &str, lineno: usize, key: &str) -> Result<u64, String> {
     field_num(line, key)
         .map(|v| v.round() as u64)
@@ -129,23 +140,13 @@ pub(crate) fn parse(text: &str) -> Result<Run, String> {
                 }
             }
             ("X", "stall") => {
-                let dur = field_num(line, "\"dur\":")
-                    .map(ps_of)
-                    .ok_or_else(|| format!("line {n}: missing dur"))?;
-                events.push((ts, Event::DqStall { until: ts + dur }));
+                let until = span_end(line, n, ts)?;
+                events.push((ts, Event::DqStall { until }));
             }
             ("X", "writeback") => {
-                let dur = field_num(line, "\"dur\":")
-                    .map(ps_of)
-                    .ok_or_else(|| format!("line {n}: missing dur"))?;
+                let ack_at = span_end(line, n, ts)?;
                 let base = arg_u64(line, n, "\"base\":")? as u32;
-                events.push((
-                    ts,
-                    Event::WritebackIssued {
-                        base,
-                        ack_at: ts + dur,
-                    },
-                ));
+                events.push((ts, Event::WritebackIssued { base, ack_at }));
             }
             ("C", counter) => {
                 let value = field_num(line, "\"value\":")

@@ -30,6 +30,9 @@ const GOLDEN: &[(&str, FigureFn, u64)] = &[
     ("fig04", figures::fig04, 0x8510e75cec527477),
     ("fig07", figures::fig07, 0xdca5e7c1effbe9a5),
     ("fig13a", figures::fig13a, 0x79b6e11d165894a5),
+    // Not in `figures::ALL`: the only golden over the write-buffer
+    // design's simulation path.
+    ("ablation_wbuf", figures::ablation_wbuf, 0xd028392d8d24511f),
 ];
 
 #[test]

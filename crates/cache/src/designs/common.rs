@@ -42,7 +42,7 @@ impl WbCore {
     }
 
     /// Per-access LRU bookkeeping overhead (zero under FIFO replacement).
-    #[inline]
+    #[inline(always)]
     fn lru_overhead(&self, ctx: &mut MemCtx<'_>) -> Ps {
         if self.array.policy() == ReplacementPolicy::Lru {
             ctx.meter
@@ -62,9 +62,11 @@ impl WbCore {
     /// by [`WbCore::load`] / [`WbCore::store_resident`]; this method
     /// accounts only the miss-path costs.
     ///
-    /// The hit path inlines into the designs' access methods; the miss
-    /// path stays out of line in [`WbCore::miss`].
-    #[inline]
+    /// The hit path is forced inline into the designs' access methods
+    /// (left to itself, LLVM keeps this out of line: the vectorized tag
+    /// scan makes it too big); the miss path stays out of line in
+    /// [`WbCore::miss`].
+    #[inline(always)]
     pub fn ensure_resident(&mut self, ctx: &mut MemCtx<'_>, addr: u32) -> (SetWay, bool) {
         ctx.now += self.lru_overhead(ctx);
         if let Some(sw) = self.array.lookup(addr) {
@@ -107,7 +109,7 @@ impl WbCore {
 
     /// Full load path: residency + array read. Updates counters and
     /// `ctx.now`; returns `(slot, value, hit)`.
-    #[inline]
+    #[inline(always)]
     pub fn load(
         &mut self,
         ctx: &mut MemCtx<'_>,
@@ -129,7 +131,7 @@ impl WbCore {
     /// array write. Does **not** set the dirty bit — the caller decides
     /// (WL-Cache couples that transition to DirtyQueue insertion).
     /// Returns `(slot, was_dirty_before, hit)`.
-    #[inline]
+    #[inline(always)]
     pub fn store_resident(
         &mut self,
         ctx: &mut MemCtx<'_>,

@@ -37,11 +37,13 @@ impl CacheDesign for NvCacheWb {
         VoltageThresholds::nv()
     }
 
+    #[inline(always)]
     fn load(&mut self, ctx: &mut MemCtx<'_>, addr: u32, size: AccessSize) -> (Ps, u64) {
         let (_, value, _) = self.core.load(ctx, addr, size);
         (ctx.now, value)
     }
 
+    #[inline(always)]
     fn store(&mut self, ctx: &mut MemCtx<'_>, addr: u32, size: AccessSize, value: u64) -> Ps {
         let (sw, _, _) = self.core.store_resident(ctx, addr, size, value);
         self.core.array_mut().set_dirty(sw, true);

@@ -126,6 +126,7 @@ impl CacheDesign for WriteBufferCache {
         VoltageThresholds::wl(self.capacity.min(8), 8)
     }
 
+    #[inline(always)]
     fn load(&mut self, ctx: &mut MemCtx<'_>, addr: u32, size: AccessSize) -> (Ps, u64) {
         self.reap(ctx.now);
         // Objection 1: the CAM search gates *every* load.
@@ -146,6 +147,7 @@ impl CacheDesign for WriteBufferCache {
         (ctx.now, value)
     }
 
+    #[inline(always)]
     fn store(&mut self, ctx: &mut MemCtx<'_>, addr: u32, size: AccessSize, value: u64) -> Ps {
         self.reap(ctx.now);
         self.charge_cam(ctx);

@@ -35,11 +35,13 @@ impl CacheDesign for VCacheWt {
         VoltageThresholds::nv()
     }
 
+    #[inline(always)]
     fn load(&mut self, ctx: &mut MemCtx<'_>, addr: u32, size: AccessSize) -> (Ps, u64) {
         let (_, value, _) = self.core.load(ctx, addr, size);
         (ctx.now, value)
     }
 
+    #[inline(always)]
     fn store(&mut self, ctx: &mut MemCtx<'_>, addr: u32, size: AccessSize, value: u64) -> Ps {
         ctx.stats.stores += 1;
         // Update the cache copy if (and only if) the line is resident:

@@ -401,6 +401,24 @@ impl TagArray {
         })
     }
 
+    /// Cleans every dirty line in the order of
+    /// [`TagArray::dirty_lines`] (ascending slot index is set-major),
+    /// handing `f` each line's base address and contents before its
+    /// dirty bit clears. Allocation-free, and the walk stops at the
+    /// last dirty line.
+    pub fn clean_dirty_lines(&mut self, mut f: impl FnMut(u32, &[u8])) {
+        let mut ix = 0;
+        while self.dirty_count > 0 {
+            if self.dirty[ix] {
+                let set = ix as u32 / self.ways;
+                f(self.base_of_ix(ix, set), self.line_slice(ix));
+                self.dirty[ix] = false;
+                self.dirty_count -= 1;
+            }
+            ix += 1;
+        }
+    }
+
     /// Iterates over all valid lines as `(slot, base_addr)`, in
     /// set-major slot order.
     pub fn valid_lines(&self) -> impl Iterator<Item = (SetWay, u32)> + '_ {

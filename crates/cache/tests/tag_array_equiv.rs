@@ -3,7 +3,7 @@
 //! implementation through identical random operation sequences and
 //! asserts every observable agrees at every step — lookups, victim
 //! selection, read-back values, dirty accounting, and the exact
-//! iteration order of `dirty_lines`/`valid_lines`.
+//! iteration order of `dirty_lines`/`valid_lines`/`clean_dirty_lines`.
 //!
 //! The reference keeps a separate valid bit per line; the array under
 //! test folds it into the tag as a sentinel, so the sequences run both
@@ -261,6 +261,20 @@ fn assert_equivalent(new: &TagArray, old: &RefArray, base: u32, addr_space: u32)
     assert_eq!(new.count_dirty(), old.count_dirty());
     assert_eq!(new.dirty_lines().collect::<Vec<_>>(), old.dirty_lines());
     assert_eq!(new.valid_lines().collect::<Vec<_>>(), old.valid_lines());
+    // `clean_dirty_lines` visits the `dirty_lines` order with each
+    // line's contents, and leaves the array clean.
+    let mut cleaned = new.clone();
+    let mut visited = Vec::new();
+    cleaned.clean_dirty_lines(|b, data| visited.push((b, data.to_vec())));
+    let want: Vec<(u32, Vec<u8>)> = old
+        .dirty_lines()
+        .into_iter()
+        .map(|(sw, b)| (b, old.lines[old.ix(sw)].data.to_vec()))
+        .collect();
+    assert_eq!(visited, want);
+    assert_eq!(cleaned.count_dirty(), 0);
+    assert_eq!(cleaned.dirty_lines().count(), 0);
+    assert_eq!(cleaned.valid_lines().collect::<Vec<_>>(), old.valid_lines());
     for i in 0..old.geom.n_lines() {
         let ways = old.geom.ways();
         let sw = SetWay {

@@ -2,7 +2,7 @@
 
 use crate::{AdaptationMode, AdaptiveController, DirtyQueue, DqPolicy, Thresholds};
 use ehsim_cache::designs::WbCore;
-use ehsim_cache::{CacheDesign, CacheGeometry, CacheTech, MemCtx, ReplacementPolicy};
+use ehsim_cache::{CacheDesign, CacheGeometry, CacheTech, MemCtx, ReplacementPolicy, SetWay};
 use ehsim_energy::{EnergyCategory, VoltageThresholds};
 use ehsim_mem::{AccessSize, NvmEnergy, Pj, Ps};
 use ehsim_obs::Event;
@@ -203,10 +203,20 @@ impl WlCache {
         (array.is_dirty(sw) && array.base_addr(sw) == base).then(|| array.last_use(sw))
     }
 
-    /// Polls completed write-back ACKs out of the DirtyQueue. With an
-    /// observer attached each removal is reported at its actual ACK
-    /// time; the disabled path is the original `pop_acked` early-out.
+    /// Polls completed write-back ACKs out of the DirtyQueue. The
+    /// `min_ack` test inlines into every access; the removal runs out
+    /// of line in [`WlCache::pop_acks`] only when an ACK is due.
+    #[inline(always)]
     fn poll_acks(&mut self, ctx: &mut MemCtx<'_>) {
+        if self.dq.ack_due(ctx.now) {
+            self.pop_acks(ctx);
+        }
+    }
+
+    /// Removes the ACKed entries. With an observer attached each
+    /// removal is reported at its actual ACK time.
+    #[inline(never)]
+    fn pop_acks(&mut self, ctx: &mut MemCtx<'_>) {
         if ctx.obs.enabled() {
             let now = ctx.now;
             let obs = &mut *ctx.obs;
@@ -257,6 +267,30 @@ impl WlCache {
                 .emit(ctx.now, Event::WritebackIssued { base, ack_at });
         }
         true
+    }
+
+    /// The clean → dirty transition of the line at `sw`: the only
+    /// event that touches the DirtyQueue (§5.1); stores to already-dirty
+    /// lines coalesce and never get here. Reserves a slot, enqueues the
+    /// line, then applies the waterline policy (§5.2).
+    #[inline(never)]
+    fn track_dirty(&mut self, ctx: &mut MemCtx<'_>, sw: SetWay) {
+        self.reserve_dq_slot(ctx);
+        let base = self.core.array().base_addr(sw);
+        self.dq.push(base);
+        ctx.meter.add(EnergyCategory::CacheWrite, DQ_ACCESS_PJ);
+        self.core.array_mut().set_dirty(sw, true);
+        if ctx.obs.enabled() {
+            ctx.obs.emit(ctx.now, Event::DqEnqueue { base });
+        }
+
+        // Waterline policy (§5.2): start cleaning asynchronously.
+        let waterline = self.controller.thresholds().waterline();
+        while self.dq.dirty_count() > waterline {
+            if !self.issue_cleaning(ctx) {
+                break;
+            }
+        }
     }
 
     /// Makes room in the DirtyQueue for one more entry, stalling the
@@ -329,34 +363,19 @@ impl CacheDesign for WlCache {
         self.vth
     }
 
+    #[inline(always)]
     fn load(&mut self, ctx: &mut MemCtx<'_>, addr: u32, size: AccessSize) -> (Ps, u64) {
         self.poll_acks(ctx);
         let (_, value, _) = self.core.load(ctx, addr, size);
         (ctx.now, value)
     }
 
+    #[inline(always)]
     fn store(&mut self, ctx: &mut MemCtx<'_>, addr: u32, size: AccessSize, value: u64) -> Ps {
         self.poll_acks(ctx);
         let (sw, was_dirty, _) = self.core.store_resident(ctx, addr, size, value);
         if !was_dirty {
-            // Clean → dirty transition: the only event that touches the
-            // DirtyQueue (§5.1). Stores to already-dirty lines coalesce.
-            self.reserve_dq_slot(ctx);
-            let base = self.core.array().base_addr(sw);
-            self.dq.push(base);
-            ctx.meter.add(EnergyCategory::CacheWrite, DQ_ACCESS_PJ);
-            self.core.array_mut().set_dirty(sw, true);
-            if ctx.obs.enabled() {
-                ctx.obs.emit(ctx.now, Event::DqEnqueue { base });
-            }
-
-            // Waterline policy (§5.2): start cleaning asynchronously.
-            let waterline = self.controller.thresholds().waterline();
-            while self.dq.dirty_count() > waterline {
-                if !self.issue_cleaning(ctx) {
-                    break;
-                }
-            }
+            self.track_dirty(ctx, sw);
         }
         ctx.now
     }

@@ -126,6 +126,15 @@ impl DirtyQueue {
         });
     }
 
+    /// Whether some in-flight write-back has ACKed by `now`, i.e.
+    /// whether [`DirtyQueue::pop_acked`] would remove anything. The
+    /// cache asks on every access, so this is the cheap, inlined half of
+    /// the poll.
+    #[inline(always)]
+    pub fn ack_due(&self, now: Ps) -> bool {
+        self.min_ack.is_some_and(|m| m <= now)
+    }
+
     /// Removes every `Cleaning` entry whose ACK time has passed,
     /// returning how many slots were freed (step 4 of §5.3).
     pub fn pop_acked(&mut self, now: Ps) -> usize {
@@ -140,7 +149,7 @@ impl DirtyQueue {
         // No outstanding ACK can have arrived yet: the scan below would
         // remove nothing, so skip it (this is the common case — the
         // cache polls on every access).
-        if self.min_ack.is_none_or(|m| m > now) {
+        if !self.ack_due(now) {
             return 0;
         }
         let before = self.entries.len();

@@ -110,9 +110,11 @@ impl CacheDesign for DesignBox {
     fn thresholds(&self) -> VoltageThresholds {
         delegate!(self, d => d.thresholds())
     }
+    #[inline(always)]
     fn load(&mut self, ctx: &mut MemCtx<'_>, addr: u32, size: AccessSize) -> (Ps, u64) {
         delegate!(self, d => d.load(ctx, addr, size))
     }
+    #[inline(always)]
     fn store(&mut self, ctx: &mut MemCtx<'_>, addr: u32, size: AccessSize, value: u64) -> Ps {
         delegate!(self, d => d.store(ctx, addr, size, value))
     }
@@ -125,6 +127,7 @@ impl CacheDesign for DesignBox {
     fn reboot(&mut self, ctx: &mut MemCtx<'_>, on_time_ps: Ps) -> Ps {
         delegate!(self, d => d.reboot(ctx, on_time_ps))
     }
+    #[inline(always)]
     fn on_instructions(&mut self, ctx: &mut MemCtx<'_>, total_instrs: u64) -> Ps {
         delegate!(self, d => d.on_instructions(ctx, total_instrs))
     }

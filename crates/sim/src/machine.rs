@@ -294,8 +294,37 @@ impl Machine {
         self.boot();
     }
 
+    /// The failure-free half of settlement: accrues the static draw
+    /// since the previous settlement (stalls are not energy-free) and
+    /// moves `last_sync` to `now`. Returns the window length, which the
+    /// capacitor step integrates harvest over. Inlined into every op;
+    /// on a run without failures it is all of settlement.
+    #[inline(always)]
+    fn accrue_static(&mut self) -> Ps {
+        let dt = self.now - self.last_sync;
+        if dt > 0 {
+            self.meter.add(
+                EnergyCategory::Compute,
+                ps_to_f64(dt) * self.cpu.static_power_uw * 1e-6,
+            );
+        }
+        self.last_sync = self.now;
+        dt
+    }
+
     /// Integrates harvested energy and drains metered consumption,
-    /// without triggering the failure protocol.
+    /// without triggering the failure protocol: the settlement of the
+    /// outage protocol's checkpoint and restore windows, which only
+    /// runs with failures enabled.
+    fn sync_energy(&mut self) {
+        let dt = self.accrue_static();
+        self.step_capacitor(dt);
+    }
+
+    /// The capacitor half of settlement over a window of `dt`: harvest,
+    /// then drain what was metered since the previous drain. Runs only
+    /// with failures enabled, and also for `dt == 0`, because the drain
+    /// must still happen then.
     ///
     /// `drained_pj` holds `meter.total()` as of the previous drain, and
     /// the drain is the fresh total minus it. `total()` is a fixed
@@ -306,43 +335,32 @@ impl Machine {
     /// just before (the retire, the compute chunk, the register
     /// checkpoint or restore), and were that ever not so the total
     /// would equal `drained_pj` bit for bit and the `spent > 0.0` guard
-    /// would skip the drain. With failures disabled nothing is summed.
-    fn sync_energy(&mut self) {
-        let dt = self.now - self.last_sync;
+    /// would skip the drain.
+    #[inline(always)]
+    fn step_capacitor(&mut self, dt: Ps) {
+        let v_before = self.cap.voltage();
         if dt > 0 {
-            // Static draw accrues with wall-clock on-time (stalls are
-            // not energy-free).
-            self.meter.add(
-                EnergyCategory::Compute,
-                ps_to_f64(dt) * self.cpu.static_power_uw * 1e-6,
-            );
-        }
-        if self.failures_enabled {
-            let v_before = self.cap.voltage();
-            if dt > 0 {
-                let harvested = self.cursor.advance(dt);
-                let eta = self.charging.efficiency(self.cap.voltage());
-                self.cap.charge_pj(harvested * eta);
-                if self.obs.enabled() {
-                    self.harvested_pj += harvested;
-                }
-            }
-            let total = self.meter.total();
-            let spent = total - self.drained_pj;
-            if spent > 0.0 {
-                self.cap.drain_pj(spent);
-            }
-            self.drained_pj = total;
+            let harvested = self.cursor.advance(dt);
+            let eta = self.charging.efficiency(self.cap.voltage());
+            self.cap.charge_pj(harvested * eta);
             if self.obs.enabled() {
-                let th = self.design.thresholds();
-                Self::emit_crossings(&mut self.obs, &th, self.now, v_before, self.cap.voltage());
-                if self.obs_voltage && dt > 0 {
-                    let voltage = self.cap.voltage();
-                    self.obs.emit(self.now, Event::VoltageSample { voltage });
-                }
+                self.harvested_pj += harvested;
             }
         }
-        self.last_sync = self.now;
+        let total = self.meter.total();
+        let spent = total - self.drained_pj;
+        if spent > 0.0 {
+            self.cap.drain_pj(spent);
+        }
+        self.drained_pj = total;
+        if self.obs.enabled() {
+            let th = self.design.thresholds();
+            Self::emit_crossings(&mut self.obs, &th, self.now, v_before, self.cap.voltage());
+            if self.obs_voltage && dt > 0 {
+                let voltage = self.cap.voltage();
+                self.obs.emit(self.now, Event::VoltageSample { voltage });
+            }
+        }
     }
 
     /// Reports every named-rail crossing of the step `v0 → v1`.
@@ -370,17 +388,30 @@ impl Machine {
         }
     }
 
-    /// Energy settlement plus the power-failure check.
+    /// Energy settlement plus the power-failure check, one window per
+    /// call. The static-energy bookkeeping is inlined into every op;
+    /// the capacitor step and the `Vbackup` check are one out-of-line
+    /// call, made only when failures are enabled, so a failure-free run
+    /// never touches the capacitor.
+    #[inline(always)]
     fn settle(&mut self) {
         self.settles += 1;
-        self.sync_energy();
+        let dt = self.accrue_static();
         if self.failures_enabled {
-            // `Vbackup` must be re-read from the design on every check:
-            // WL-Cache(dyn) raises it mid-run via the opportunistic
-            // dynamic `maxline` raise, not only at reboot.
-            while self.cap.voltage() < self.design.thresholds().v_backup {
-                self.power_failure();
-            }
+            self.settle_capacitor(dt);
+        }
+    }
+
+    /// The capacitor step of one settlement window, then the
+    /// power-failure check.
+    #[inline(never)]
+    fn settle_capacitor(&mut self, dt: Ps) {
+        self.step_capacitor(dt);
+        // `Vbackup` must be re-read from the design on every check:
+        // WL-Cache(dyn) raises it mid-run via the opportunistic
+        // dynamic `maxline` raise, not only at reboot.
+        while self.cap.voltage() < self.design.thresholds().v_backup {
+            self.power_failure();
         }
     }
 
@@ -593,6 +624,7 @@ impl Machine {
     /// `f`'s result (usually a completion time). Every run of design
     /// code goes through here: loads, stores, `on_instructions`,
     /// checkpoint and reboot.
+    #[inline(always)]
     fn with_ctx<R>(&mut self, f: impl FnOnce(&mut DesignBox, &mut MemCtx<'_>) -> R) -> R {
         let cap_voltage = self.cap.voltage();
         let mut ctx = MemCtx {
@@ -609,6 +641,7 @@ impl Machine {
         f(&mut self.design, &mut ctx)
     }
 
+    #[inline(always)]
     fn retire_instruction(&mut self) {
         self.instructions += 1;
         self.meter
@@ -686,6 +719,32 @@ mod tests {
         m.compute(100_000);
         assert_eq!(m.outages(), 0);
         assert!(m.now() > 0);
+    }
+
+    /// The settlement split's guard: without failures the capacitor
+    /// step never runs, so the voltage stays bitwise at its starting
+    /// `Von` (capped at `Vmax`) and nothing is ever drained, while
+    /// every bus op and compute chunk still counts one window.
+    #[test]
+    fn failure_free_runs_never_touch_the_capacitor() {
+        let mut cfgs = SimConfig::all_designs();
+        cfgs.extend([SimConfig::wl_cache_dyn(), SimConfig::write_buffer()]);
+        for cfg in cfgs {
+            let label = cfg.design.label();
+            let mut m = machine(cfg);
+            let v_start = m.design().thresholds().v_on.min(m.cap.v_max());
+            let mut windows = 0;
+            for i in 0..3_000u32 {
+                m.store_u32((i * 68) % 4096, i);
+                let _ = m.load_u32((i * 36) % 4096);
+                m.compute(u64::from(i % 5) * COMPUTE_CHUNK_CYCLES + 7);
+                windows += 2 + u64::from(i % 5) + 1;
+            }
+            assert_eq!(m.outages(), 0, "{label}");
+            assert_eq!(m.cap.voltage().to_bits(), v_start.to_bits(), "{label}");
+            assert_eq!(m.drained_pj.to_bits(), 0.0f64.to_bits(), "{label}");
+            assert_eq!(m.settle_windows(), windows, "{label}");
+        }
     }
 
     #[test]

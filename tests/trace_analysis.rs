@@ -231,3 +231,81 @@ fn interval_energy_columns_reconcile_with_the_meter() {
     assert_eq!(last_energy.0, prev_h);
     assert_eq!(last_energy.1, prev_c);
 }
+
+/// Two rounds of stores to eight lines, more than WL-Cache's default
+/// `maxline` of 6, each followed by a long compute stretch: on tr.3
+/// that is enough for an outage, write-backs and DQ stalls, while the
+/// Chrome export stays near 7.5 kB.
+struct Burst;
+
+impl Workload for Burst {
+    fn name(&self) -> &str {
+        "burst"
+    }
+    fn mem_bytes(&self) -> u32 {
+        4096
+    }
+    fn run(&self, bus: &mut dyn Bus) -> u64 {
+        for round in 0..2u32 {
+            for line in 0..8u32 {
+                bus.store_u32(line * 64 + round * 4, round ^ line);
+            }
+            bus.compute(400_000);
+        }
+        (0..8u32).map(|l| u64::from(bus.load_u32(l * 64))).sum()
+    }
+}
+
+/// The Chrome loader's byte-mutation property: every truncation and
+/// every single-byte mutation of a real export is rejected or parses,
+/// and never panics. The XOR masks alone never turn a digit into `e`,
+/// `-` or another digit, so those substitutions run too: a digit turned
+/// into `e` can make a duration overflow `u64` ps once added to its
+/// timestamp. The export carries no checksum, so a damaged digit can
+/// parse to another timeline; a parse that yields the original events
+/// shows the damage landed where the loader reads nothing.
+#[test]
+fn every_chrome_byte_mutation_and_truncation_is_handled() {
+    let cfg = SimConfig::wl_cache().with_trace(TraceKind::Rf3);
+    let (report, trace) = Simulator::new(cfg)
+        .run_traced(&Burst)
+        .expect("simulation succeeds");
+    let c = &trace.counters;
+    assert!(
+        report.outages > 0 && c.writebacks_issued > 0 && c.dq_stalls > 0,
+        "{c:?}"
+    );
+    let bytes = trace.chrome_trace("burst / WL-Cache / rf3").into_bytes();
+    let base = Run::parse(&String::from_utf8_lossy(&bytes)).expect("own JSON parses");
+
+    let mut damaged: Vec<Vec<u8>> = (0..bytes.len()).map(|cut| bytes[..cut].to_vec()).collect();
+    for i in 0..bytes.len() {
+        for mask in [0x01u8, 0x80, 0xff] {
+            let mut bad = bytes.clone();
+            bad[i] ^= mask;
+            damaged.push(bad);
+        }
+        for sub in [b'e', b'-', b'9'] {
+            if bytes[i] != sub {
+                let mut bad = bytes.clone();
+                bad[i] = sub;
+                damaged.push(bad);
+            }
+        }
+    }
+    let (mut rejected, mut overflows, mut same, mut other) = (0, 0, 0, 0);
+    for bad in &damaged {
+        match Run::parse(&String::from_utf8_lossy(bad)) {
+            Err(e) => {
+                rejected += 1;
+                overflows += usize::from(e.ends_with("ts + dur overflows"));
+            }
+            Ok(run) if run.events == base.events => same += 1,
+            Ok(_) => other += 1,
+        }
+    }
+    // Each outcome occurs, the overflow included.
+    let tally =
+        format!("{rejected} rejected ({overflows} overflows), {same} identical, {other} other");
+    assert!(overflows > 0 && same > 0 && other > 0, "{tally}");
+}
