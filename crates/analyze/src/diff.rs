@@ -130,9 +130,7 @@ fn diff_rows(a: &TraceInterval, b: &TraceInterval) -> Vec<FieldDiff> {
 }
 
 /// Aligns two runs by power-on interval index and finds the first
-/// diverging interval (or the point where one run ends early). Runs
-/// loaded from different formats are comparable, but fidelity caveats
-/// of the lossier format apply (see [`Run`]).
+/// diverging interval (or the point where one run ends early).
 pub fn diff_runs(a: &Run, a_label: &str, b: &Run, b_label: &str) -> DiffReport {
     let mut divergence = None;
     for (i, (ra, rb)) in a.intervals.iter().zip(&b.intervals).enumerate() {
@@ -187,14 +185,7 @@ fn state_line(side: &str, label: &str, state: Option<ThresholdState>) -> String 
 /// Renders a [`DiffReport`] with the side-by-side summary table.
 pub fn render_diff(report: &DiffReport, a: &Run, b: &Run) -> String {
     let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "diff: A = {} ({}), B = {} ({})",
-        report.a_label,
-        a.source.label(),
-        report.b_label,
-        b.source.label()
-    );
+    let _ = writeln!(s, "diff: A = {}, B = {}", report.a_label, report.b_label);
     match &report.divergence {
         None => {
             let _ = writeln!(
@@ -248,13 +239,10 @@ pub fn render_diff(report: &DiffReport, a: &Run, b: &Run) -> String {
     for (name, va, vb) in rows {
         let _ = writeln!(s, "  {name:<22} {va:>14} {vb:>14}");
     }
-    let _ = writeln!(
-        s,
-        "  {:<22} {:>14} {:>14}",
-        "end_ps",
-        a.end_ps(),
-        b.end_ps()
-    );
+    // The latest timestamp: ACKs are stamped at NVM completion, so the
+    // timeline is not sorted.
+    let end_ps = |r: &Run| r.events.iter().map(|&(ts, _)| ts).max().unwrap_or(0);
+    let _ = writeln!(s, "  {:<22} {:>14} {:>14}", "end_ps", end_ps(a), end_ps(b));
     for (name, ha, hb) in [
         (
             "outage_interval_ps",
@@ -286,7 +274,6 @@ pub fn render_diff(report: &DiffReport, a: &Run, b: &Run) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::SourceFormat;
     use ehsim_obs::{Event, Observer, Recorder};
 
     fn run_with(flushed: &[u64], dyn_raise_in: Option<usize>) -> Run {
@@ -375,6 +362,5 @@ mod tests {
         // interval 2 differs from B's checkpoint-closed interval 2.
         assert_eq!(d.interval, 2);
         assert!(!report.identical());
-        assert_eq!(a.source, SourceFormat::Jsonl);
     }
 }

@@ -4,11 +4,15 @@
 //! The observability layer records *what happened*; this crate answers
 //! *so what*. It has six parts:
 //!
-//! * **Trace model** — [`Run`] / [`Span`] / interval rows, loadable
-//!   from every format the simulator writes: Chrome `trace_event` JSON
-//!   (`--trace-out`), streamed JSON-lines (`--stream-out`, the
-//!   `StreamingObserver`), and the per-interval metrics TSV
-//!   (`--metrics-out`). Formats are auto-detected by [`Run::parse`].
+//! * **Trace model** — [`Run`]: the event timeline plus the counters,
+//!   histograms and per-power-on-interval rows a live `Recorder`
+//!   derives from it. It loads from one format, the lossless
+//!   JSON-lines capture ([`Run::from_jsonl`]; `ehsim-cli run
+//!   --stream-out`, `EHSIM_TRACE_WORKLOAD`), replayed through the live
+//!   `Recorder` so it reconciles bit-for-bit with the recording that
+//!   wrote it; or it wraps an in-memory recording ([`Run::from_trace`]). Chrome `trace_event` JSON
+//!   (`--trace-out`) and the interval-metrics TSV (`--metrics-out`) are
+//!   write-only exports of `RunTrace`.
 //! * **Cross-run diffing** — [`diff_runs`] aligns two runs by power-on
 //!   interval and reports the first divergence (outage timing,
 //!   dirty-at-checkpoint counts, threshold/DynRaise state) plus a
@@ -17,10 +21,9 @@
 //! * **Voltage trajectory export** — [`voltage_tsv`] / [`voltage_svg`]
 //!   render the opt-in capacitor-voltage samples as data or as a
 //!   self-contained Fig-1-style chart (`ehsim-cli voltage-plot`).
-//! * **Streamed-trace reading** — [`Run::from_jsonl`] converts a
-//!   constant-memory streamed capture back into the same model, so
-//!   diffing and conversion work identically on streamed traces
-//!   (`ehsim-cli convert-trace`).
+//! * **Capture conversion** — [`Run::to_trace`] turns a loaded
+//!   capture back into a `RunTrace`, so a constant-memory stream
+//!   re-exports as Chrome JSON (`ehsim-cli convert-trace`).
 //! * **Event-series export** — [`dq_occupancy`] / [`energy_series`]
 //!   derive the DirtyQueue depth over time and the per-interval
 //!   harvested/consumed energy from a run, with TSV and SVG renderers
@@ -30,17 +33,10 @@
 //!   telemetry progress stream (`EHSIM_PROGRESS`, `sweep
 //!   --progress-out`) and renders the per-phase attribution and
 //!   per-design tables plus an SVG (`ehsim-cli profile-sweep`).
-//!
-//! Loaders rebuild counters/histograms/intervals by replaying the
-//! reconstructed timeline through the live `Recorder` code paths, so a
-//! lossless source (JSONL) reconciles bit-for-bit with the recording
-//! that produced it; the per-format fidelity caveats are documented on
-//! [`Run`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod chrome;
 mod diff;
 mod model;
 mod plot;
@@ -48,7 +44,7 @@ mod profile;
 mod series;
 
 pub use diff::{diff_runs, render_diff, DiffReport, Divergence, FieldDiff, ThresholdState};
-pub use model::{Run, SourceFormat, Span};
+pub use model::Run;
 pub use plot::{voltage_svg, voltage_tsv};
 pub use profile::{
     design_table_tsv, load_progress_log, parse_progress_log, profile_phase_tsv, profile_svg,

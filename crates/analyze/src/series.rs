@@ -23,18 +23,18 @@ pub type OccupancyPoint = (Ps, i64);
 /// timestamp enqueue/ack pairs must not be reordered by a sort).
 ///
 /// The final point's depth reconciles exactly with the recorder's
-/// counters: `dq_enqueues − dq_acks − stale_drops`.
+/// counters: `dq_enqueues − dq_acks − stale_drops`. The walk saturates
+/// at the `i64` range, which no real run approaches.
 pub fn dq_occupancy(run: &Run) -> Vec<OccupancyPoint> {
     let mut out = Vec::new();
     let mut depth: i64 = 0;
     for &(at, ev) in &run.events {
-        let delta = match ev {
-            Event::DqEnqueue { .. } => 1,
-            Event::DqAck { .. } => -1,
-            Event::DqStaleDrop { dropped } => -(dropped as i64),
+        depth = match ev {
+            Event::DqEnqueue { .. } => depth.saturating_add(1),
+            Event::DqAck { .. } => depth.saturating_sub(1),
+            Event::DqStaleDrop { dropped } => depth.saturating_sub_unsigned(dropped as u64),
             _ => continue,
         };
-        depth += delta;
         out.push((at, depth));
     }
     out
@@ -316,6 +316,15 @@ mod tests {
             Some(expected),
             "final depth must equal enqueues - acks - stale drops"
         );
+    }
+
+    /// A stale drop of 2^63 entries is a valid capture; the walk must
+    /// not overflow on it.
+    #[test]
+    fn occupancy_survives_a_huge_stale_drop() {
+        let line = "{\"ts\":1,\"ev\":\"DqStaleDrop\",\"dropped\":9223372036854775808}\n";
+        let run = Run::from_jsonl(line).expect("one drop loads");
+        assert_eq!(dq_occupancy(&run), vec![(1, i64::MIN)]);
     }
 
     #[test]

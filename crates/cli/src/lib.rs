@@ -35,14 +35,13 @@ pub enum Command {
     /// Structurally validate a Chrome trace JSON written by
     /// `--trace-out`.
     ValidateTrace(String),
-    /// Diff two recorded traces (any format `ehsim-analyze` loads),
-    /// reporting the first diverging power-on interval.
+    /// Diff two `.bustrace` files (first diverging Bus operation) or two
+    /// JSONL event captures (first diverging power-on interval).
     DiffTraces(String, String),
     /// Run one workload with voltage sampling and export the capacitor
     /// trajectory as TSV and/or SVG.
     VoltagePlot(PlotOptions),
-    /// Convert a recorded trace (typically a streamed JSONL capture)
-    /// into Chrome trace JSON.
+    /// Convert a JSONL event capture into Chrome trace JSON.
     ConvertTrace(ConvertOptions),
     /// Record a workload's Bus access stream to a `.bustrace` file.
     RecordBus(RecordOptions),
@@ -144,12 +143,12 @@ pub struct PlotOptions {
 /// Options for `convert-trace`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConvertOptions {
-    /// Input trace path (JSONL stream or Chrome JSON).
+    /// Input JSONL event capture (`run --stream-out`).
     pub input: String,
     /// Output Chrome trace JSON path.
     pub output: String,
-    /// Process name for the converted trace (defaults to the source's
-    /// name, or the input path).
+    /// Process name for the converted trace (defaults to the input
+    /// path).
     pub name: Option<String>,
 }
 
@@ -225,7 +224,7 @@ USAGE:
   ehsim-cli record-bus --workload <name> --out <p.bustrace> [--scale <s>]
   ehsim-cli replay --in <p.bustrace> [--design <d>] [--trace <t>] [--check] [options]
   ehsim-cli import-trace <in.txt> <out.bustrace> [--name <s>]
-  ehsim-cli diff-traces <a> <b>
+  ehsim-cli diff-traces <a> <b>      (two .bustrace files or two JSONL captures)
   ehsim-cli convert-trace <in.jsonl> <out.json> [--name <s>]
   ehsim-cli validate-trace <path>
   ehsim-cli sweep [--figure <f>]... [--scale <s>] [--progress-out <p.jsonl>]
@@ -253,8 +252,8 @@ OPTIONS:
                         (open in chrome://tracing or ui.perfetto.dev)
   --metrics-out <path>  write per-power-interval metrics as TSV
   --stream-out <path>   stream events as JSON-lines while running
-                        (constant memory; reload with diff-traces or
-                        convert-trace)
+                        (constant memory; the one capture format that
+                        diff-traces, convert-trace and ehsim-analyze load)
   --tsv-out <path>      voltage-plot/dq-plot/energy-plot: write the
                         series as TSV
   --svg-out <path>      voltage-plot/dq-plot/energy-plot: write the
@@ -274,7 +273,10 @@ OPTIONS:
 execution over flat memory); `replay` drives the full machine from the
 recorded stream, reproducing a direct run's report bit-for-bit.
 `diff-traces` accepts two `.bustrace` files and reports the first
-diverging Bus operation.
+diverging Bus operation, or two JSONL event captures (`--stream-out`,
+`EHSIM_TRACE_WORKLOAD`) and reports the first diverging power-on
+interval. Chrome JSON (`--trace-out`) and the metrics TSV
+(`--metrics-out`) are write-only exports.
 
 `sweep` regenerates `results/*.tsv` through the shared executor with
 the phase profiler enabled; `profile-sweep` turns the progress stream
@@ -745,20 +747,38 @@ fn render_bus_diff(a: &BusTrace, a_path: &str, b: &BusTrace, b_path: &str) -> St
     s
 }
 
-/// Runs `opt` with the full recording observer and reconstructs the
-/// analysis model from the lossless JSONL form of the recorded
-/// timeline, so the plot series the caller derives reconcile
-/// bit-for-bit with the live recorder's counters.
+/// Runs `opt` with the full recording observer and wraps the recorded
+/// timeline as the analysis model, so the plot series the caller
+/// derives reconcile bit-for-bit with the live recorder's counters.
 fn recorded_run(opt: &RunOptions) -> Result<(Report, ehsim_analyze::Run), String> {
     let cfg = config_of(opt)?;
     let w = workload_of(&opt.workload, opt.scale)?;
-    let (r, mut machine) = Simulator::new(cfg)
-        .run_with(w.as_ref(), ehsim_obs::ObserverBox::recording())
+    let (r, trace) = Simulator::new(cfg)
+        .run_traced(w.as_ref())
         .map_err(|e| e.to_string())?;
-    let end = machine.now();
-    let trace = machine.take_observer().into_trace(end);
-    let run = ehsim_analyze::Run::from_jsonl(&trace.jsonl())?;
-    Ok((r, run))
+    Ok((r, ehsim_analyze::Run::from_trace(trace)))
+}
+
+/// Writes `run`'s `--trace-out`/`--metrics-out` exports of `trace`,
+/// appending one summary line per file to `s`.
+fn write_exports(
+    opt: &RunOptions,
+    r: &Report,
+    trace: &ehsim_obs::RunTrace,
+    s: &mut String,
+) -> Result<(), String> {
+    if let Some(path) = &opt.trace_out {
+        let name = format!("{} / {} / {}", r.workload, r.design, r.trace);
+        std::fs::write(path, trace.chrome_trace(&name))
+            .map_err(|e| format!("--trace-out {path}: {e}"))?;
+        let _ = writeln!(s, "trace         {path} ({} events)", trace.events.len());
+    }
+    if let Some(path) = &opt.metrics_out {
+        std::fs::write(path, trace.interval_metrics_tsv())
+            .map_err(|e| format!("--metrics-out {path}: {e}"))?;
+        let _ = writeln!(s, "metrics       {path}");
+    }
+    Ok(())
 }
 
 /// Executes a parsed command, returning the text to print.
@@ -814,19 +834,8 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 // Chrome/TSV exports are derived from the streamed
                 // capture itself, proving the JSONL is self-sufficient.
                 if opt.trace_out.is_some() || opt.metrics_out.is_some() {
-                    let run = ehsim_analyze::Run::load(stream_path)?;
-                    let trace = run.to_trace();
-                    if let Some(path) = &opt.trace_out {
-                        let name = format!("{} / {} / {}", r.workload, r.design, r.trace);
-                        std::fs::write(path, trace.chrome_trace(&name))
-                            .map_err(|e| format!("--trace-out {path}: {e}"))?;
-                        let _ = writeln!(s, "trace         {path} ({} events)", trace.events.len());
-                    }
-                    if let Some(path) = &opt.metrics_out {
-                        std::fs::write(path, trace.interval_metrics_tsv())
-                            .map_err(|e| format!("--metrics-out {path}: {e}"))?;
-                        let _ = writeln!(s, "metrics       {path}");
-                    }
+                    let trace = ehsim_analyze::Run::load(stream_path)?.to_trace();
+                    write_exports(opt, &r, &trace, &mut s)?;
                 }
                 return Ok(s);
             }
@@ -837,17 +846,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             }
             let (r, trace) = sim.run_traced(w.as_ref()).map_err(|e| e.to_string())?;
             let mut s = render_report(&r);
-            if let Some(path) = &opt.trace_out {
-                let name = format!("{} / {} / {}", r.workload, r.design, r.trace);
-                std::fs::write(path, trace.chrome_trace(&name))
-                    .map_err(|e| format!("--trace-out {path}: {e}"))?;
-                let _ = writeln!(s, "trace         {path} ({} events)", trace.events.len());
-            }
-            if let Some(path) = &opt.metrics_out {
-                std::fs::write(path, trace.interval_metrics_tsv())
-                    .map_err(|e| format!("--metrics-out {path}: {e}"))?;
-                let _ = writeln!(s, "metrics       {path}");
-            }
+            write_exports(opt, &r, &trace, &mut s)?;
             Ok(s)
         }
         Command::DiffTraces(a_path, b_path) => {
@@ -981,26 +980,13 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             Ok(s)
         }
         Command::ConvertTrace(conv) => {
-            let run = ehsim_analyze::Run::load(&conv.input)?;
-            if run.events.is_empty() {
-                return Err(format!(
-                    "{}: no events to convert (interval-metrics TSV carries \
-                     no timeline; convert a JSONL stream or Chrome JSON)",
-                    conv.input
-                ));
-            }
-            let name = conv
-                .name
-                .clone()
-                .or_else(|| run.name.clone())
-                .unwrap_or_else(|| conv.input.clone());
-            let trace = run.to_trace();
-            let json = trace.chrome_trace(&name);
-            std::fs::write(&conv.output, &json).map_err(|e| format!("{}: {e}", conv.output))?;
+            let trace = ehsim_analyze::Run::load(&conv.input)?.to_trace();
+            let name = conv.name.as_deref().unwrap_or(&conv.input);
+            std::fs::write(&conv.output, trace.chrome_trace(name))
+                .map_err(|e| format!("{}: {e}", conv.output))?;
             Ok(format!(
-                "{} ({}) -> {} ({} events)\n",
+                "{} -> {} ({} events)\n",
                 conv.input,
-                run.source.label(),
                 conv.output,
                 trace.events.len()
             ))
@@ -1396,6 +1382,46 @@ mod tests {
         assert!(check.contains("valid ("), "{check}");
         let _ = std::fs::remove_file(&jsonl);
         let _ = std::fs::remove_file(&json);
+    }
+
+    /// Chrome JSON and the metrics TSV are write-only exports: both
+    /// loading verbs refuse them and say where a capture comes from.
+    #[test]
+    fn exports_do_not_load_as_captures() {
+        let dir = std::env::temp_dir();
+        let json = dir.join("ehsim_cli_test_export.json");
+        let tsv = dir.join("ehsim_cli_test_export.tsv");
+        let out = dir.join("ehsim_cli_test_export_out.json");
+        let cmd = parse(&argv(&format!(
+            "run --workload sha --scale small --trace rf1 --trace-out {} --metrics-out {}",
+            json.display(),
+            tsv.display()
+        )))
+        .unwrap();
+        execute(&cmd).unwrap();
+        let expect_refusal = |err: String| {
+            for needle in [
+                "only JSONL captures load",
+                "--stream-out",
+                "EHSIM_TRACE_WORKLOAD",
+            ] {
+                assert!(err.contains(needle), "{needle:?} missing from {err}");
+            }
+        };
+        let (json, tsv) = (json.display().to_string(), tsv.display().to_string());
+        expect_refusal(execute(&Command::DiffTraces(json.clone(), json.clone())).unwrap_err());
+        expect_refusal(
+            execute(&Command::ConvertTrace(ConvertOptions {
+                input: tsv.clone(),
+                output: out.display().to_string(),
+                name: None,
+            }))
+            .unwrap_err(),
+        );
+        assert!(!out.exists(), "a refused conversion writes nothing");
+        for p in [&json, &tsv] {
+            let _ = std::fs::remove_file(p);
+        }
     }
 
     #[test]

@@ -206,7 +206,7 @@ pub(crate) fn chrome_trace(trace: &RunTrace, name: &str) -> String {
                 ));
             }
             Event::DqStaleDrop { dropped } => {
-                dq_occupancy = (dq_occupancy - dropped as i64).max(0);
+                dq_occupancy = dq_occupancy.saturating_sub_unsigned(dropped as u64).max(0);
                 counter(&mut lines, ts, "dq_occupancy", dq_occupancy);
             }
             Event::WritebackIssued { base, ack_at } => {
@@ -687,6 +687,16 @@ mod tests {
         assert!(check.complete >= 1);
         assert!(check.instants >= 2);
         assert!(check.counters >= 3);
+    }
+
+    /// A loaded capture can carry a stale drop of 2^63 entries; the
+    /// occupancy counter track must clamp, not overflow.
+    #[test]
+    fn huge_stale_drop_clamps_the_occupancy_track() {
+        let mut r = Recorder::default();
+        r.event(1, Event::DqStaleDrop { dropped: 1 << 63 });
+        let json = r.finish(1).chrome_trace("x");
+        assert!(json.contains("\"name\":\"dq_occupancy\",\"args\":{\"value\":0}"));
     }
 
     #[test]
