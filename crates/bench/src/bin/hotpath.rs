@@ -15,10 +15,9 @@
 //!   additionally exercises charge integration, the voltage monitor,
 //!   checkpoints and recharge.
 //!
-//! The vendored criterion stub cannot report measurements
-//! programmatically, so timing uses `std::time::Instant` directly; each
-//! scenario takes the best of `REPS` repetitions to suppress scheduler
-//! noise. Results go to `BENCH_hotpath.json`. If the environment
+//! Timing uses `std::time::Instant` directly; each scenario takes the
+//! best of `REPS` repetitions to suppress scheduler noise. Results go
+//! to `BENCH_hotpath.json`. If the environment
 //! variable `EHSIM_HOTPATH_BASELINE_IPS` holds the aggregate
 //! instructions/sec of a previous run (the pre-PR baseline), the JSON
 //! also records it and the resulting speedup. If

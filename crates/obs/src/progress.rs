@@ -23,7 +23,7 @@
 //! those characters (and `\`) are replaced with `_`. Design, trace,
 //! workload and engine labels never contain them today.
 
-use crate::stream::{field_f64, field_str, field_u64, field_usize, BoundedSink};
+use crate::stream::{field_num, field_str, quoted, BoundedSink};
 use crate::telemetry::ProfileReport;
 use std::fmt::Write as _;
 use std::io;
@@ -98,18 +98,18 @@ impl SimHeartbeat {
     /// Returns a message naming the missing or malformed field.
     pub fn parse(line: &str) -> Result<SimHeartbeat, String> {
         if field_str(line, "kind")? != "sim" {
-            return Err(format!("not a sim heartbeat: `{line}`"));
+            return Err(format!("not a sim heartbeat: {}", quoted(line)));
         }
         Ok(SimHeartbeat {
-            ordinal: field_u64(line, "ordinal")?,
+            ordinal: field_num(line, "ordinal")?,
             design: field_str(line, "design")?.to_string(),
             trace: field_str(line, "trace")?.to_string(),
             workload: field_str(line, "workload")?.to_string(),
             engine: field_str(line, "engine")?.to_string(),
-            elapsed_ns: field_u64(line, "elapsed_ns")?,
-            outages: field_u64(line, "outages")?,
-            instructions: field_u64(line, "instructions")?,
-            instr_per_s: field_f64(line, "instr_per_s")?,
+            elapsed_ns: field_num(line, "elapsed_ns")?,
+            outages: field_num(line, "outages")?,
+            instructions: field_num(line, "instructions")?,
+            instr_per_s: field_num(line, "instr_per_s")?,
         })
     }
 }
@@ -154,11 +154,11 @@ impl SweepMeta {
     /// Returns a message naming the missing or malformed field.
     pub fn parse(line: &str) -> Result<SweepMeta, String> {
         if field_str(line, "kind")? != "meta" {
-            return Err(format!("not a meta line: `{line}`"));
+            return Err(format!("not a meta line: {}", quoted(line)));
         }
         Ok(SweepMeta {
-            host_cores: field_usize(line, "host_cores")?,
-            jobs: field_usize(line, "jobs")?,
+            host_cores: field_num(line, "host_cores")?,
+            jobs: field_num(line, "jobs")?,
             engine: field_str(line, "engine")?.to_string(),
             git_rev: field_str(line, "git_rev")?.to_string(),
             scale: field_str(line, "scale")?.to_string(),
@@ -187,7 +187,7 @@ pub fn parse_progress_line(line: &str) -> Result<ProgressLine, String> {
         "meta" => SweepMeta::parse(line).map(ProgressLine::Meta),
         "sim" => SimHeartbeat::parse(line).map(ProgressLine::Sim),
         "profile" => ProfileReport::parse(line).map(ProgressLine::Profile),
-        other => Err(format!("unknown progress line kind `{other}`")),
+        other => Err(format!("unknown progress line kind {}", quoted(other))),
     }
 }
 

@@ -16,8 +16,9 @@ use crate::event::Event;
 use crate::observer::Observer;
 use crate::recorder::{tally, ObsCounters, ObsHistograms};
 use ehsim_mem::Ps;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::io;
+use std::str::FromStr;
 use std::sync::{Arc, Mutex};
 
 /// Default cap on buffered events before a flush to the sink.
@@ -105,21 +106,39 @@ pub fn event_to_jsonl(at: Ps, ev: &Event) -> String {
     s
 }
 
+/// The most bytes of an input line that an error message quotes.
+const QUOTE_MAX: usize = 80;
+
+/// `text` in backticks for an error message, cut on a character
+/// boundary at most [`QUOTE_MAX`] bytes in, with the cut marked, so a
+/// malformed multi-megabyte line yields a short error.
+pub(crate) fn quoted(text: &str) -> String {
+    if text.len() <= QUOTE_MAX {
+        return format!("`{text}`");
+    }
+    let cut = (0..=QUOTE_MAX)
+        .rev()
+        .find(|&i| text.is_char_boundary(i))
+        .unwrap_or(0);
+    format!("`{}`... ({} more bytes)", &text[..cut], text.len() - cut)
+}
+
 pub(crate) fn field<'a>(line: &'a str, key: &str) -> Result<&'a str, String> {
     let pat = format!("\"{key}\":");
     let start = line
         .find(&pat)
-        .ok_or_else(|| format!("missing field \"{key}\" in `{line}`"))?
+        .ok_or_else(|| format!("missing field \"{key}\" in {}", quoted(line)))?
         + pat.len();
     let rest = &line[start..];
     let end = rest
         .find([',', '}'])
-        .ok_or_else(|| format!("unterminated field \"{key}\" in `{line}`"))?;
+        .ok_or_else(|| format!("unterminated field \"{key}\" in {}", quoted(line)))?;
     Ok(&rest[..end])
 }
 
 pub(crate) fn field_str<'a>(line: &'a str, key: &str) -> Result<&'a str, String> {
-    unquote(field(line, key)?).ok_or_else(|| format!("field \"{key}\" is not a string in `{line}`"))
+    unquote(field(line, key)?)
+        .ok_or_else(|| format!("field \"{key}\" is not a string in {}", quoted(line)))
 }
 
 /// The inside of a quoted string value, or `None` when `raw` is not
@@ -131,35 +150,23 @@ pub(crate) fn unquote(raw: &str) -> Option<&str> {
         .filter(|s| !s.contains(['"', '\\', ',', '{', '}']))
 }
 
-pub(crate) fn field_u64(line: &str, key: &str) -> Result<u64, String> {
+pub(crate) fn field_num<T: FromStr>(line: &str, key: &str) -> Result<T, String>
+where
+    T::Err: fmt::Display,
+{
     field(line, key)?
         .parse()
-        .map_err(|e| format!("field \"{key}\": {e} in `{line}`"))
-}
-
-pub(crate) fn field_usize(line: &str, key: &str) -> Result<usize, String> {
-    field(line, key)?
-        .parse()
-        .map_err(|e| format!("field \"{key}\": {e} in `{line}`"))
-}
-
-fn field_u32(line: &str, key: &str) -> Result<u32, String> {
-    field(line, key)?
-        .parse()
-        .map_err(|e| format!("field \"{key}\": {e} in `{line}`"))
-}
-
-pub(crate) fn field_f64(line: &str, key: &str) -> Result<f64, String> {
-    field(line, key)?
-        .parse()
-        .map_err(|e| format!("field \"{key}\": {e} in `{line}`"))
+        .map_err(|e| format!("field \"{key}\": {e} in {}", quoted(line)))
 }
 
 fn field_bool(line: &str, key: &str) -> Result<bool, String> {
     match field(line, key)? {
         "true" => Ok(true),
         "false" => Ok(false),
-        other => Err(format!("field \"{key}\": expected bool, got `{other}`")),
+        other => Err(format!(
+            "field \"{key}\": expected bool, got {}",
+            quoted(other)
+        )),
     }
 }
 
@@ -171,70 +178,70 @@ fn field_bool(line: &str, key: &str) -> Result<bool, String> {
 /// Returns a message naming the missing/malformed field or unknown
 /// event kind.
 pub fn parse_jsonl_line(line: &str) -> Result<(Ps, Event), String> {
-    let ts = field_u64(line, "ts")?;
+    let ts: Ps = field_num(line, "ts")?;
     let kind = field_str(line, "ev")?;
     let ev = match kind {
         "InitialThresholds" => Event::InitialThresholds {
-            maxline: field_usize(line, "maxline")?,
-            waterline: field_usize(line, "waterline")?,
+            maxline: field_num(line, "maxline")?,
+            waterline: field_num(line, "waterline")?,
         },
         "PowerOn" => Event::PowerOn {
-            interval: field_u64(line, "interval")?,
+            interval: field_num(line, "interval")?,
         },
         "OutageBegin" => Event::OutageBegin {
-            on_ps: field_u64(line, "on_ps")?,
-            voltage: field_f64(line, "voltage")?,
+            on_ps: field_num(line, "on_ps")?,
+            voltage: field_num(line, "voltage")?,
         },
         "CheckpointBegin" => Event::CheckpointBegin {
-            dirty_lines: field_usize(line, "dirty_lines")?,
+            dirty_lines: field_num(line, "dirty_lines")?,
         },
         "CheckpointEnd" => Event::CheckpointEnd {
-            flushed_lines: field_u64(line, "flushed_lines")?,
+            flushed_lines: field_num(line, "flushed_lines")?,
         },
         "PowerOff" => Event::PowerOff,
         "RestoreBegin" => Event::RestoreBegin,
         "RestoreEnd" => Event::RestoreEnd,
         "RunEnd" => Event::RunEnd,
         "DqEnqueue" => Event::DqEnqueue {
-            base: field_u32(line, "base")?,
+            base: field_num(line, "base")?,
         },
         "DqAck" => Event::DqAck {
-            base: field_u32(line, "base")?,
+            base: field_num(line, "base")?,
         },
         "DqStall" => Event::DqStall {
-            until: field_u64(line, "until")?,
+            until: field_num(line, "until")?,
         },
         "DqStaleDrop" => Event::DqStaleDrop {
-            dropped: field_usize(line, "dropped")?,
+            dropped: field_num(line, "dropped")?,
         },
         "WritebackIssued" => Event::WritebackIssued {
-            base: field_u32(line, "base")?,
-            ack_at: field_u64(line, "ack_at")?,
+            base: field_num(line, "base")?,
+            ack_at: field_num(line, "ack_at")?,
         },
         "Reconfigure" => Event::Reconfigure {
-            maxline: field_usize(line, "maxline")?,
-            waterline: field_usize(line, "waterline")?,
+            maxline: field_num(line, "maxline")?,
+            waterline: field_num(line, "waterline")?,
         },
         "DynRaise" => Event::DynRaise {
-            maxline: field_usize(line, "maxline")?,
+            maxline: field_num(line, "maxline")?,
         },
         "VoltageCross" => Event::VoltageCross {
             rail: match field_str(line, "rail")? {
                 "Von" => ehsim_energy::Rail::Von,
                 "Vbackup" => ehsim_energy::Rail::Vbackup,
                 "Vmin" => ehsim_energy::Rail::Vmin,
-                other => return Err(format!("unknown rail `{other}` in `{line}`")),
+                other => return Err(format!("unknown rail {}", quoted(other))),
             },
             rising: field_bool(line, "rising")?,
         },
         "VoltageSample" => Event::VoltageSample {
-            voltage: field_f64(line, "voltage")?,
+            voltage: field_num(line, "voltage")?,
         },
         "EnergySample" => Event::EnergySample {
-            harvested_pj: field_f64(line, "harvested_pj")?,
-            consumed_pj: field_f64(line, "consumed_pj")?,
+            harvested_pj: field_num(line, "harvested_pj")?,
+            consumed_pj: field_num(line, "consumed_pj")?,
         },
-        other => return Err(format!("unknown event kind `{other}`")),
+        other => return Err(format!("unknown event kind {}", quoted(other))),
     };
     Ok((ts, ev))
 }
@@ -640,6 +647,26 @@ mod tests {
             "{\"ts\":1,\"ev\":\"VoltageCross\",\"rail\":\"Vx\",\"rising\":true}"
         )
         .is_err());
+    }
+
+    #[test]
+    fn errors_quote_at_most_a_bounded_prefix_of_a_huge_line() {
+        let mb = 1 << 20;
+        let lines = [
+            "x".repeat(mb),
+            format!("{{\"ts\":{}}}", "9".repeat(mb)),
+            format!("{{\"ts\":1,\"ev\":\"{}\"}}", "é".repeat(mb)),
+            format!("{{\"ts\":1,\"ev\":\"DqAck\",\"base\":{}", "7".repeat(mb)),
+            format!(
+                "{{\"ts\":1,\"ev\":\"VoltageCross\",\"rail\":\"{}\",\"rising\":true}}",
+                "V".repeat(mb)
+            ),
+        ];
+        for line in &lines {
+            let err = parse_jsonl_line(line).unwrap_err();
+            assert!(err.len() < 200, "{}-byte error", err.len());
+            assert!(err.contains("more bytes)"), "cut not marked: {err}");
+        }
     }
 
     #[test]

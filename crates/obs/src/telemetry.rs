@@ -361,15 +361,15 @@ impl ProfileReport {
     ///
     /// Returns a message naming the missing or malformed part.
     pub fn parse(line: &str) -> Result<ProfileReport, String> {
-        use crate::stream::{field_f64, field_u64, unquote};
+        use crate::stream::{field_num, unquote};
         if crate::stream::field_str(line, "kind")? != "profile" {
             return Err(format!("not a profile line: `{line}`"));
         }
         let head = line
             .split_once("\"phases\":[")
             .ok_or_else(|| format!("missing phases array in `{line}`"))?;
-        let wall_ns = field_u64(head.0, "wall_ns")?;
-        let attributed_pct = field_f64(head.0, "attributed_pct")?;
+        let wall_ns = field_num(head.0, "wall_ns")?;
+        let attributed_pct = field_num(head.0, "attributed_pct")?;
         let (phases_raw, rest) = head
             .1
             .split_once(']')
@@ -380,10 +380,10 @@ impl ProfileReport {
                 let obj = format!("{{{}}}", chunk.trim_matches(['{', '}']));
                 phases.push(PhaseRow {
                     phase: crate::stream::field_str(&obj, "phase")?.to_string(),
-                    total_ns: field_u64(&obj, "total_ns")?,
-                    self_ns: field_u64(&obj, "self_ns")?,
-                    count: field_u64(&obj, "count")?,
-                    ops: field_u64(&obj, "ops")?,
+                    total_ns: field_num(&obj, "total_ns")?,
+                    self_ns: field_num(&obj, "self_ns")?,
+                    count: field_num(&obj, "count")?,
+                    ops: field_num(&obj, "ops")?,
                 });
             }
         }

@@ -20,7 +20,6 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
     "cache",
     "mem",
     "energy",
-    "isa",
     "workloads",
     "obs",
     "analyze",
@@ -418,6 +417,18 @@ mod tests {
             assert!(w[0].id < w[1].id);
         }
         assert!(RULES.len() >= 6, "issue demands at least 6 rules");
+    }
+
+    #[test]
+    fn crate_lists_name_existing_crates() {
+        // crates/verify -> crates
+        let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+        for name in DETERMINISTIC_CRATES.iter().chain(TIMING_CRATES) {
+            assert!(
+                crates.join(name).join("Cargo.toml").is_file(),
+                "`{name}` names no crate under crates/"
+            );
+        }
     }
 
     #[test]

@@ -117,8 +117,8 @@ fn l006_float_precision() {
         "rounded casts and div_ceil must not trip: {good:?}"
     );
     // Non-timing crates may cast freely.
-    let isa_like = lint("workloads", "seg.rs", include_str!("fixtures/float_bad.rs"));
-    assert!(isa_like.is_empty(), "{isa_like:?}");
+    let free = lint("workloads", "seg.rs", include_str!("fixtures/float_bad.rs"));
+    assert!(free.is_empty(), "{free:?}");
 }
 
 #[test]

@@ -193,10 +193,6 @@ of NV-cache leakage. Regenerate: `--bin hwcost`.
   This is a substrate-dependent conclusion worth noting: with a
   single-bank NVM (where `tWR` recovery serialises evictions behind
   fills) the balance tips back toward WL-Cache.
-- **Instruction-level frontend** (`ehsim-isa`): a small RISC ISA,
-  assembler and interpreter whose fetches and data accesses all run
-  through the simulated hierarchy, for users who need
-  instruction-granular studies (the paper's gem5 setting).
 - **CLI** (`ehsim-cli`): run/compare any workload × design × trace from
   the command line.
 """

@@ -14,7 +14,6 @@
 //! - [`ehsim_energy`] — capacitor and power-trace models.
 //! - [`ehsim_workloads`] — the 23 benchmark kernels.
 //! - [`ehsim_hwcost`] — CACTI-lite hardware cost model.
-//! - [`ehsim_isa`] — instruction-level frontend (assembler + RISC core).
 //! - [`ehsim_analyze`] — trace loading, cross-run diffing, voltage
 //!   trajectory export.
 //!
@@ -33,7 +32,6 @@ pub use ehsim_analyze;
 pub use ehsim_cache;
 pub use ehsim_energy;
 pub use ehsim_hwcost;
-pub use ehsim_isa;
 pub use ehsim_mem;
 pub use ehsim_obs;
 pub use ehsim_workloads;
