@@ -14,26 +14,13 @@
 //! per completed simulation plus the end-of-run profile line.
 
 use ehsim_bench::{exec, figures, telemetry};
-use ehsim_obs::Phase;
 use ehsim_workloads::Scale;
 
 fn main() {
     let bench = std::env::args().any(|a| a == "--bench");
-    telemetry::enable();
-    telemetry::emit_meta("default");
-    let start_ns = telemetry::now_ns();
-    for (name, figure) in figures::ALL {
-        println!("==== {name} ====");
-        // Reduce covers figure assembly; the executor's own phases
-        // (memo lookup, worker wait, TSV write) nest inside and are
-        // subtracted from its self-time.
-        let _t = telemetry::scope(Phase::Reduce);
-        figure(Scale::Default).save(name);
-        println!();
-    }
-    let wall_ns = telemetry::now_ns().saturating_sub(start_ns);
-    let wall = wall_ns as f64 / 1e9;
-    let stats = exec::stats();
+    let run = figures::sweep(figures::ALL, Scale::Default);
+    let (stats, profile) = (&run.stats, &run.profile);
+    let wall = run.wall_ns as f64 / 1e9;
     let ips = stats.simulated_instructions as f64 / wall;
     eprintln!(
         "[all_figures: {wall:.1}s wall, {} sims run, {} memoized, {} workers, \
@@ -42,18 +29,10 @@ fn main() {
         stats.memo_hits,
         exec::jobs(),
     );
-    let profile = telemetry::finish_sweep(wall_ns);
-    let mut top: Vec<_> = profile.phases.iter().filter(|p| p.self_ns > 0).collect();
-    top.sort_by_key(|p| std::cmp::Reverse(p.self_ns));
-    let summary: Vec<String> = top
-        .iter()
-        .take(4)
-        .map(|p| format!("{} {:.1}s", p.phase, p.self_ns as f64 / 1e9))
-        .collect();
     eprintln!(
         "[profile: {:.1}% of wall attributed to named phases; top self-time: {}]",
         profile.attributed_pct,
-        summary.join(", "),
+        run.top_phases(),
     );
     if bench {
         let phases_json: Vec<String> = profile

@@ -12,16 +12,12 @@
 //! times the children wall-clock, checks the warm run executed *zero*
 //! simulations, and records the speedup.
 
-use ehsim_bench::{exec, figures, telemetry};
+use ehsim_bench::{figures, telemetry};
 use ehsim_workloads::Scale;
 use std::time::Instant;
 
 fn child() {
-    telemetry::enable();
-    for (name, figure) in figures::ALL {
-        figure(Scale::Small).save(name);
-    }
-    let st = exec::stats();
+    let st = figures::sweep(figures::ALL, Scale::Small).stats;
     // Single machine-readable line, last on stdout; the figure tables
     // themselves went to stdout above, so tag it for the parent.
     println!(

@@ -22,8 +22,8 @@
 //! anything; a validated hit returns the stored report (byte-identical
 //! to execution — simulation is deterministic and the codec is
 //! bit-exact), any validation failure falls back to execution, and
-//! fresh results refresh the store. The serial reference never
-//! touches it. Hits/misses/rejects are counted in [`ExecStats`].
+//! fresh results refresh the store. Hits/misses/rejects are counted in
+//! [`ExecStats`].
 //!
 //! Guarantees:
 //!
@@ -31,8 +31,8 @@
 //!   submission order, and simulations are pure functions of their
 //!   `(SimConfig, workload, scale)` key, so neither the worker count
 //!   nor the scheduling order can change any output byte. A regression
-//!   test compares engine-generated figures against a serial,
-//!   cache-free rerun byte for byte.
+//!   test compares every report against a direct
+//!   [`ehsim::Simulator::run`] of the same job, field for field.
 //! * **Complete keys.** The memo key is an explicit, injective
 //!   encoding of every [`SimConfig`] field (design, geometry, policies,
 //!   trace, capacitor, CPU/NVM/charging parameters, verify,
@@ -41,10 +41,6 @@
 //!   `SimConfig` is a compile error here until the key learns about
 //!   it, and floats are keyed by their exact bit patterns. Jobs
 //!   carrying a custom power trace are never memoized.
-//!
-//! Setting `EHSIM_SWEEP_SERIAL=1` bypasses the pool and the memo cache
-//! (every job runs inline, in order); the byte-identity tests use it to
-//! produce the serial reference.
 //!
 //! Setting `EHSIM_TRACE_WORKLOAD=<name>` additionally streams an event
 //! timeline for every simulation of that workload: each one writes a
@@ -163,10 +159,6 @@ pub fn jobs() -> usize {
         })
 }
 
-fn serial_uncached() -> bool {
-    std::env::var_os("EHSIM_SWEEP_SERIAL").is_some_and(|v| v != "0")
-}
-
 /// Execution-engine label for benchmark artifacts and heartbeats.
 pub const ENGINE: &str = "direct";
 
@@ -202,8 +194,7 @@ fn memo_key(job: &Job) -> Option<MemoKey> {
 
 /// `EHSIM_RESULT_STORE=<dir>`: the persistent content-addressed result
 /// store ([`ehsim_farm::ResultStore`]). Read/written only on the memo
-/// miss path of the engine executor — the serial reference never
-/// touches it, since it exists to re-execute for real.
+/// miss path.
 fn result_store() -> Option<&'static ehsim_farm::ResultStore> {
     static S: OnceLock<Option<ehsim_farm::ResultStore>> = OnceLock::new();
     S.get_or_init(|| {
@@ -323,9 +314,9 @@ fn run_direct(job: &Job, streaming: bool) -> Report {
     report
 }
 
-/// Runs one job to completion under the engine label `engine`,
-/// updating the process-wide counters and emitting its heartbeat.
-fn simulate(job: &Job, engine: &str) -> Report {
+/// Runs one job to completion, updating the process-wide counters and
+/// emitting its heartbeat.
+fn simulate(job: &Job) -> Report {
     let start_ns = telemetry::sim_clock_start();
     let workload = workload_name(job.workload);
     let report = run_direct(job, trace_workload() == Some(workload));
@@ -337,7 +328,6 @@ fn simulate(job: &Job, engine: &str) -> Report {
         job.cfg.design.label(),
         job.cfg.trace_label(),
         workload,
-        engine,
         start_ns,
         &report,
     );
@@ -353,7 +343,7 @@ fn simulate(job: &Job, engine: &str) -> Report {
 fn simulate_or_load(job: &Job, key: Option<&MemoKey>) -> Report {
     let (store, key) = match (result_store(), key) {
         (Some(s), Some(k)) => (s, k),
-        _ => return simulate(job, ENGINE),
+        _ => return simulate(job),
     };
     match store.load(key) {
         ehsim_farm::LoadOutcome::Hit(report) => {
@@ -368,7 +358,7 @@ fn simulate_or_load(job: &Job, key: Option<&MemoKey>) -> Report {
             eprintln!("warning: result store entry rejected ({reason}); re-executing");
         }
     }
-    let report = simulate(job, ENGINE);
+    let report = simulate(job);
     if let Err(e) = store.save(key, &report) {
         eprintln!(
             "warning: failed to persist result for {}: {e}",
@@ -389,13 +379,6 @@ enum Slot {
 /// duplicate keys within the batch simulate once. The remaining misses
 /// execute on a [`std::thread::scope`] work queue of [`jobs`] workers.
 pub fn run_batch(batch: &[Job]) -> Vec<Arc<Report>> {
-    if serial_uncached() {
-        return batch
-            .iter()
-            .map(|j| Arc::new(simulate(j, "serial")))
-            .collect();
-    }
-
     // Resolve against the cache and deduplicate within the batch.
     let mut slots: Vec<Slot> = Vec::with_capacity(batch.len());
     let mut misses: Vec<&Job> = Vec::new();

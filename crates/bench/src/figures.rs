@@ -5,15 +5,16 @@
 //! batch up front — so independent configurations run concurrently and
 //! repeated ones (the `NVSRAM(ideal)` baselines) hit the memo cache —
 //! and then reduces the reports into a [`Table`]. Functions return the
-//! table *without* saving it; the binaries (and `all_figures`) call
+//! table *without* saving it; the binaries and [`sweep`] call
 //! [`Table::save`]. Everything is parameterized by [`Scale`] so the
-//! byte-identity regression test can run the same code at `Small`.
+//! pinned-golden tests can run the same code at `Small`.
 
 use crate::exec::{self, Job};
-use crate::{f3, gmean, with_gmeans, workload_labels, Table};
+use crate::{f3, gmean, telemetry, with_gmeans, workload_labels, Table};
 use ehsim::{Report, SimConfig};
 use ehsim_cache::{CacheGeometry, ReplacementPolicy};
 use ehsim_energy::{EnergyCategory, EnergyMeter, TraceKind, VoltageThresholds};
+use ehsim_obs::{Phase, ProfileReport};
 use ehsim_workloads::Scale;
 use std::sync::Arc;
 
@@ -721,6 +722,67 @@ pub const ALL: &[(&str, FigureFn)] = &[
     ("fig13b", fig13b),
     ("stats66", stats66),
 ];
+
+/// What one [`sweep`] measured.
+#[derive(Debug)]
+pub struct SweepRun {
+    /// Wall clock of the figure loop, in nanoseconds.
+    pub wall_ns: u64,
+    /// Executor counters at the end of the sweep.
+    pub stats: exec::ExecStats,
+    /// The end-of-sweep phase profile.
+    pub profile: ProfileReport,
+}
+
+impl SweepRun {
+    /// The four phases with the most self time, as `phase 1.23s`
+    /// comma-joined (empty when no phase recorded any).
+    pub fn top_phases(&self) -> String {
+        let mut top: Vec<_> = self
+            .profile
+            .phases
+            .iter()
+            .filter(|p| p.self_ns > 0)
+            .collect();
+        top.sort_by_key(|p| std::cmp::Reverse(p.self_ns));
+        let top: Vec<String> = top
+            .iter()
+            .take(4)
+            .map(|p| format!("{} {:.2}s", p.phase, p.self_ns as f64 / 1e9))
+            .collect();
+        top.join(", ")
+    }
+}
+
+/// The sweep driver behind `all_figures`, `ehsim-cli sweep` and
+/// `farm_bench`: regenerates `figures` at `scale` into
+/// `results/<name>.tsv` with the phase profiler on. Writes the progress
+/// stream's meta line first and the end-of-sweep profile last (when a
+/// stream is open), and prints each table to stdout under a
+/// `==== <name> ====` banner.
+pub fn sweep(figures: &[(&str, FigureFn)], scale: Scale) -> SweepRun {
+    telemetry::enable();
+    telemetry::emit_meta(match scale {
+        Scale::Small => "small",
+        Scale::Default => "default",
+    });
+    let start_ns = telemetry::now_ns();
+    for &(name, figure) in figures {
+        println!("==== {name} ====");
+        // Reduce covers figure assembly; the executor's own phases
+        // (memo lookup, worker wait, TSV write) nest inside and are
+        // subtracted from its self-time.
+        let _t = telemetry::scope(Phase::Reduce);
+        figure(scale).save(name);
+        println!();
+    }
+    let wall_ns = telemetry::now_ns().saturating_sub(start_ns);
+    SweepRun {
+        wall_ns,
+        stats: exec::stats(),
+        profile: telemetry::finish_sweep(wall_ns),
+    }
+}
 
 /// Fig 11: adaptive vs best-static, Power Trace 1.
 pub fn fig11(scale: Scale) -> Table {

@@ -104,17 +104,6 @@ pub fn suite_split<T>(all: &[T]) -> (&[T], &[T]) {
     all.split_at(15)
 }
 
-/// Runs the full 23-workload suite under `cfg` at `scale`, in figure
-/// order, through the parallel memoizing executor (see [`exec`]).
-pub fn run_suite(cfg: &SimConfig, scale: ehsim_workloads::Scale) -> Vec<Report> {
-    exec::run_suites(std::slice::from_ref(cfg), scale)
-        .pop()
-        .expect("one suite per config")
-        .iter()
-        .map(|r| (**r).clone())
-        .collect()
-}
-
 /// The 23 workload labels in figure order, plus the three gmean columns
 /// the paper appends ("gmean(Media)", "gmean(Mi)", "gmean(Total)").
 pub fn workload_labels() -> Vec<String> {
@@ -133,19 +122,6 @@ pub fn with_gmeans(values: &[f64]) -> Vec<f64> {
     out.push(gmean(mi.iter().copied()).unwrap_or(1.0));
     out.push(gmean(values.iter().copied()).unwrap_or(1.0));
     out
-}
-
-/// Regenerates one of the Fig 4/5/6 speedup figures: per-application
-/// speedup of each design relative to NVSRAM(ideal) under `trace`,
-/// with the paper's per-suite gmean columns. Writes `results/<name>.tsv`.
-pub fn speedup_figure(trace: ehsim_energy::TraceKind, name: &str) {
-    figures::speedup(trace, ehsim_workloads::Scale::Default).save(name);
-}
-
-/// Regenerates Fig 11/12: adaptive vs best-static WL-Cache (per cache
-/// replacement policy) relative to NVSRAM(ideal) under `trace`.
-pub fn adaptive_figure(trace: ehsim_energy::TraceKind, name: &str) {
-    figures::adaptive(trace, ehsim_workloads::Scale::Default).save(name);
 }
 
 #[cfg(test)]

@@ -6,11 +6,11 @@
 //! clock and process-wide homes:
 //!
 //! * [`profiler`] — the process-wide [`Profiler`] driven by a
-//!   monotonic [`WallClock`]. Enabled by `EHSIM_PROFILE=1`, by
-//!   `EHSIM_PROGRESS=<path>`, or programmatically ([`enable`], done by
-//!   `all_figures` and `ehsim-cli sweep`). Disabled scopes cost one
-//!   relaxed atomic load and never read the clock, so figure
-//!   regeneration in tests pays nothing.
+//!   monotonic [`WallClock`]. Enabled only by [`enable`], which
+//!   [`crate::figures::sweep`] (`all_figures`, `ehsim-cli sweep`) and
+//!   `sweep --progress-out` call. Disabled scopes cost one relaxed
+//!   atomic load and never read the clock, so figure regeneration in
+//!   tests pays nothing.
 //! * [`progress`] — the process-wide [`ProgressStream`], opened from
 //!   `EHSIM_PROGRESS=<path>` on first use or programmatically via
 //!   [`init_progress_path`] (`sweep --progress-out`).
@@ -75,31 +75,14 @@ pub fn now_ns() -> u64 {
     clock().now_ns()
 }
 
-fn env_flag(name: &str) -> bool {
-    std::env::var_os(name).is_some_and(|v| v != "0" && !v.is_empty())
-}
-
-/// Whether the environment asked for telemetry (`EHSIM_PROFILE=1` or
-/// `EHSIM_PROGRESS=<path>`).
-pub fn requested() -> bool {
-    env_flag("EHSIM_PROFILE") || env_flag("EHSIM_PROGRESS")
-}
-
-/// The process-wide phase profiler (initially enabled only if
-/// [`requested`]).
+/// The process-wide phase profiler (disabled until [`enable`]).
 pub fn profiler() -> &'static Profiler {
     static P: OnceLock<Profiler> = OnceLock::new();
-    P.get_or_init(|| {
-        let p = Profiler::new(Arc::clone(clock()) as Arc<dyn Clock>);
-        if requested() {
-            p.set_enabled(true);
-        }
-        p
-    })
+    P.get_or_init(|| Profiler::new(Arc::clone(clock()) as Arc<dyn Clock>))
 }
 
-/// Turns the process-wide profiler on (the sweep binaries and
-/// `ehsim-cli sweep` call this unconditionally).
+/// Turns the process-wide profiler on ([`crate::figures::sweep`] calls
+/// this unconditionally).
 pub fn enable() {
     profiler().set_enabled(true);
 }
@@ -252,16 +235,8 @@ pub fn sim_clock_start() -> u64 {
 
 /// Executor hook for one *executed* simulation: assigns the completion
 /// ordinal, feeds the per-sim histograms and emits a heartbeat line.
-/// `start_ns` comes from [`sim_clock_start`]; `engine` is the
-/// execution-engine label for this particular run.
-pub fn sim_completed(
-    design: &str,
-    trace: &str,
-    workload: &str,
-    engine: &str,
-    start_ns: u64,
-    report: &Report,
-) {
+/// `start_ns` comes from [`sim_clock_start`].
+pub fn sim_completed(design: &str, trace: &str, workload: &str, start_ns: u64, report: &Report) {
     if !active() {
         return;
     }
@@ -283,7 +258,7 @@ pub fn sim_completed(
             design: design.to_string(),
             trace: trace.to_string(),
             workload: workload.to_string(),
-            engine: engine.to_string(),
+            engine: crate::exec::ENGINE.to_string(),
             elapsed_ns,
             outages: report.outages,
             instructions: report.instructions,

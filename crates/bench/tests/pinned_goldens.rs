@@ -1,9 +1,9 @@
 //! Pinned figure goldens: Small-scale TSV contents hashed against
 //! constants committed in this file.
 //!
-//! `sweep_golden` proves the parallel engine matches a serial rerun of
-//! the *same* code — which, by itself, would still pass if a change to
-//! the simulator's numerics moved every figure. This test anchors the
+//! `sweep_determinism` proves the parallel engine matches direct runs
+//! of the *same* code — which, by itself, would still pass if a change
+//! to the simulator's numerics moved every figure. This test anchors the
 //! values themselves: the FNV-1a hash of each rendered TSV is pinned,
 //! so any semantic drift (RNG, settlement order, energy model) fails
 //! here even when it is internally self-consistent.

@@ -1,15 +1,12 @@
 //! Report-level determinism of the sweep engine.
 //!
 //! [`ehsim_bench::exec::run_batch`] must return reports that are
-//! field-for-field equal to a serial, cache-free rerun, for every
-//! design and harvesting trace — regardless of worker count, memo
-//! state, or submission order. The figure-level byte-identity test
-//! (`sweep_golden`) checks the rendered TSVs; this one compares the
-//! full [`ehsim::Report`] structs, so a divergence in any statistic
-//! that happens not to be printed still fails.
-//!
-//! Kept as a single `#[test]` because the serial switch is a
-//! process-wide environment variable.
+//! field-for-field equal to a direct [`ehsim::Simulator::run`] of each
+//! job (through [`ehsim_bench::run`]), for every design and harvesting
+//! trace — regardless of worker count, memo state, or submission
+//! order. The rendered figure TSVs are pinned by `pinned_goldens`; this
+//! test compares the full [`ehsim::Report`] structs, so a divergence in
+//! any statistic that happens not to be printed still fails.
 
 use ehsim::SimConfig;
 use ehsim_bench::exec::{run_batch, Job};
@@ -17,7 +14,7 @@ use ehsim_energy::TraceKind;
 use ehsim_workloads::Scale;
 
 #[test]
-fn engine_reports_match_serial_reference() {
+fn engine_reports_match_direct_runs() {
     // Every design (plus the dynamic WL variant) under a failure-free
     // and two harvested environments, on one small kernel. The batch
     // deliberately repeats the first config so the in-batch memo path is
@@ -38,17 +35,15 @@ fn engine_reports_match_serial_reference() {
     // Engine side: parallel workers plus the memo cache.
     let engine = run_batch(&batch);
 
-    // Serial, cache-free reference.
-    std::env::set_var("EHSIM_SWEEP_SERIAL", "1");
-    let serial = run_batch(&batch);
-    std::env::remove_var("EHSIM_SWEEP_SERIAL");
-
-    assert_eq!(engine.len(), serial.len());
-    for (job, (e, s)) in batch.iter().zip(engine.iter().zip(&serial)) {
+    // Reference: one fresh simulator per job, outside the executor.
+    let workloads = ehsim_workloads::all23(Scale::Small);
+    assert_eq!(engine.len(), batch.len());
+    for (job, e) in batch.iter().zip(&engine) {
+        let direct = ehsim_bench::run(job.cfg.clone(), workloads[job.workload].as_ref());
         assert_eq!(
             **e,
-            **s,
-            "engine and serial reports differ for {} on {}",
+            direct,
+            "engine and direct reports differ for {} on {}",
             job.cfg.design.label(),
             job.cfg.trace_label()
         );

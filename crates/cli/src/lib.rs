@@ -1007,55 +1007,34 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                     chosen.push(entry);
                 }
             }
-            telemetry::enable();
             if let Some(path) = &opt.progress_out {
                 telemetry::init_progress_path(Path::new(path))
                     .map_err(|e| format!("--progress-out {path}: {e}"))?;
             }
-            let scale_label = match opt.scale {
-                Scale::Small => "small",
-                Scale::Default => "default",
-            };
-            telemetry::emit_meta(scale_label);
-            let start_ns = telemetry::now_ns();
-            for &(name, figure) in &chosen {
-                // Reduce covers figure assembly; the executor's own
-                // phases nest inside and subtract from its self-time.
-                let _t = telemetry::scope(ehsim_obs::Phase::Reduce);
-                figure(opt.scale).save(name);
-            }
-            let wall_ns = telemetry::now_ns().saturating_sub(start_ns);
-            let profile = telemetry::finish_sweep(wall_ns);
-            let stats = exec::stats();
+            let run = figures::sweep(&chosen, opt.scale);
             let mut s = String::new();
             let _ = writeln!(
                 s,
                 "figures       {} regenerated under results/",
                 chosen.len()
             );
-            let _ = writeln!(s, "wall          {:.3} s", wall_ns as f64 / 1e9);
+            let _ = writeln!(s, "wall          {:.3} s", run.wall_ns as f64 / 1e9);
             let _ = writeln!(
                 s,
                 "sims          {} run, {} memoized",
-                stats.sims_run, stats.memo_hits
+                run.stats.sims_run, run.stats.memo_hits
             );
             if exec::result_store_enabled() {
-                s.push_str(&store_summary(&stats));
+                s.push_str(&store_summary(&run.stats));
             }
             let _ = writeln!(
                 s,
                 "attributed    {:.1} % of wall in named phases",
-                profile.attributed_pct
+                run.profile.attributed_pct
             );
-            let mut top: Vec<_> = profile.phases.iter().filter(|p| p.self_ns > 0).collect();
-            top.sort_by_key(|p| std::cmp::Reverse(p.self_ns));
-            let summary: Vec<String> = top
-                .iter()
-                .take(4)
-                .map(|p| format!("{} {:.2}s", p.phase, p.self_ns as f64 / 1e9))
-                .collect();
-            if !summary.is_empty() {
-                let _ = writeln!(s, "top phases    {}", summary.join(", "));
+            let top = run.top_phases();
+            if !top.is_empty() {
+                let _ = writeln!(s, "top phases    {top}");
             }
             if let Some(path) = &opt.progress_out {
                 let _ = writeln!(s, "progress      {path} (read back with `profile-sweep`)");

@@ -33,14 +33,12 @@ fn entries(store: &Path) -> usize {
 }
 
 /// A sweep over `store`, run in `workdir` so its Small-scale
-/// `results/*.tsv` never touch the committed Default-scale tables. The
-/// knob that bypasses the store is cleared.
+/// `results/*.tsv` never touch the committed Default-scale tables.
 fn sweep(store: &Path, workdir: &Path, args: &[&str]) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_ehsim-cli"));
     cmd.arg("sweep")
         .args(args)
         .env("EHSIM_RESULT_STORE", store)
-        .env_remove("EHSIM_SWEEP_SERIAL")
         .current_dir(workdir);
     cmd
 }

@@ -43,12 +43,6 @@ impl SimKey {
         &self.0
     }
 
-    /// Rebuilds a key from raw words (store decode path; equality with
-    /// a locally computed key is what validates the entry).
-    pub fn from_words(words: Vec<u64>) -> Self {
-        Self(words)
-    }
-
     /// 64-bit FNV-1a fingerprint over [`KEY_VERSION`] and the encoded
     /// words — the store's entry filename. Collisions are harmless:
     /// the file body carries the full word vector and a mismatch is
@@ -295,12 +289,5 @@ mod tests {
         let a = sim_key(&SimConfig::wl_cache(), 0, Scale::Small).unwrap();
         let b = sim_key(&SimConfig::wl_cache(), 1, Scale::Small).unwrap();
         assert_ne!(a.fingerprint(), b.fingerprint());
-    }
-
-    #[test]
-    fn round_trips_through_words() {
-        let a = sim_key(&SimConfig::wl_cache_dyn(), 5, Scale::Default).unwrap();
-        let b = SimKey::from_words(a.words().to_vec());
-        assert_eq!(a, b);
     }
 }

@@ -43,7 +43,7 @@ use crate::codec::{decode_report, encode_report};
 use crate::key::{SimKey, KEY_VERSION};
 use ehsim::Report;
 use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// File magic: 7 identifying bytes + a format version byte.
 pub const STORE_MAGIC: [u8; 8] = *b"EHRESLT\x01";
@@ -89,11 +89,6 @@ impl ResultStore {
     /// `dir`; the directory is created lazily on first save.
     pub fn open(dir: impl Into<PathBuf>) -> Self {
         Self { dir: dir.into() }
-    }
-
-    /// The store's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Entry path for `key` (exposed so tests can truncate or corrupt

@@ -3,8 +3,8 @@
 //!
 //! Everything here is hand-rolled string formatting / line scanning —
 //! the workspace is offline and carries no JSON dependency. The emitter
-//! writes exactly one event object per line so the validator (and the
-//! hotpath baseline parser, which uses the same idiom) can line-scan.
+//! writes exactly one event object per line so the validator can
+//! line-scan.
 
 use crate::event::Event;
 use crate::histogram::Quantile;

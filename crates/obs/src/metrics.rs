@@ -4,12 +4,12 @@
 //! `BENCH_sweep.json` used to be assembled from loose counters
 //! (sims run, memo hits, store hits, …) with the engine
 //! label and throughput formatted inline at the call site. The
-//! [`MetricsRegistry`] gives those one home: named counters, gauges,
+//! [`MetricsRegistry`] gives those one home: named counters, flags,
 //! labels and [`Histogram`]s with deterministic iteration order
 //! (`BTreeMap`), a JSON exporter for benchmark artifacts, and a
 //! flattened `(name, value)` view for the end-of-sweep profile line.
 
-use crate::histogram::{Histogram, Quantile};
+use crate::histogram::Histogram;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -22,8 +22,6 @@ use std::fmt::Write as _;
 pub enum MetricValue {
     /// Monotonic event count.
     Counter(u64),
-    /// Point-in-time measurement.
-    Gauge(f64),
     /// Label-valued metadata (engine name, git revision, …).
     Text(String),
     /// Boolean outcome (budget truncated, invariants hold, …), rendered
@@ -49,23 +47,6 @@ impl MetricsRegistry {
     pub fn set_counter(&mut self, name: &str, v: u64) {
         self.entries
             .insert(name.to_string(), MetricValue::Counter(v));
-    }
-
-    /// Adds `by` to counter `name` (created at 0 first; a non-counter
-    /// entry under the same name is replaced).
-    pub fn incr(&mut self, name: &str, by: u64) {
-        match self.entries.get_mut(name) {
-            Some(MetricValue::Counter(c)) => *c += by,
-            _ => {
-                self.entries
-                    .insert(name.to_string(), MetricValue::Counter(by));
-            }
-        }
-    }
-
-    /// Sets gauge `name` to `v`.
-    pub fn set_gauge(&mut self, name: &str, v: f64) {
-        self.entries.insert(name.to_string(), MetricValue::Gauge(v));
     }
 
     /// Sets text metric `name` to `v`.
@@ -116,7 +97,9 @@ impl MetricsRegistry {
 
     /// Renders the registry as a JSON object, one line per metric,
     /// each line prefixed with `indent`. Histograms become summary
-    /// objects (`count`/`sum`/`mean`/`min`/`max`/`p50`/`p99`).
+    /// objects of their exact fields (`count`/`sum`/`mean`/`min`/`max`);
+    /// their log₂-bucket quantiles are bucket bounds, not sample
+    /// values, so they are not exported.
     pub fn to_json(&self, indent: &str) -> String {
         let mut s = String::from("{\n");
         for (i, (name, value)) in self.entries.iter().enumerate() {
@@ -124,9 +107,6 @@ impl MetricsRegistry {
             match value {
                 MetricValue::Counter(c) => {
                     let _ = write!(s, "{c}");
-                }
-                MetricValue::Gauge(g) => {
-                    let _ = write!(s, "{g}");
                 }
                 MetricValue::Text(t) => {
                     let _ = write!(s, "\"{}\"", crate::progress::sanitize_field(t));
@@ -137,14 +117,12 @@ impl MetricsRegistry {
                 MetricValue::Histogram(h) => {
                     let _ = write!(
                         s,
-                        "{{\"count\": {}, \"sum\": {}, \"mean\": {}, \"min\": {}, \"max\": {}, \"p50\": {}, \"p99\": {}}}",
+                        "{{\"count\": {}, \"sum\": {}, \"mean\": {}, \"min\": {}, \"max\": {}}}",
                         h.count(),
                         h.sum(),
                         h.mean(),
                         h.min().unwrap_or(0),
-                        h.max().unwrap_or(0),
-                        h.quantile(Quantile::P50).unwrap_or(0),
-                        h.quantile(Quantile::P99).unwrap_or(0)
+                        h.max().unwrap_or(0)
                     );
                 }
             }
@@ -159,24 +137,19 @@ impl MetricsRegistry {
     }
 
     /// Flattens the registry into `(name, rendered value)` pairs for
-    /// the profile line: counters/gauges/text render directly,
-    /// histograms expand to `<name>_count`/`<name>_mean`/`<name>_p50`/
-    /// `<name>_p99` scalars.
+    /// the profile line: counters/text/flags render directly,
+    /// histograms expand to exact `<name>_count`/`<name>_mean`
+    /// scalars (no quantiles, as in [`Self::to_json`]).
     pub fn to_flat_pairs(&self) -> Vec<(String, String)> {
         let mut out = Vec::with_capacity(self.entries.len());
         for (name, value) in &self.entries {
             match value {
                 MetricValue::Counter(c) => out.push((name.clone(), c.to_string())),
-                MetricValue::Gauge(g) => out.push((name.clone(), g.to_string())),
                 MetricValue::Text(t) => out.push((name.clone(), t.clone())),
                 MetricValue::Flag(b) => out.push((name.clone(), b.to_string())),
                 MetricValue::Histogram(h) => {
                     out.push((format!("{name}_count"), h.count().to_string()));
                     out.push((format!("{name}_mean"), h.mean().to_string()));
-                    let p50 = h.quantile(Quantile::P50).unwrap_or(0);
-                    let p99 = h.quantile(Quantile::P99).unwrap_or(0);
-                    out.push((format!("{name}_p50"), p50.to_string()));
-                    out.push((format!("{name}_p99"), p99.to_string()));
                 }
             }
         }
@@ -189,18 +162,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_gauges_text_and_histograms() {
+    fn counters_text_and_histograms() {
         let mut m = MetricsRegistry::new();
         m.set_counter("sims_run", 552);
-        m.incr("sims_run", 8);
-        m.incr("fresh", 3);
-        m.set_gauge("instr_per_s", 1.25e9);
-        m.set_text("engine", "replay");
+        m.set_counter("sims_run", 560);
+        m.set_counter("fresh", 3);
+        m.set_text("engine", "direct");
         m.histogram_mut("sim_rate").record(100);
         m.histogram_mut("sim_rate").record(200);
         assert_eq!(m.get("sims_run"), Some(&MetricValue::Counter(560)));
         assert_eq!(m.get("fresh"), Some(&MetricValue::Counter(3)));
-        assert_eq!(m.len(), 5);
+        assert_eq!(m.len(), 4);
         match m.get("sim_rate") {
             Some(MetricValue::Histogram(h)) => assert_eq!(h.count(), 2),
             other => panic!("unexpected {other:?}"),
@@ -232,11 +204,12 @@ mod tests {
         assert_eq!(json, m.clone().to_json("  "), "rendering is stable");
     }
 
-    /// A skewed distribution (98 fast samples, 2 slow ones): the
-    /// median must sit in the fast bucket, far below the max, and the
-    /// 99th percentile must reach the slow tail.
+    /// A skewed distribution (98 samples of 10, 2 of 1e6): its true
+    /// median is 10, but a log₂ bucket can only say "somewhere in
+    /// [8, 15]". Both exports carry the exact fields and no quantile
+    /// key, so no bucket bound is ever printed as a sample value.
     #[test]
-    fn quantiles_are_true_quantiles_on_a_skewed_distribution() {
+    fn histograms_export_exact_fields_and_no_quantiles() {
         let mut m = MetricsRegistry::new();
         let h = m.histogram_mut("sim_elapsed_us");
         for _ in 0..98 {
@@ -245,19 +218,25 @@ mod tests {
         h.record(1_000_000);
         h.record(1_000_000);
         let json = m.to_json("");
-        assert!(json.contains("\"max\": 1000000"), "{json}");
-        assert!(json.contains("\"p50\": 15,"), "{json}");
-        assert!(json.contains("\"p99\": 1000000}"), "{json}");
+        assert!(
+            json.contains(
+                "\"sim_elapsed_us\": {\"count\": 100, \"sum\": 2000980, \"mean\": 20009.8, \"min\": 10, \"max\": 1000000}"
+            ),
+            "{json}"
+        );
+        assert!(
+            !json.contains("\"p50\"") && !json.contains("\"p99\""),
+            "{json}"
+        );
         let pairs = m.to_flat_pairs();
-        let get = |n: &str| {
-            pairs
-                .iter()
-                .find(|(k, _)| k == n)
-                .map(|(_, v)| v.as_str())
-                .unwrap_or_else(|| panic!("missing {n}"))
-        };
-        assert_eq!(get("sim_elapsed_us_p50"), "15");
-        assert_eq!(get("sim_elapsed_us_p99"), "1000000");
+        assert_eq!(
+            pairs,
+            [
+                ("sim_elapsed_us_count", "100"),
+                ("sim_elapsed_us_mean", "20009.8"),
+            ]
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+        );
     }
 
     #[test]
@@ -267,9 +246,6 @@ mod tests {
         m.set_counter("n", 2);
         let pairs = m.to_flat_pairs();
         let names: Vec<&str> = pairs.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(
-            names,
-            ["n", "rate_count", "rate_mean", "rate_p50", "rate_p99"]
-        );
+        assert_eq!(names, ["n", "rate_count", "rate_mean"]);
     }
 }

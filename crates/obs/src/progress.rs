@@ -57,8 +57,8 @@ pub struct SimHeartbeat {
     pub trace: String,
     /// Workload name.
     pub workload: String,
-    /// Execution engine label (`direct`, or `serial` for the serial
-    /// reference).
+    /// Execution engine label (always `direct`: sweeps execute every
+    /// kernel on the simulated machine).
     pub engine: String,
     /// Wall-clock time this simulation took, in nanoseconds.
     pub elapsed_ns: u64,

@@ -114,9 +114,9 @@ const ARENA_CHUNK: usize = 32 * 1024;
 /// direct field rather than `chunks.last_mut()`: the steady-state emit
 /// path is one length-vs-capacity compare and a push, with no
 /// `Option` round-trip through the chunk list (the `Vec`-of-`Vec`s
-/// double lookup the hotpath bench's per-event-kind section measures
-/// against). [`Recorder::finish`] assembles the contiguous timeline
-/// exactly once, when recording is over.
+/// double lookup of the seed layout; DESIGN.md §2.11 keeps the last
+/// measured per-event costs). [`Recorder::finish`] assembles the
+/// contiguous timeline exactly once, when recording is over.
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
     /// Sealed full chunks, oldest first.
