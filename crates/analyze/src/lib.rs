@@ -34,9 +34,6 @@
 //!   --progress-out`) and renders the per-phase attribution and
 //!   per-design tables plus an SVG (`ehsim-cli profile-sweep`).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod diff;
 mod model;
 mod plot;

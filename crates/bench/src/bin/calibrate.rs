@@ -4,6 +4,12 @@
 //! paper's reported values (Fig 4 shape; §6.6 outage counts
 //! 33/45/121/12/9).
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "a harness binary, exempt like ehsim-bench's library (L004)"
+)]
+
 use ehsim::{gmean, SimConfig};
 use ehsim_bench::{f2, run};
 use ehsim_energy::TraceKind;

@@ -12,6 +12,12 @@
 //! times the children wall-clock, checks the warm run executed *zero*
 //! simulations, and records the speedup.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "a harness binary, exempt like ehsim-bench's library (L004)"
+)]
+
 use ehsim_bench::{figures, telemetry};
 use ehsim_workloads::Scale;
 use std::time::Instant;

@@ -53,7 +53,7 @@
 //! observation does not change any simulated value, so figures
 //! regenerated with tracing on are byte-identical.
 
-use crate::telemetry;
+use crate::{knob, telemetry, Knob};
 use ehsim::{ObserverBox, Report, SimConfig, Simulator};
 use ehsim_obs::{Phase, StreamStatsHandle, StreamingObserver};
 use ehsim_workloads::Scale;
@@ -148,9 +148,8 @@ pub fn stats() -> ExecStats {
 /// Worker count: `EHSIM_JOBS` if set (minimum 1), otherwise the
 /// machine's available parallelism.
 pub fn jobs() -> usize {
-    std::env::var("EHSIM_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
+    knob(Knob::Jobs)
+        .and_then(|v| v.to_str()?.parse::<usize>().ok())
         .filter(|&n| n >= 1)
         .unwrap_or_else(|| {
             std::thread::available_parallelism()
@@ -197,12 +196,8 @@ fn memo_key(job: &Job) -> Option<MemoKey> {
 /// miss path.
 fn result_store() -> Option<&'static ehsim_farm::ResultStore> {
     static S: OnceLock<Option<ehsim_farm::ResultStore>> = OnceLock::new();
-    S.get_or_init(|| {
-        std::env::var_os("EHSIM_RESULT_STORE")
-            .filter(|v| !v.is_empty())
-            .map(ehsim_farm::ResultStore::open)
-    })
-    .as_ref()
+    S.get_or_init(|| knob(Knob::ResultStore).map(ehsim_farm::ResultStore::open))
+        .as_ref()
 }
 
 /// Whether `EHSIM_RESULT_STORE` names a result store for this process.
@@ -214,12 +209,8 @@ pub fn result_store_enabled() -> bool {
 /// timelines (`EHSIM_TRACE_WORKLOAD`), if any.
 fn trace_workload() -> Option<&'static str> {
     static W: OnceLock<Option<String>> = OnceLock::new();
-    W.get_or_init(|| {
-        std::env::var("EHSIM_TRACE_WORKLOAD")
-            .ok()
-            .filter(|w| !w.is_empty())
-    })
-    .as_deref()
+    W.get_or_init(|| knob(Knob::TraceWorkload)?.into_string().ok())
+        .as_deref()
 }
 
 /// Turns a design/trace label into a filename fragment.
@@ -243,8 +234,7 @@ fn sanitize(label: &str) -> String {
 /// never perturbs the simulation, and open failures only warn and fall
 /// back to no observation — a sweep must not die over a timeline.
 fn stream_sink(job: &Job, workload: &str) -> (ObserverBox, Option<StreamStatsHandle>) {
-    let dir = std::env::var("EHSIM_TRACE_DIR").unwrap_or_else(|_| "traces".into());
-    let dir = std::path::PathBuf::from(dir);
+    let dir = std::path::PathBuf::from(knob(Knob::TraceDir).unwrap_or_else(|| "traces".into()));
     let stem = format!(
         "{}__{}__{}",
         sanitize(workload),
@@ -345,7 +335,11 @@ fn simulate_or_load(job: &Job, key: Option<&MemoKey>) -> Report {
         (Some(s), Some(k)) => (s, k),
         _ => return simulate(job),
     };
-    match store.load(key) {
+    let loaded = {
+        let _t = telemetry::scope(Phase::StoreIo);
+        store.load(key)
+    };
+    match loaded {
         ehsim_farm::LoadOutcome::Hit(report) => {
             counters().store_hits.fetch_add(1, Ordering::Relaxed);
             return *report;
@@ -359,7 +353,11 @@ fn simulate_or_load(job: &Job, key: Option<&MemoKey>) -> Report {
         }
     }
     let report = simulate(job);
-    if let Err(e) = store.save(key, &report) {
+    let saved = {
+        let _t = telemetry::scope(Phase::StoreIo);
+        store.save(key, &report)
+    };
+    if let Err(e) = saved {
         eprintln!(
             "warning: failed to persist result for {}: {e}",
             report.workload

@@ -5,17 +5,56 @@
 //! configurations with [`ehsim::Simulator`] and printing a TSV both to
 //! stdout and to `results/<name>.tsv`.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "a harness: a failed sim or an unwritable results/ file ends the sweep by design (L004)"
+)]
 
 use ehsim::{Report, SimConfig, Simulator};
 use ehsim_mem::Workload;
+use std::ffi::OsString;
 use std::io::Write as _;
 use std::path::Path;
 
 pub mod exec;
 pub mod figures;
 pub mod telemetry;
+
+/// Every environment variable the workspace reads, in the order of
+/// README's knob table (`crates/verify/tests/knob_docs.rs` keeps the
+/// two equal). [`knob`] is the only reader.
+pub const KNOBS: [&str; 5] = [
+    "EHSIM_JOBS",
+    "EHSIM_RESULT_STORE",
+    "EHSIM_PROGRESS",
+    "EHSIM_TRACE_WORKLOAD",
+    "EHSIM_TRACE_DIR",
+];
+
+/// One of the [`KNOBS`], by its index there.
+#[derive(Debug, Clone, Copy)]
+pub enum Knob {
+    /// `EHSIM_JOBS`: sweep worker count.
+    Jobs,
+    /// `EHSIM_RESULT_STORE`: the persistent result store's directory.
+    ResultStore,
+    /// `EHSIM_PROGRESS`: the progress stream's path.
+    Progress,
+    /// `EHSIM_TRACE_WORKLOAD`: the workload whose sims stream timelines.
+    TraceWorkload,
+    /// `EHSIM_TRACE_DIR`: where those timelines go.
+    TraceDir,
+}
+
+/// The value of `knob`, or `None` when it is unset or empty.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one sanctioned environment read (L008): every knob is listed in KNOBS"
+)]
+pub fn knob(knob: Knob) -> Option<OsString> {
+    std::env::var_os(KNOBS[knob as usize]).filter(|v| !v.is_empty())
+}
 
 /// Runs one workload under one configuration, panicking with context on
 /// simulation errors (the harness treats them as fatal). This is the

@@ -24,6 +24,7 @@
 //!   `EHSIM_JOBS`, engine, git revision) for the progress stream and
 //!   the `BENCH_*.json` stamps.
 
+use crate::{knob, Knob};
 use ehsim::Report;
 use ehsim_obs::{
     Clock, MetricsRegistry, Phase, ProfileReport, Profiler, ProgressStream, SimHeartbeat, SweepMeta,
@@ -105,12 +106,11 @@ fn progress_cell() -> &'static OnceLock<Option<Mutex<ProgressStream>>> {
 pub fn progress() -> Option<&'static Mutex<ProgressStream>> {
     progress_cell()
         .get_or_init(|| {
-            let path = std::env::var("EHSIM_PROGRESS")
-                .ok()
-                .filter(|p| !p.is_empty())?;
+            let path = knob(Knob::Progress)?;
             match ProgressStream::to_path(Path::new(&path)) {
                 Ok(s) => Some(Mutex::new(s)),
                 Err(e) => {
+                    let path = Path::new(&path).display();
                     eprintln!("warning: cannot open EHSIM_PROGRESS={path}: {e}");
                     None
                 }

@@ -39,6 +39,10 @@ fn job(capacitor_uf: f64) -> Job {
     Job::new(cfg(capacitor_uf), WORKLOAD, Scale::Small)
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "test code: a failure here fails the test"
+)]
 fn key_of(j: &Job) -> SimKey {
     sim_key(&j.cfg, j.workload, j.scale).expect("native workloads are keyed")
 }

@@ -51,6 +51,10 @@ impl MemCtx<'_> {
             self.timing.line_write_recovery_ps(),
         );
         self.nvm.write_line(base, data);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a line buffer is `line_bytes: u32` long"
+        )]
         let bytes = data.len() as u32;
         self.meter.add(
             ehsim_energy::EnergyCategory::MemWrite,
@@ -66,6 +70,10 @@ impl MemCtx<'_> {
     pub fn sync_line_read(&mut self, base: u32, buf: &mut [u8]) -> Ps {
         let (_, done) = self.port.schedule(self.now, self.timing.line_read_ps(), 0);
         self.nvm.read_line(base, buf);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a line buffer is `line_bytes: u32` long"
+        )]
         let bytes = buf.len() as u32;
         self.meter.add(
             ehsim_energy::EnergyCategory::MemRead,

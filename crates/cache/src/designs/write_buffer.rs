@@ -97,10 +97,13 @@ impl WriteBufferCache {
                     ctx.timing.line_write_recovery_ps(),
                 );
                 ctx.nvm.write_line(e.base, &e.data);
-                ctx.meter.add(
-                    EnergyCategory::MemWrite,
-                    ctx.energy.write_pj(e.data.len() as u32),
-                );
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "a line buffer is `line_bytes: u32` long"
+                )]
+                let bytes = e.data.len() as u32;
+                ctx.meter
+                    .add(EnergyCategory::MemWrite, ctx.energy.write_pj(bytes));
                 ctx.stats.nvm_write_bytes += e.data.len() as u64;
                 ctx.stats.async_writebacks += 1;
                 done
@@ -170,6 +173,11 @@ impl CacheDesign for WriteBufferCache {
                 while self.buffer.len() >= self.capacity {
                     // Full: force a drain and wait for the earliest one.
                     self.drain_one(ctx);
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the write buffer only reports full while a drain is scheduled; \
+                                  a documented invariant of the baseline design's FSM"
+                    )]
                     let earliest = self
                         .buffer
                         .iter()
@@ -206,7 +214,12 @@ impl CacheDesign for WriteBufferCache {
         };
         let off = (addr - base) as usize;
         for i in 0..size.bytes() as usize {
-            self.buffer[ix].data[off + i] = (value >> (8 * i)) as u8;
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "keeps byte i of the little-endian value, by design"
+            )]
+            let byte = (value >> (8 * i)) as u8;
+            self.buffer[ix].data[off + i] = byte;
         }
         ctx.meter.add(EnergyCategory::CacheWrite, BUF_WRITE_PJ);
 

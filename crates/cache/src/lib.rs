@@ -25,8 +25,9 @@
 //! assert!(array.lookup(0x40).is_none()); // cold cache
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+// L006: no float->int or sign-dropping cast in picosecond/picojoule
+// arithmetic without an `#[expect]` saying why it is exact.
+#![deny(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
 
 mod ctx;
 pub mod designs;

@@ -225,6 +225,11 @@ impl TagArray {
                 best = Some((key, way));
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "geometry validation rejects zero-way configurations at construction, \
+                      so the victim search always has a candidate"
+        )]
         let way = best.expect("sets have at least one way").1;
         SetWay { set, way }
     }
@@ -235,7 +240,7 @@ impl TagArray {
     ///
     /// Panics if `data` is not exactly one line long.
     pub fn fill(&mut self, sw: SetWay, addr: u32, data: &[u8]) {
-        assert_eq!(data.len() as u32, self.line_bytes);
+        assert_eq!(data.len(), self.line_bytes as usize);
         self.fill_slot(sw, addr).copy_from_slice(data);
     }
 
@@ -410,6 +415,10 @@ impl TagArray {
         let mut ix = 0;
         while self.dirty_count > 0 {
             if self.dirty[ix] {
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "a slot index is below sets × ways, both u32"
+                )]
                 let set = ix as u32 / self.ways;
                 f(self.base_of_ix(ix, set), self.line_slice(ix));
                 self.dirty[ix] = false;

@@ -73,6 +73,10 @@ impl RefArray {
         self.lines[ix].last_use = tick;
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "test code: a failure here fails the test"
+    )]
     fn victim(&self, addr: u32) -> SetWay {
         let set = self.geom.set_of(addr);
         let mut best: Option<(u64, SetWay)> = None;

@@ -10,9 +10,6 @@
 //! dependency set to the offline-approved crates) and exposed from this
 //! library so it can be unit-tested; `src/main.rs` is a thin shell.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use ehsim::{BusTrace, DesignKind, Report, SimConfig, Simulator};
 use ehsim_bench::{exec, figures, telemetry};
 use ehsim_cache::{CacheGeometry, ReplacementPolicy};

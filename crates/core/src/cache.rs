@@ -220,8 +220,9 @@ impl WlCache {
         if ctx.obs.enabled() {
             let now = ctx.now;
             let obs = &mut *ctx.obs;
-            self.dq
-                .drain_acked(now, |base, ack_at| obs.emit(ack_at, Event::DqAck { base }));
+            self.dq.drain_acked(now, |base, ack_at| {
+                obs.emit(ack_at, || Event::DqAck { base })
+            });
         } else {
             self.dq.pop_acked(ctx.now);
         }
@@ -240,12 +241,17 @@ impl WlCache {
             .dq
             .select_for_cleaning(self.dq_policy, |base| Self::stamp_of(core, base));
         self.wl_stats.stale_dropped += dropped as u64;
-        if dropped > 0 && ctx.obs.enabled() {
-            ctx.obs.emit(ctx.now, Event::DqStaleDrop { dropped });
+        if dropped > 0 {
+            ctx.obs.emit(ctx.now, || Event::DqStaleDrop { dropped });
         }
         let Some(base) = selected else {
             return false;
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "select_for_cleaning validated residency under the same &mut self; \
+                      a miss here is a protocol bug worth aborting on"
+        )]
         let sw = self
             .core
             .array()
@@ -262,10 +268,8 @@ impl WlCache {
         self.dq.mark_cleaning(base, ack_at);
         self.wl_stats.cleanings += 1;
         self.cleanings_this_interval += 1;
-        if ctx.obs.enabled() {
-            ctx.obs
-                .emit(ctx.now, Event::WritebackIssued { base, ack_at });
-        }
+        ctx.obs
+            .emit(ctx.now, || Event::WritebackIssued { base, ack_at });
         true
     }
 
@@ -280,9 +284,7 @@ impl WlCache {
         self.dq.push(base);
         ctx.meter.add(EnergyCategory::CacheWrite, DQ_ACCESS_PJ);
         self.core.array_mut().set_dirty(sw, true);
-        if ctx.obs.enabled() {
-            ctx.obs.emit(ctx.now, Event::DqEnqueue { base });
-        }
+        ctx.obs.emit(ctx.now, || Event::DqEnqueue { base });
 
         // Waterline policy (§5.2): start cleaning asynchronously.
         let waterline = self.controller.thresholds().waterline();
@@ -317,18 +319,15 @@ impl WlCache {
             if self.controller.try_dynamic_raise(headroom_ok).is_some() {
                 self.resync_vth();
                 self.wl_stats.dyn_raises += 1;
-                if ctx.obs.enabled() {
-                    let maxline = self.controller.thresholds().maxline();
-                    ctx.obs.emit(ctx.now, Event::DynRaise { maxline });
-                }
+                ctx.obs.emit(ctx.now, || Event::DynRaise {
+                    maxline: self.controller.thresholds().maxline(),
+                });
                 continue;
             }
             match self.dq.next_ack() {
                 Some(ack) if ack > ctx.now => {
                     // Stall until the in-flight cleaning ACKs.
-                    if ctx.obs.enabled() {
-                        ctx.obs.emit(ctx.now, Event::DqStall { until: ack });
-                    }
+                    ctx.obs.emit(ctx.now, || Event::DqStall { until: ack });
                     self.wl_stats.stalls += 1;
                     self.wl_stats.stall_ps += ack - ctx.now;
                     ctx.stats.stall_ps += ack - ctx.now;
@@ -428,14 +427,11 @@ impl CacheDesign for WlCache {
         self.controller.on_interval_end(on_time_ps);
         self.resync_vth();
         let after = self.controller.thresholds();
-        if ctx.obs.enabled() && after != before {
-            ctx.obs.emit(
-                ctx.now,
-                Event::Reconfigure {
-                    maxline: after.maxline(),
-                    waterline: after.waterline(),
-                },
-            );
+        if after != before {
+            ctx.obs.emit(ctx.now, || Event::Reconfigure {
+                maxline: after.maxline(),
+                waterline: after.waterline(),
+            });
         }
         // NVFF restore of thresholds + timers.
         ctx.meter.add(EnergyCategory::CacheRead, NVFF_STATE_PJ);

@@ -251,6 +251,11 @@ impl DirtyQueue {
     /// # Panics
     ///
     /// Panics if no `Dirty` entry for `base` exists.
+    #[expect(
+        clippy::expect_used,
+        reason = "only called with a base that select_for_cleaning returned on the same \
+                  queue in the same borrow, so the entry cannot have vanished"
+    )]
     pub fn mark_cleaning(&mut self, base: u32, ack_at: Ps) {
         let e = self
             .entries

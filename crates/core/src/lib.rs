@@ -34,8 +34,9 @@
 //! # Ok::<(), wl_cache::ThresholdsError>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+// L006: no float->int or sign-dropping cast in picosecond/picojoule
+// arithmetic without an `#[expect]` saying why it is exact.
+#![deny(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
 
 mod adaptive;
 mod cache;

@@ -97,6 +97,10 @@ impl Thresholds {
 
     /// The paper's default: DirtyQueue size 8, maxline 6, waterline 5
     /// (§6.1).
+    #[expect(
+        clippy::expect_used,
+        reason = "literal arguments (8, 6, 5), validated by unit tests; cannot fail at run time"
+    )]
     pub fn paper_default() -> Self {
         Self::new(8, 6, 5).expect("paper defaults are valid")
     }

@@ -148,6 +148,10 @@ impl Model for ProtocolModel {
     type State = ProtoState;
     type Action = Event;
 
+    #[expect(
+        clippy::expect_used,
+        reason = "test code: a failure here fails the test"
+    )]
     fn initial(&self) -> ProtoState {
         // Direct-mapped, 2 lines of 64 B: maximal conflict pressure.
         let mut builder = WlCacheBuilder::new();

@@ -33,8 +33,9 @@
 //! assert!(harvested > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+// L006: no float->int or sign-dropping cast in picosecond/picojoule
+// arithmetic without an `#[expect]` saying why it is exact.
+#![deny(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
 
 mod capacitor;
 mod charging;

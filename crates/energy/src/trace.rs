@@ -270,7 +270,14 @@ impl PowerTrace {
                 uw.0
             };
             let dur_us = rng.random_range(dur.0..dur.1);
-            segs.push(((dur_us * 1e6) as Ps, power));
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "truncation (not rounding) of the segment length is load-bearing: \
+                          the pinned goldens and results/*.tsv encode exactly this conversion"
+            )]
+            let dur_ps = (dur_us * 1e6) as Ps;
+            segs.push((dur_ps, power));
         }
         Self::from_segments(segs)
     }
@@ -411,6 +418,12 @@ impl TraceCursor {
             let seg_pj = seg.power_uw * budget as f64 * UW_PS_TO_PJ;
             if seg_pj >= remaining && seg.power_uw > 0.0 {
                 // Finishes within this segment.
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    clippy::cast_sign_loss,
+                    reason = "the ceiling of a positive quotient; `as` saturates a huge one, \
+                              which the `min(budget)` below clamps"
+                )]
                 let need_ps = (remaining / (seg.power_uw * UW_PS_TO_PJ)).ceil() as Ps;
                 let need_ps = need_ps.min(budget);
                 self.advance(need_ps);

@@ -89,6 +89,11 @@ pub fn parse_trace(text: &str) -> Result<PowerTrace, TraceParseError> {
                 "duration {dur_us} us overflows u64 picoseconds"
             )));
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "rounded and range-checked to [1, 2^64) above, so the cast is exact"
+        )]
         let dur_ps = dur_ps as Ps;
         total_ps = total_ps
             .checked_add(dur_ps)

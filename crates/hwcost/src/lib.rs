@@ -24,9 +24,6 @@
 //! assert!(dq.dynamic_pj_per_access <= 0.8);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 /// Cell technology of an array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArrayKind {

@@ -56,18 +56,30 @@ pub trait Bus {
 
     /// Loads one byte at `addr`.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a B1 load is zero-extended, so the narrowing is exact"
+    )]
     fn load_u8(&mut self, addr: u32) -> u8 {
         self.load(addr, AccessSize::B1) as u8
     }
 
     /// Loads a little-endian `u16` at `addr`.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a B2 load is zero-extended, so the narrowing is exact"
+    )]
     fn load_u16(&mut self, addr: u32) -> u16 {
         self.load(addr, AccessSize::B2) as u16
     }
 
     /// Loads a little-endian `u32` at `addr`.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a B4 load is zero-extended, so the narrowing is exact"
+    )]
     fn load_u32(&mut self, addr: u32) -> u32 {
         self.load(addr, AccessSize::B4) as u32
     }
@@ -111,7 +123,7 @@ pub trait Bus {
     /// Stores a little-endian `i32` at `addr`.
     #[inline]
     fn store_i32(&mut self, addr: u32, value: i32) {
-        self.store_u32(addr, value as u32);
+        self.store_u32(addr, value.cast_unsigned());
     }
 }
 

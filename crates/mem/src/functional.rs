@@ -77,7 +77,7 @@ impl FunctionalMem {
             line_bytes.is_power_of_two(),
             "tracking granularity must be a power of two"
         );
-        let lines = (self.bytes.len() as u32).div_ceil(line_bytes) as usize;
+        let lines = self.len().div_ceil(line_bytes) as usize;
         self.tracker = Some(WriteTracker {
             line_shift: line_bytes.trailing_zeros(),
             words: vec![0; lines.div_ceil(64)],
@@ -92,8 +92,12 @@ impl FunctionalMem {
         for (wix, word) in t.words.iter_mut().enumerate() {
             let mut w = *word;
             while w != 0 {
-                let bit = w.trailing_zeros() as usize;
-                out.push((((wix << 6) | bit) as u32) << t.line_shift);
+                let line = (wix << 6) | w.trailing_zeros() as usize;
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "a line index of a memory sized by a u32 fits in u32"
+                )]
+                out.push((line as u32) << t.line_shift);
                 w &= w - 1;
             }
             *word = 0;
@@ -101,6 +105,10 @@ impl FunctionalMem {
     }
 
     /// Size of the memory in bytes.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the memory is built from a u32 size in `new`"
+    )]
     pub fn len(&self) -> u32 {
         self.bytes.len() as u32
     }
@@ -137,7 +145,12 @@ impl FunctionalMem {
         let a = addr as usize;
         let n = size.bytes() as usize;
         for i in 0..n {
-            self.bytes[a + i] = (value >> (8 * i)) as u8;
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "keeps byte i of the little-endian value, by design"
+            )]
+            let byte = (value >> (8 * i)) as u8;
+            self.bytes[a + i] = byte;
         }
         if let Some(t) = &mut self.tracker {
             t.mark_span(addr, n);
@@ -274,7 +287,7 @@ mod tests {
         // reported line — the soundness the incremental checker needs.
         for (i, (x, y)) in a.as_bytes().iter().zip(b.as_bytes()).enumerate() {
             if x != y {
-                let base = (i as u32 / 64) * 64;
+                let base = u32::try_from(i / 64 * 64).unwrap();
                 assert!(lines.contains(&base), "changed byte {i} untracked");
             }
         }

@@ -29,8 +29,9 @@
 //! assert_eq!(mem.load_u32(0x10), 0xdead_beef);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+// L006: no float->int or sign-dropping cast in picosecond/picojoule
+// arithmetic without an `#[expect]` saying why it is exact.
+#![deny(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
 
 mod bus;
 mod functional;

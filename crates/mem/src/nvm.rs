@@ -10,6 +10,27 @@ use crate::Ps;
 
 const NS_TO_PS: f64 = 1_000.0;
 
+/// `ns` in whole picoseconds.
+///
+/// Table 2's latencies are multiples of 0.5 ns, so every product is an
+/// integer and the cast is exact (debug-asserted). The derived latencies
+/// are computed on every NVM access, so this stays a bare cast rather
+/// than `f64::round`, a libm call on baseline x86-64.
+#[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "the product is a non-negative integer below 2^53 (debug-asserted), so the cast is exact"
+)]
+fn ns_to_ps(ns: f64) -> Ps {
+    let ps = ns * NS_TO_PS;
+    debug_assert!(
+        (0.0..9.0e15).contains(&ps) && ps == ps.trunc(),
+        "{ns} ns is not a whole number of picoseconds"
+    );
+    ps as Ps
+}
+
 /// ReRAM main-memory timing parameters, in nanoseconds (Table 2).
 ///
 /// Derived access latencies:
@@ -59,26 +80,26 @@ impl Default for NvmTiming {
 impl NvmTiming {
     /// Latency (ps) to read one full cache line from NVM.
     pub fn line_read_ps(&self) -> Ps {
-        ((self.t_rcd + self.t_cl + self.t_burst) * NS_TO_PS) as Ps
+        ns_to_ps(self.t_rcd + self.t_cl + self.t_burst)
     }
 
     /// Latency (ps) until a line write-back is acknowledged.
     pub fn line_write_ps(&self) -> Ps {
-        ((self.t_rcd + self.t_cl + self.t_burst) * NS_TO_PS) as Ps
+        ns_to_ps(self.t_rcd + self.t_cl + self.t_burst)
     }
 
     /// Additional channel-recovery time (ps) after a line write
     /// completes (`tWTR`; the per-bank `tWR` is hidden by 4-way bank
     /// interleaving — see the type-level docs).
     pub fn line_write_recovery_ps(&self) -> Ps {
-        (self.t_wtr * NS_TO_PS) as Ps
+        ns_to_ps(self.t_wtr)
     }
 
     /// Per-bank write-recovery time (`tWR`, ps): the time one bank is
     /// unavailable after a line write. Exposed for completeness; the
     /// channel model above assumes interleaving hides it.
     pub fn bank_write_recovery_ps(&self) -> Ps {
-        (self.t_wr * NS_TO_PS) as Ps
+        ns_to_ps(self.t_wr)
     }
 
     /// Latency (ps) of a synchronous word write (write-through store):
@@ -86,12 +107,12 @@ impl NvmTiming {
     /// on an open row (§2.3.1: "the long store latency as in the case
     /// without a cache").
     pub fn word_write_ps(&self) -> Ps {
-        ((self.t_rcd + self.t_cl) * NS_TO_PS) as Ps
+        ns_to_ps(self.t_rcd + self.t_cl)
     }
 
     /// Additional port-recovery time (ps) after a word write.
     pub fn word_write_recovery_ps(&self) -> Ps {
-        (self.t_wtr * NS_TO_PS) as Ps
+        ns_to_ps(self.t_wtr)
     }
 }
 

@@ -157,7 +157,7 @@ fn get_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
 }
 
 fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
+    ((v << 1) ^ (v >> 63)).cast_unsigned()
 }
 
 fn unzigzag(v: u64) -> i64 {
@@ -654,6 +654,12 @@ impl ReplayCursor<'_> {
     fn apply(&mut self, unit: Unit) -> BusOp {
         match unit {
             Unit::Mem { store, size, delta } => {
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    clippy::cast_sign_loss,
+                    reason = "deltas are address differences, so the sum wraps back into u32 \
+                              (a malformed delta wraps like any other address bits)"
+                )]
                 let addr = (i64::from(self.last_addr) + delta) as u32;
                 self.last_addr = addr;
                 if store {

@@ -46,8 +46,9 @@ impl Observer for NoopObserver {
 }
 
 /// Statically-dispatched observer, mirroring the `DesignBox` idiom: the
-/// hot path pays one enum-discriminant test ([`ObserverBox::enabled`])
-/// instead of a virtual call, and the `Noop` arm compiles to nothing.
+/// hot path pays one enum-discriminant test instead of a virtual call,
+/// and the `Noop` arm compiles to nothing. [`ObserverBox::emit`] takes
+/// the event as a closure, so an untraced run never builds one.
 ///
 /// The `Custom` variant accepts any boxed [`Observer`] for ad-hoc
 /// tooling; it is dispatched dynamically and never constructed by the
@@ -88,7 +89,8 @@ impl ObserverBox {
     }
 
     /// `true` unless this is the no-op sink. Instrumentation sites guard
-    /// argument computation with this so the disabled path does no work.
+    /// work beyond building an event with this (an event itself is
+    /// built lazily by [`ObserverBox::emit`]).
     #[inline(always)]
     pub fn enabled(&self) -> bool {
         !matches!(self, ObserverBox::Noop)
@@ -106,13 +108,15 @@ impl ObserverBox {
         }
     }
 
-    /// Delivers one event to the sink.
-    #[inline]
-    pub fn emit(&mut self, at: Ps, ev: Event) {
+    /// Delivers the event `ev` builds to the sink. The no-op sink never
+    /// calls `ev`, so an untraced run pays one discriminant test and
+    /// builds nothing.
+    #[inline(always)]
+    pub fn emit(&mut self, at: Ps, ev: impl FnOnce() -> Event) {
         match self {
             ObserverBox::Noop => {}
-            ObserverBox::Recording(r) => r.event(at, ev),
-            ObserverBox::Custom(o) => o.event(at, ev),
+            ObserverBox::Recording(r) => r.event(at, ev()),
+            ObserverBox::Custom(o) => o.event(at, ev()),
         }
     }
 
@@ -162,7 +166,7 @@ mod tests {
     fn noop_is_disabled_and_silent() {
         let mut obs = ObserverBox::Noop;
         assert!(!obs.enabled());
-        obs.emit(5, Event::PowerOff);
+        obs.emit(5, || unreachable!("the no-op sink builds no event"));
         assert!(obs.recorder().is_none());
         assert_eq!(obs.into_trace(10).counters, crate::ObsCounters::default());
     }
@@ -177,8 +181,8 @@ mod tests {
         }
         let mut obs = ObserverBox::Custom(Box::new(Count(0)));
         assert!(obs.enabled());
-        obs.emit(1, Event::PowerOff);
-        obs.emit(2, Event::RestoreBegin);
+        obs.emit(1, || Event::PowerOff);
+        obs.emit(2, || Event::RestoreBegin);
         if let ObserverBox::Custom(_) = obs {
         } else {
             panic!("variant changed");

@@ -63,6 +63,9 @@ pub enum Phase {
     ObserverEmit,
     /// Memo-key construction, cache resolution and result publication.
     MemoLookup,
+    /// One load from or save to the persistent result store
+    /// (`EHSIM_RESULT_STORE`) around a memo miss.
+    StoreIo,
     /// Rendering and saving `results/*.tsv`.
     TsvWrite,
     /// Figure-level reduction (everything in a figure not claimed by a
@@ -75,11 +78,12 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in report order.
-    pub const ALL: [Phase; 7] = [
+    pub const ALL: [Phase; 8] = [
         Phase::DirectSim,
         Phase::Settle,
         Phase::ObserverEmit,
         Phase::MemoLookup,
+        Phase::StoreIo,
         Phase::TsvWrite,
         Phase::Reduce,
         Phase::WorkerWait,
@@ -92,6 +96,7 @@ impl Phase {
             Phase::Settle => "settle",
             Phase::ObserverEmit => "observer-emit",
             Phase::MemoLookup => "memo-lookup",
+            Phase::StoreIo => "store-io",
             Phase::TsvWrite => "tsv-write",
             Phase::Reduce => "reduce",
             Phase::WorkerWait => "worker-wait",

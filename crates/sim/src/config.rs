@@ -145,6 +145,11 @@ impl SimConfig {
     ///
     /// Panics if `maxline` is 0 or exceeds the default DirtyQueue
     /// capacity of 8.
+    #[expect(
+        clippy::expect_used,
+        reason = "config construction is the user-facing validation boundary; a panic with \
+                  this message is the diagnostic for an out-of-range maxline override"
+    )]
     pub fn wl_cache_static(maxline: usize) -> Self {
         Self::base(DesignKind::Wl {
             thresholds: Thresholds::with_maxline(8, maxline)

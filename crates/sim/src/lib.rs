@@ -40,8 +40,9 @@
 //! # Ok::<(), ehsim::SimError>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+// L006: no float->int or sign-dropping cast in picosecond/picojoule
+// arithmetic without an `#[expect]` saying why it is exact.
+#![deny(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
 
 mod config;
 mod design_box;

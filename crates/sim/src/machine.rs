@@ -122,17 +122,14 @@ impl Machine {
         });
         let instr_hook = design.has_instruction_hook();
         let mut obs = obs;
-        if obs.enabled() {
-            if let Some(wl) = design.as_wl() {
+        if let Some(wl) = design.as_wl() {
+            obs.emit(0, || {
                 let t = wl.thresholds_config();
-                obs.emit(
-                    0,
-                    Event::InitialThresholds {
-                        maxline: t.maxline(),
-                        waterline: t.waterline(),
-                    },
-                );
-            }
+                Event::InitialThresholds {
+                    maxline: t.maxline(),
+                    waterline: t.waterline(),
+                }
+            });
         }
         Self {
             design,
@@ -245,24 +242,17 @@ impl Machine {
     /// observer) flush. A no-op without an observer. Call once, after
     /// the workload finished and before [`Machine::take_observer`].
     pub fn end_observation(&mut self) {
-        if self.obs.enabled() {
-            self.emit_energy_sample();
-            self.obs.end(self.now);
-        }
+        self.emit_energy_sample();
+        self.obs.end(self.now);
     }
 
     /// Emits the cumulative harvested/consumed totals at `now`;
     /// consecutive samples telescope into exact per-interval deltas.
     fn emit_energy_sample(&mut self) {
-        if self.obs.enabled() {
-            self.obs.emit(
-                self.now,
-                Event::EnergySample {
-                    harvested_pj: self.harvested_pj,
-                    consumed_pj: self.meter.total(),
-                },
-            );
-        }
+        self.obs.emit(self.now, || Event::EnergySample {
+            harvested_pj: self.harvested_pj,
+            consumed_pj: self.meter.total(),
+        });
     }
 
     /// The error that aborted the run, if any.
@@ -358,18 +348,16 @@ impl Machine {
             Self::emit_crossings(&mut self.obs, &th, self.now, v_before, self.cap.voltage());
             if self.obs_voltage && dt > 0 {
                 let voltage = self.cap.voltage();
-                self.obs.emit(self.now, Event::VoltageSample { voltage });
+                self.obs.emit(self.now, || Event::VoltageSample { voltage });
             }
         }
     }
 
-    /// Reports every named-rail crossing of the step `v0 → v1`.
+    /// Reports every named-rail crossing of the step `v0 → v1`. Callers
+    /// check `obs.enabled()` first, so an untraced run skips the scan.
     fn emit_crossings(obs: &mut ObserverBox, th: &VoltageThresholds, at: Ps, v0: f64, v1: f64) {
-        if !obs.enabled() {
-            return;
-        }
         for (rail, rising) in th.crossings(v0, v1).into_iter().flatten() {
-            obs.emit(at, Event::VoltageCross { rail, rising });
+            obs.emit(at, || Event::VoltageCross { rail, rising });
         }
     }
 
@@ -383,9 +371,7 @@ impl Machine {
             self.boot_time = self.now;
             self.last_sync = self.now;
         }
-        if self.obs.enabled() {
-            self.obs.emit(self.now, Event::PowerOn { interval: 0 });
-        }
+        self.obs.emit(self.now, || Event::PowerOn { interval: 0 });
     }
 
     /// Energy settlement plus the power-failure check, one window per
@@ -425,18 +411,13 @@ impl Machine {
         }
         let fail_at = self.now;
         let on_time = self.now - self.boot_time;
-        if self.obs.enabled() {
-            self.obs.emit(
-                self.now,
-                Event::OutageBegin {
-                    on_ps: on_time,
-                    voltage: self.cap.voltage(),
-                },
-            );
-            let dirty_lines = self.design.dirty_lines();
-            self.obs
-                .emit(self.now, Event::CheckpointBegin { dirty_lines });
-        }
+        self.obs.emit(self.now, || Event::OutageBegin {
+            on_ps: on_time,
+            voltage: self.cap.voltage(),
+        });
+        self.obs.emit(self.now, || Event::CheckpointBegin {
+            dirty_lines: self.design.dirty_lines(),
+        });
         let ckpt_lines_before = self.stats.checkpoint_lines;
 
         // JIT checkpoint: dirty lines (design-specific) + registers.
@@ -446,14 +427,12 @@ impl Machine {
             .add(EnergyCategory::Compute, self.cpu.reg_checkpoint_pj);
         self.sync_energy();
         self.checkpoint_time_ps += self.now - fail_at;
-        if self.obs.enabled() {
-            let flushed_lines = self.stats.checkpoint_lines - ckpt_lines_before;
-            // Energy totals close the interval just before its
-            // CheckpointEnd.
-            self.emit_energy_sample();
-            self.obs
-                .emit(self.now, Event::CheckpointEnd { flushed_lines });
-        }
+        // Energy totals close the interval just before its
+        // CheckpointEnd.
+        self.emit_energy_sample();
+        self.obs.emit(self.now, || Event::CheckpointEnd {
+            flushed_lines: self.stats.checkpoint_lines - ckpt_lines_before,
+        });
 
         // The reserve below Vbackup must have covered the checkpoint.
         let v_min = self.design.thresholds().v_min;
@@ -471,16 +450,12 @@ impl Machine {
         // Power off: volatile state is lost.
         self.design.power_off();
         self.port.reset();
-        if self.obs.enabled() {
-            self.obs.emit(self.now, Event::PowerOff);
-        }
+        self.obs.emit(self.now, || Event::PowerOff);
 
         // Recharge to the design's Von.
         self.recharge_to_von();
         self.last_sync = self.now;
-        if self.obs.enabled() {
-            self.obs.emit(self.now, Event::RestoreBegin);
-        }
+        self.obs.emit(self.now, || Event::RestoreBegin);
 
         // Reboot: restore registers, warm/cold cache, adapt thresholds.
         let boot_start = self.now;
@@ -490,11 +465,10 @@ impl Machine {
             .add(EnergyCategory::Compute, self.cpu.reg_restore_pj);
         self.sync_energy();
         self.restore_time_ps += self.now - boot_start;
-        if self.obs.enabled() {
-            self.obs.emit(self.now, Event::RestoreEnd);
-            let interval = self.outages + 1;
-            self.obs.emit(self.now, Event::PowerOn { interval });
-        }
+        self.obs.emit(self.now, || Event::RestoreEnd);
+        self.obs.emit(self.now, || Event::PowerOn {
+            interval: self.outages + 1,
+        });
 
         self.outages += 1;
         self.boot_time = self.now;
@@ -539,9 +513,9 @@ impl Machine {
                 None => &self.nvm.as_bytes()[a..a + lb],
             };
             let expected = &oracle.as_bytes()[a..a + lb];
-            for (i, (v, e)) in view.iter().zip(expected).enumerate() {
+            for (addr, (v, e)) in (base..).zip(view.iter().zip(expected)) {
                 if v != e {
-                    mismatch = Some((base + i as u32, *e, *v));
+                    mismatch = Some((addr, *e, *v));
                     break 'scan;
                 }
             }
@@ -556,11 +530,10 @@ impl Machine {
                 .as_bytes()
                 .iter()
                 .zip(oracle.as_bytes())
-                .position(|(a, b)| a != b)
-                .map(|addr| addr as u32);
+                .position(|(a, b)| a != b);
             assert_eq!(
                 full,
-                mismatch.map(|(addr, ..)| addr),
+                mismatch.map(|(addr, ..)| addr as usize),
                 "incremental consistency check diverged from the full scan"
             );
         }
@@ -602,7 +575,7 @@ impl Machine {
                         self.harvested_pj += need / eta;
                         if self.obs_voltage {
                             self.obs
-                                .emit(self.now, Event::VoltageSample { voltage: v_next });
+                                .emit(self.now, || Event::VoltageSample { voltage: v_next });
                         }
                     }
                 }

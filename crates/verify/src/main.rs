@@ -1,32 +1,21 @@
-//! `ehsim-verify` CLI: `lint` and `model-check` subcommands.
+//! `ehsim-verify` CLI: the `model-check` subcommand.
 //!
-//! Exit codes: 0 = clean / invariants hold, 1 = findings or a
-//! counterexample, 2 = usage or I/O error.
+//! Exit codes: 0 = invariants hold (or a mutant was refuted), 1 = a
+//! counterexample (or a surviving mutant), 2 = usage error.
 
 use ehsim_obs::MetricsRegistry;
-use ehsim_verify::allow::Allowlist;
 use ehsim_verify::engine::{explore, Limits, Outcome};
-use ehsim_verify::lint::{lint_workspace, RULES};
 use ehsim_verify::model::{Mutation, WriteBackModel};
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-ehsim-verify: workspace invariant linter + bounded model checker
+ehsim-verify: bounded model checker for the §5 write-back protocol
 
 USAGE:
-  ehsim-verify lint [--root DIR] [--json] [--warn]
   ehsim-verify model-check [--depth N] [--max-states N] [--smoke]
                            [--mutant NAME] [--json]
-  ehsim-verify rules
 
-lint options:
-  --root DIR    workspace root (default: nearest dir with verify-allow.toml
-                or a crates/ folder, searching upward from .)
-  --json        machine-readable findings on stdout
-  --warn        report findings but always exit 0 (deny is the default)
-
-model-check options (the §5 write-back protocol model):
+model-check options:
   --depth N       BFS depth bound (default 12)
   --max-states N  distinct-state budget (default 1000000)
   --smoke         CI preset: --depth 8 --max-states 150000; cannot be
@@ -44,14 +33,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     match cmd.as_str() {
-        "lint" => cmd_lint(&args[1..]),
         "model-check" => cmd_model_check(&args[1..]),
-        "rules" => {
-            for r in RULES {
-                println!("{}  {} — {}", r.id, r.summary, r.rationale);
-            }
-            ExitCode::SUCCESS
-        }
         "--help" | "-h" | "help" => {
             print!("{USAGE}");
             ExitCode::SUCCESS
@@ -61,57 +43,6 @@ fn main() -> ExitCode {
             eprint!("{USAGE}");
             ExitCode::from(2)
         }
-    }
-}
-
-fn cmd_lint(args: &[String]) -> ExitCode {
-    let mut root: Option<PathBuf> = None;
-    let mut json = false;
-    let mut warn = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--root" => match it.next() {
-                Some(v) => root = Some(PathBuf::from(v)),
-                None => return usage_err("--root needs a value"),
-            },
-            "--json" => json = true,
-            "--warn" => warn = true,
-            other => return usage_err(&format!("unknown lint flag `{other}`")),
-        }
-    }
-    let root = match root.map_or_else(find_root, Ok) {
-        Ok(r) => r,
-        Err(e) => return io_err(&e),
-    };
-    let mut allow = match Allowlist::load(&root) {
-        Ok(a) => a,
-        Err(e) => return io_err(&e),
-    };
-    let report = match lint_workspace(&root, &mut allow) {
-        Ok(r) => r,
-        Err(e) => return io_err(&e),
-    };
-    if json {
-        print!("{}", report.to_json());
-    } else {
-        for f in report.denied() {
-            println!("{f}");
-        }
-        let denied = report.denied().count();
-        let allowed = report.findings.len() - denied;
-        println!(
-            "ehsim-verify lint: {} files, {denied} finding(s), {allowed} allowlisted",
-            report.files
-        );
-        for stale in &report.stale_allows {
-            println!("stale allowlist entry (matches nothing): {stale}");
-        }
-    }
-    if warn || !report.is_dirty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
     }
 }
 
@@ -224,29 +155,8 @@ fn report_verdict(out: &Outcome, mutant: Option<String>, json: bool) -> ExitCode
     }
 }
 
-/// Search upward from the current directory for the workspace root:
-/// the nearest ancestor holding `verify-allow.toml` or a `crates/` dir.
-fn find_root() -> Result<PathBuf, String> {
-    let mut dir = std::env::current_dir().map_err(|e| format!("getcwd: {e}"))?;
-    loop {
-        if dir.join("verify-allow.toml").is_file() || dir.join("crates").is_dir() {
-            return Ok(dir);
-        }
-        if !dir.pop() {
-            return Err(
-                "no workspace root found (run from inside the repo or pass --root)".to_string(),
-            );
-        }
-    }
-}
-
 fn usage_err(msg: &str) -> ExitCode {
     eprintln!("ehsim-verify: {msg}\n");
     eprint!("{USAGE}");
-    ExitCode::from(2)
-}
-
-fn io_err(msg: &str) -> ExitCode {
-    eprintln!("ehsim-verify: {msg}");
     ExitCode::from(2)
 }

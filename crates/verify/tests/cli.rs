@@ -4,6 +4,10 @@
 
 use std::process::{Command, Output};
 
+#[expect(
+    clippy::expect_used,
+    reason = "test code: a failure here fails the test"
+)]
 fn verify(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_ehsim-verify"))
         .args(args)

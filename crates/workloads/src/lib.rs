@@ -43,9 +43,6 @@
 //! assert_eq!(a, b, "kernels are deterministic");
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod media;
 mod mi;
 pub(crate) mod util;

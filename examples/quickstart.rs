@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stormy.off_time_ps as f64 / 1e9,
         stormy.outages,
     );
-    let wl = stormy.wl.as_ref().expect("WL-Cache report");
+    let wl = stormy.wl.as_ref().ok_or("a WL-Cache run has a WL report")?;
     println!(
         "              maxline range {}..{}, {} reconfigurations, {:.2} dirty lines/checkpoint",
         wl.maxline_min, wl.maxline_max, wl.reconfigurations, wl.avg_dirty_at_checkpoint,

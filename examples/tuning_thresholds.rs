@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ("dynamic ", SimConfig::wl_cache_dyn()),
         ] {
             let r = Simulator::new(cfg.with_trace(trace)).run(&workload)?;
-            let wl = r.wl.as_ref().expect("wl report");
+            let wl = r.wl.as_ref().ok_or("a WL-Cache run has a WL report")?;
             println!(
                 "  {label}        : {:.3}x vs NVSRAM ({} outages, {} reconfigs, maxline {}..{})",
                 r.speedup_vs(&base),

@@ -8,6 +8,10 @@ use wl_cache_repro::ehsim::Event;
 use wl_cache_repro::ehsim_obs::validate_chrome_trace;
 use wl_cache_repro::prelude::*;
 
+#[expect(
+    clippy::expect_used,
+    reason = "test code: a failure here fails the test"
+)]
 fn fft_i() -> Box<dyn Workload> {
     all23(Scale::Small)
         .into_iter()

@@ -5,6 +5,10 @@ use wl_cache_repro::ehsim::{SimConfig, Simulator};
 use wl_cache_repro::ehsim_cache::CacheGeometry;
 use wl_cache_repro::prelude::*;
 
+#[expect(
+    clippy::expect_used,
+    reason = "test code: a failure here fails the test"
+)]
 fn time(cfg: SimConfig, w: &dyn Workload) -> u64 {
     Simulator::new(cfg).run(w).expect("run").total_time_ps
 }

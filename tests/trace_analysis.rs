@@ -17,6 +17,10 @@ fn kernel(name: &str, scale: Scale) -> Box<dyn Workload> {
         .unwrap_or_else(|| panic!("{name} kernel present"))
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "test code: a failure here fails the test"
+)]
 fn traced(cfg: SimConfig, name: &str, scale: Scale) -> (Report, RunTrace) {
     Simulator::new(cfg)
         .run_traced(kernel(name, scale).as_ref())
