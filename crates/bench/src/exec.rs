@@ -10,10 +10,14 @@
 //! against — are simulated exactly once per process no matter how many
 //! figures request them.
 //!
-//! **Direct execution.** Every simulation builds its kernel and runs it
-//! on the simulated machine ([`ehsim::Simulator::run_with`]). Nothing
-//! is shared between simulations but the memoized reports, so a
-//! sweep's footprint is one machine per worker plus the memo.
+//! **Direct execution in lockstep groups.** Every simulation runs its
+//! kernel on the simulated machine. A batch's misses of one kernel and
+//! scale run as one lockstep group ([`ehsim::Simulator::run_lockstep`]):
+//! the kernel executes once and drives every member's machine, whose
+//! reports are bit-identical to solo runs. A group is bounded by 64 KiB
+//! of simulated memory (the sum of its kernels' `mem_bytes`) and 8
+//! jobs, so a sweep's footprint is at most one group of machines per worker
+//! plus the memo. Jobs whose kernel is `EHSIM_TRACE_WORKLOAD` run solo.
 //!
 //! **Persistent result store.** `EHSIM_RESULT_STORE=<dir>` persists
 //! completed *reports* across processes in
@@ -276,65 +280,78 @@ fn record_sim_ops(settles: u64, emit_stats: Option<StreamStatsHandle>) {
     }
 }
 
-/// Builds the job's kernel and runs it on the simulated machine,
-/// streaming its event timeline when `streaming`. Panics with context
-/// on simulation errors — the harness treats them as fatal.
-fn run_direct(job: &Job, streaming: bool) -> Report {
+/// Runs one unit of jobs that share a kernel and a scale: streamed
+/// solo when the kernel is `EHSIM_TRACE_WORKLOAD` (such a unit holds
+/// one job), otherwise as one lockstep group
+/// ([`Simulator::run_lockstep_with`]; a unit of one runs solo). Returns
+/// the reports in unit order. Panics with context on simulation errors
+/// — the harness treats them as fatal.
+fn run_direct(unit: &[&Job]) -> Vec<Report> {
     let _t = telemetry::scope(Phase::DirectSim);
-    let workloads = ehsim_workloads::all23(job.scale);
+    let first = unit[0];
+    let workloads = ehsim_workloads::all23(first.scale);
     let w = workloads
-        .get(job.workload)
-        .unwrap_or_else(|| panic!("workload index {} out of range", job.workload));
-    let (obs, emit_stats) = if streaming {
-        stream_sink(job, w.name())
-    } else {
-        (ObserverBox::Noop, None)
+        .get(first.workload)
+        .unwrap_or_else(|| panic!("workload index {} out of range", first.workload));
+    let fail = |job: &Job, e: ehsim::SimError| -> ! {
+        panic!(
+            "{} / {} on {}: {e}",
+            job.cfg.design.label(),
+            w.name(),
+            job.cfg.trace_label()
+        )
     };
-    let (report, machine) = Simulator::new(job.cfg.clone())
-        .run_with(w.as_ref(), obs)
-        .unwrap_or_else(|e| {
-            panic!(
-                "{} / {} on {}: {e}",
-                job.cfg.design.label(),
-                w.name(),
-                job.cfg.trace_label()
-            )
-        });
-    record_sim_ops(machine.settle_windows(), emit_stats);
-    report
+    if trace_workload() == Some(w.name()) {
+        let (obs, emit_stats) = stream_sink(first, w.name());
+        let (report, machine) = Simulator::new(first.cfg.clone())
+            .run_with(w.as_ref(), obs)
+            .unwrap_or_else(|e| fail(first, e));
+        record_sim_ops(machine.settle_windows(), emit_stats);
+        return vec![report];
+    }
+    let cfgs: Vec<SimConfig> = unit.iter().map(|job| job.cfg.clone()).collect();
+    Simulator::run_lockstep_with(&cfgs, w.as_ref())
+        .into_iter()
+        .zip(unit)
+        .map(|(outcome, job)| {
+            let (report, machine) = outcome.unwrap_or_else(|e| fail(job, e));
+            record_sim_ops(machine.settle_windows(), None);
+            report
+        })
+        .collect()
 }
 
-/// Runs one job to completion, updating the process-wide counters and
-/// emitting its heartbeat.
-fn simulate(job: &Job) -> Report {
+/// Runs one unit to completion, updating the process-wide counters
+/// and emitting one heartbeat per job. A job's heartbeat carries the
+/// unit's wall time divided by the unit's size, so heartbeat times sum
+/// to the time the workers spent simulating.
+fn simulate(unit: &[&Job]) -> Vec<Report> {
     let start_ns = telemetry::sim_clock_start();
-    let workload = workload_name(job.workload);
-    let report = run_direct(job, trace_workload() == Some(workload));
+    let workload = workload_name(unit[0].workload);
+    let reports = run_direct(unit);
     let c = counters();
-    c.sims.fetch_add(1, Ordering::Relaxed);
-    c.instructions
-        .fetch_add(report.instructions, Ordering::Relaxed);
-    telemetry::sim_completed(
-        job.cfg.design.label(),
-        job.cfg.trace_label(),
-        workload,
-        start_ns,
-        &report,
-    );
-    report
+    for (job, report) in unit.iter().zip(&reports) {
+        c.sims.fetch_add(1, Ordering::Relaxed);
+        c.instructions
+            .fetch_add(report.instructions, Ordering::Relaxed);
+        telemetry::sim_completed(
+            job.cfg.design.label(),
+            job.cfg.trace_label(),
+            workload,
+            start_ns,
+            unit.len(),
+            report,
+        );
+    }
+    reports
 }
 
-/// Runs one memo miss: tries the persistent result store first (when
-/// configured), falling back to [`simulate`]; freshly executed results
-/// refresh the store best-effort. A store hit
-/// is *not* an executed simulation: no heartbeat, no `sims_run` bump —
-/// only `store_hits` — so the progress stream carries one heartbeat per
-/// simulation actually executed.
-fn simulate_or_load(job: &Job, key: Option<&MemoKey>) -> Report {
-    let (store, key) = match (result_store(), key) {
-        (Some(s), Some(k)) => (s, k),
-        _ => return simulate(job),
-    };
+/// Looks one memo miss up in the persistent result store, when one is
+/// configured. A store hit is *not* an executed simulation: no
+/// heartbeat, no `sims_run` bump — only `store_hits` — so the progress
+/// stream carries one heartbeat per simulation actually executed.
+fn load_stored(key: Option<&MemoKey>) -> Option<Report> {
+    let (store, key) = (result_store()?, key?);
     let loaded = {
         let _t = telemetry::scope(Phase::StoreIo);
         store.load(key)
@@ -342,7 +359,7 @@ fn simulate_or_load(job: &Job, key: Option<&MemoKey>) -> Report {
     match loaded {
         ehsim_farm::LoadOutcome::Hit(report) => {
             counters().store_hits.fetch_add(1, Ordering::Relaxed);
-            return *report;
+            return Some(*report);
         }
         ehsim_farm::LoadOutcome::Miss => {
             counters().store_misses.fetch_add(1, Ordering::Relaxed);
@@ -352,10 +369,18 @@ fn simulate_or_load(job: &Job, key: Option<&MemoKey>) -> Report {
             eprintln!("warning: result store entry rejected ({reason}); re-executing");
         }
     }
-    let report = simulate(job);
+    None
+}
+
+/// Refreshes the result store with a freshly executed report
+/// (best-effort).
+fn save_stored(key: Option<&MemoKey>, report: &Report) {
+    let (Some(store), Some(key)) = (result_store(), key) else {
+        return;
+    };
     let saved = {
         let _t = telemetry::scope(Phase::StoreIo);
-        store.save(key, &report)
+        store.save(key, report)
     };
     if let Err(e) = saved {
         eprintln!(
@@ -363,7 +388,65 @@ fn simulate_or_load(job: &Job, key: Option<&MemoKey>) -> Report {
             report.workload
         );
     }
-    report
+}
+
+/// Bound on a lockstep group: the sum of its jobs'
+/// [`Workload::mem_bytes`](ehsim_mem::Workload::mem_bytes). A group
+/// holds one machine, and so one simulated NVM, per job; this keeps
+/// grouping to the small kernels, where the per-op overlap pays and
+/// the extra machines cost little resident memory.
+const GROUP_MEM_BYTES: u64 = 64 * 1024;
+
+/// Most jobs in one lockstep group.
+const GROUP_MAX_JOBS: usize = 8;
+
+/// [`Workload::mem_bytes`](ehsim_mem::Workload::mem_bytes) of workload
+/// `ix` at `scale` (kernels are cheap to construct; their inputs are
+/// built when they run).
+fn workload_mem_bytes(ix: usize, scale: Scale) -> u64 {
+    static SIZES: [OnceLock<Vec<u32>>; 2] = [OnceLock::new(), OnceLock::new()];
+    let cell = match scale {
+        Scale::Small => &SIZES[0],
+        Scale::Default => &SIZES[1],
+    };
+    let sizes = cell.get_or_init(|| {
+        ehsim_workloads::all23(scale)
+            .iter()
+            .map(|w| w.mem_bytes())
+            .collect()
+    });
+    u64::from(sizes[ix])
+}
+
+/// Splits `misses` into units of miss indices: jobs of one
+/// (workload, scale), in submission order, filling a unit until the
+/// next job would break [`GROUP_MEM_BYTES`] or [`GROUP_MAX_JOBS`]. A
+/// kernel larger than the budget runs alone, and so does every job of
+/// the `EHSIM_TRACE_WORKLOAD` kernel, which streams its own timeline.
+fn lockstep_units(misses: &[&Job]) -> Vec<Vec<usize>> {
+    let mut units: Vec<Vec<usize>> = Vec::new();
+    // (workload, scale) -> (open unit, its bytes)
+    let mut open: HashMap<(usize, Scale), (usize, u64)> = HashMap::new();
+    for (i, job) in misses.iter().enumerate() {
+        if trace_workload() == Some(workload_name(job.workload)) {
+            units.push(vec![i]);
+            continue;
+        }
+        let bytes = workload_mem_bytes(job.workload, job.scale);
+        match open.get_mut(&(job.workload, job.scale)) {
+            Some((u, used))
+                if units[*u].len() < GROUP_MAX_JOBS && *used + bytes <= GROUP_MEM_BYTES =>
+            {
+                units[*u].push(i);
+                *used += bytes;
+            }
+            _ => {
+                open.insert((job.workload, job.scale), (units.len(), bytes));
+                units.push(vec![i]);
+            }
+        }
+    }
+    units
 }
 
 enum Slot {
@@ -375,7 +458,11 @@ enum Slot {
 ///
 /// Jobs already in the memo cache are returned without simulating;
 /// duplicate keys within the batch simulate once. The remaining misses
-/// execute on a [`std::thread::scope`] work queue of [`jobs`] workers.
+/// are split into lockstep units (jobs of one kernel under a memory
+/// budget) that execute on a
+/// [`std::thread::scope`] work queue of [`jobs`] workers. The progress
+/// stream is flushed before returning, so a caller that never reaches
+/// [`telemetry::finish_sweep`] still leaves every heartbeat on disk.
 pub fn run_batch(batch: &[Job]) -> Vec<Arc<Report>> {
     // Resolve against the cache and deduplicate within the batch.
     let mut slots: Vec<Slot> = Vec::with_capacity(batch.len());
@@ -412,10 +499,12 @@ pub fn run_batch(batch: &[Job]) -> Vec<Arc<Report>> {
         }
     }
 
-    // Execute the misses on the worker pool.
+    // Execute the misses on the worker pool, one lockstep unit per
+    // claim. Store hits drop out of a unit before it runs.
     let results: Vec<OnceLock<Arc<Report>>> = (0..misses.len()).map(|_| OnceLock::new()).collect();
-    if !misses.is_empty() {
-        let workers = jobs().min(misses.len());
+    let units = lockstep_units(&misses);
+    if !units.is_empty() {
+        let workers = jobs().min(units.len());
         let next = AtomicUsize::new(0);
         // The main thread only waits here; workers profile their own
         // phases on their own scope stacks. Worker-wait is excluded
@@ -424,12 +513,27 @@ pub fn run_batch(batch: &[Job]) -> Vec<Arc<Report>> {
         std::thread::scope(|s| {
             for _ in 0..workers {
                 s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= misses.len() {
+                    let u = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(unit) = units.get(u) else {
                         break;
+                    };
+                    let mut run: Vec<usize> = Vec::with_capacity(unit.len());
+                    for &i in unit {
+                        match load_stored(miss_keys[i].as_ref()) {
+                            Some(report) => {
+                                let _ = results[i].set(Arc::new(report));
+                            }
+                            None => run.push(i),
+                        }
                     }
-                    let report = Arc::new(simulate_or_load(misses[i], miss_keys[i].as_ref()));
-                    let _ = results[i].set(report);
+                    if run.is_empty() {
+                        continue;
+                    }
+                    let jobs: Vec<&Job> = run.iter().map(|&i| misses[i]).collect();
+                    for (&i, report) in run.iter().zip(simulate(&jobs)) {
+                        save_stored(miss_keys[i].as_ref(), &report);
+                        let _ = results[i].set(Arc::new(report));
+                    }
                 });
             }
         });
@@ -452,6 +556,7 @@ pub fn run_batch(batch: &[Job]) -> Vec<Arc<Report>> {
             }
         }
     }
+    telemetry::flush_progress();
     slots
         .into_iter()
         .map(|slot| match slot {

@@ -235,13 +235,22 @@ pub fn sim_clock_start() -> u64 {
 
 /// Executor hook for one *executed* simulation: assigns the completion
 /// ordinal, feeds the per-sim histograms and emits a heartbeat line.
-/// `start_ns` comes from [`sim_clock_start`].
-pub fn sim_completed(design: &str, trace: &str, workload: &str, start_ns: u64, report: &Report) {
+/// `start_ns` comes from [`sim_clock_start`]; the simulation ran in a
+/// lockstep group of `group` jobs, and is charged that share of the
+/// elapsed time.
+pub fn sim_completed(
+    design: &str,
+    trace: &str,
+    workload: &str,
+    start_ns: u64,
+    group: usize,
+    report: &Report,
+) {
     if !active() {
         return;
     }
     let ordinal = ORDINAL.fetch_add(1, Ordering::Relaxed) + 1;
-    let elapsed_ns = now_ns().saturating_sub(start_ns);
+    let elapsed_ns = now_ns().saturating_sub(start_ns) / group.max(1) as u64;
     let instr_per_s = if elapsed_ns == 0 {
         0.0
     } else {
@@ -289,6 +298,15 @@ pub fn registry() -> MetricsRegistry {
     m.set_counter("host_cores", host_cores() as u64);
     m.set_text("engine", crate::exec::ENGINE);
     m
+}
+
+/// Flushes the progress stream, if one is open, through to its file.
+pub fn flush_progress() {
+    if let Some(p) = progress() {
+        if let Ok(mut s) = p.lock() {
+            s.flush();
+        }
+    }
 }
 
 /// Builds the end-of-sweep profile against `wall_ns` and, if a

@@ -47,6 +47,7 @@
 mod config;
 mod design_box;
 mod error;
+mod lockstep;
 mod machine;
 pub mod params;
 mod report;

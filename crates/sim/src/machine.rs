@@ -71,7 +71,7 @@ pub struct Machine {
     drained_pj: Pj,
     instructions: u64,
     outages: u64,
-    /// Settlement windows resolved: one per [`Machine::settle`] call,
+    /// Settlement windows resolved: one per [`Machine::settle_window`] call,
     /// i.e. one per bus op and one per compute chunk. Telemetry only —
     /// nothing simulated reads it.
     settles: u64,
@@ -269,7 +269,7 @@ impl Machine {
     /// (booted, no error), the abort re-raise and first boot out of
     /// line.
     #[inline]
-    fn enter(&mut self) {
+    pub(crate) fn enter(&mut self) {
         if !(self.booted && self.error.is_none()) {
             self.enter_slow();
         }
@@ -374,15 +374,21 @@ impl Machine {
         self.obs.emit(self.now, || Event::PowerOn { interval: 0 });
     }
 
-    /// Energy settlement plus the power-failure check, one window per
-    /// call. The static-energy bookkeeping is inlined into every op;
-    /// the capacitor step and the `Vbackup` check are one out-of-line
-    /// call, made only when failures are enabled, so a failure-free run
-    /// never touches the capacitor.
+    /// The end of an op's access half: counts one settlement window
+    /// and accrues its static energy. Returns the window's `dt`, which
+    /// [`Machine::settle_window`] takes.
     #[inline(always)]
-    fn settle(&mut self) {
+    fn open_window(&mut self) -> Ps {
         self.settles += 1;
-        let dt = self.accrue_static();
+        self.accrue_static()
+    }
+
+    /// An op's settle half: the capacitor step over the window `dt`
+    /// from its access half, then the power-failure check. One
+    /// out-of-line call, made only when failures are enabled, so a
+    /// failure-free run never touches the capacitor.
+    #[inline(always)]
+    pub(crate) fn settle_window(&mut self, dt: Ps) {
         if self.failures_enabled {
             self.settle_capacitor(dt);
         }
@@ -625,21 +631,23 @@ impl Machine {
             self.now = self.now.max(done);
         }
     }
-}
-
-impl Bus for Machine {
-    fn load(&mut self, addr: u32, size: AccessSize) -> u64 {
+    /// A load's access half: the entry check, the design access, the
+    /// retire and the static part of settlement. Returns the loaded
+    /// value and the window for [`Machine::settle_window`].
+    #[inline(always)]
+    pub(crate) fn load_access(&mut self, addr: u32, size: AccessSize) -> (u64, Ps) {
         self.enter();
         let start = self.now;
         let (done, value) = self.with_ctx(|design, ctx| design.load(ctx, addr, size));
         // In-order core: an instruction takes at least one cycle.
         self.now = done.max(start + self.cpu.ps_per_cycle);
         self.retire_instruction();
-        self.settle();
-        value
+        (value, self.open_window())
     }
 
-    fn store(&mut self, addr: u32, size: AccessSize, value: u64) {
+    /// A store's access half; see [`Machine::load_access`].
+    #[inline(always)]
+    pub(crate) fn store_access(&mut self, addr: u32, size: AccessSize, value: u64) -> Ps {
         self.enter();
         let start = self.now;
         let done = self.with_ctx(|design, ctx| design.store(ctx, addr, size, value));
@@ -648,7 +656,40 @@ impl Bus for Machine {
             oracle.write(addr, size, value);
         }
         self.retire_instruction();
-        self.settle();
+        self.open_window()
+    }
+
+    /// The access half of one compute chunk of `chunk` cycles (at most
+    /// [`COMPUTE_CHUNK_CYCLES`]); the caller ran [`Machine::enter`]
+    /// once for the whole compute stretch.
+    #[inline(always)]
+    pub(crate) fn compute_access(&mut self, chunk: u64) -> Ps {
+        self.now += chunk * self.cpu.ps_per_cycle;
+        self.meter.add(
+            EnergyCategory::Compute,
+            chunk as f64 * self.cpu.compute_pj_per_cycle,
+        );
+        self.instructions += chunk;
+        if self.instr_hook {
+            let n = self.instructions;
+            let done = self.with_ctx(|design, ctx| design.on_instructions(ctx, n));
+            self.now = self.now.max(done);
+        }
+        self.open_window()
+    }
+}
+
+/// Each op runs its access half and then its settle half.
+impl Bus for Machine {
+    fn load(&mut self, addr: u32, size: AccessSize) -> u64 {
+        let (value, dt) = self.load_access(addr, size);
+        self.settle_window(dt);
+        value
+    }
+
+    fn store(&mut self, addr: u32, size: AccessSize, value: u64) {
+        let dt = self.store_access(addr, size, value);
+        self.settle_window(dt);
     }
 
     fn compute(&mut self, cycles: u64) {
@@ -657,18 +698,8 @@ impl Bus for Machine {
         while remaining > 0 {
             let chunk = remaining.min(COMPUTE_CHUNK_CYCLES);
             remaining -= chunk;
-            self.now += chunk * self.cpu.ps_per_cycle;
-            self.meter.add(
-                EnergyCategory::Compute,
-                chunk as f64 * self.cpu.compute_pj_per_cycle,
-            );
-            self.instructions += chunk;
-            if self.instr_hook {
-                let n = self.instructions;
-                let done = self.with_ctx(|design, ctx| design.on_instructions(ctx, n));
-                self.now = self.now.max(done);
-            }
-            self.settle();
+            let dt = self.compute_access(chunk);
+            self.settle_window(dt);
         }
     }
 }

@@ -1,5 +1,6 @@
 //! The top-level simulation driver.
 
+use crate::lockstep::Lockstep;
 use crate::machine::{Abort, Machine};
 use crate::report::Report;
 use crate::{SimConfig, SimError};
@@ -86,6 +87,55 @@ impl Simulator {
             }
             Err(payload) => Err(abort_error(&mut machine, payload)),
         }
+    }
+
+    /// Runs `workload` once for every configuration in `cfgs`, as one
+    /// lockstep group: the kernel executes once over a fan-out bus that
+    /// issues each op to every configuration's machine, running all
+    /// access halves before all settle halves so the machines'
+    /// capacitor chains overlap. Results come back in `cfgs` order,
+    /// each bit-identical to [`Simulator::run`] of that configuration.
+    ///
+    /// If any machine aborts, the kernel panics, or a machine loads a
+    /// value that differs from the first machine's, the group is
+    /// dropped and every configuration reruns solo, so errors and
+    /// checksums are exactly those of solo runs. Nothing is observed:
+    /// a run that wants an event timeline goes through
+    /// [`Simulator::run_with`].
+    pub fn run_lockstep(
+        cfgs: &[SimConfig],
+        workload: &dyn Workload,
+    ) -> Vec<Result<Report, SimError>> {
+        Self::run_lockstep_with(cfgs, workload)
+            .into_iter()
+            .map(|r| r.map(|(report, _)| report))
+            .collect()
+    }
+
+    /// [`Simulator::run_lockstep`], returning each configuration's
+    /// machine beside its report, as [`Simulator::run_with`] does.
+    pub fn run_lockstep_with(
+        cfgs: &[SimConfig],
+        workload: &dyn Workload,
+    ) -> Vec<Result<(Report, Machine), SimError>> {
+        if cfgs.len() > 1 {
+            let mut group = Lockstep::new(cfgs, workload.mem_bytes());
+            if let Ok(checksum) = catch_unwind(AssertUnwindSafe(|| workload.run(&mut group))) {
+                return group
+                    .machines
+                    .into_iter()
+                    .zip(cfgs)
+                    .map(|(mut machine, cfg)| {
+                        let report = Report::from_machine(&machine, cfg, workload.name(), checksum);
+                        machine.end_observation();
+                        Ok((report, machine))
+                    })
+                    .collect();
+            }
+        }
+        cfgs.iter()
+            .map(|cfg| Simulator::new(cfg.clone()).run_with(workload, ObserverBox::Noop))
+            .collect()
     }
 
     /// Replays a recorded [`BusTrace`] on a fresh machine.

@@ -2,7 +2,9 @@
 //! rustc and clippy lints; this test keeps them wired in. A crate that
 //! does not opt into the workspace lint table, a lint whose level drops,
 //! a ban that leaves a `clippy.toml`, or a timing crate without the cast
-//! lints fails `cargo test`, not just a review.
+//! lints fails `cargo test`, not just a review. One part of L006 has no
+//! lint: clippy's `f32` ban sees types, not the suffix of a literal
+//! whose type is inferred (`1.0_f32`), so a source scan covers that.
 
 use std::path::{Path, PathBuf};
 
@@ -168,4 +170,78 @@ fn timing_crates_enable_the_cast_lints() {
             lib.display()
         );
     }
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path) -> Vec<PathBuf> {
+    let mut out = Vec::new();
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return out;
+    };
+    for entry in entries.flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            out.extend(rust_files(&path));
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+    out
+}
+
+/// The `f32`-suffixed numeric literals of `line` (`1.0_f32`, `2f32`,
+/// `1e3f32`): an `f32` that ends a token starting with a decimal digit.
+/// Hex literals such as `0x1f32` are integers and do not count.
+fn f32_literals(line: &str) -> Vec<&str> {
+    let b = line.as_bytes();
+    let word = |c: u8| c.is_ascii_alphanumeric() || c == b'_';
+    line.match_indices("f32")
+        .filter_map(|(at, _)| {
+            let end = at + 3;
+            if b.get(end).is_some_and(|&c| word(c)) {
+                return None;
+            }
+            let start = b[..at]
+                .iter()
+                .rposition(|&c| !(word(c) || c == b'.'))
+                .map_or(0, |p| p + 1);
+            let token = &line[start..end];
+            let numeric = token.as_bytes()[0].is_ascii_digit()
+                && !token.starts_with("0x")
+                && !token.starts_with("0X");
+            numeric.then_some(token)
+        })
+        .collect()
+}
+
+#[test]
+fn the_scan_sees_every_f32_literal_spelling() {
+    assert_eq!(
+        f32_literals("let a = 1.0_f32 + 2f32 * 1e3f32;"),
+        ["1.0_f32", "2f32", "1e3f32"]
+    );
+    assert!(f32_literals("let x_f32 = 0x1f32; v.as_f32(); f32::EPSILON").is_empty());
+}
+
+#[test]
+fn timing_crates_have_no_f32_literals() {
+    let root = workspace_root();
+    let mut found = Vec::new();
+    let mut scanned = 0;
+    for name in TIMING_CRATES {
+        for file in rust_files(&root.join("crates").join(name)) {
+            scanned += 1;
+            for (n, line) in read(&file).lines().enumerate() {
+                for lit in f32_literals(line) {
+                    found.push(format!("{}:{}: {lit}", file.display(), n + 1));
+                }
+            }
+        }
+    }
+    assert!(scanned > 20, "walker lost files: {scanned}");
+    assert!(
+        found.is_empty(),
+        "f32 literals in the timing crates (L006):\n{}",
+        found.join("\n")
+    );
 }
