@@ -30,7 +30,6 @@ fn heartbeat_times_sum_to_at_most_workers_times_wall() {
     cfgs.push(SimConfig::wl_cache_dyn().with_trace(TraceKind::Rf1));
     cfgs.push(SimConfig::nvsram());
     cfgs.push(SimConfig::wl_cache());
-    cfgs.truncate(8);
     let batch: Vec<exec::Job> = [0, 12]
         .iter()
         .flat_map(|&w| {

@@ -71,9 +71,9 @@ pub struct Machine {
     drained_pj: Pj,
     instructions: u64,
     outages: u64,
-    /// Settlement windows resolved: one per [`Machine::settle_window`] call,
-    /// i.e. one per bus op and one per compute chunk. Telemetry only —
-    /// nothing simulated reads it.
+    /// Settlement windows resolved: one per [`Machine::settle_window`]
+    /// call, i.e. one per bus op and one per compute chunk. Telemetry
+    /// only — nothing simulated reads it.
     settles: u64,
     off_time_ps: Ps,
     checkpoint_time_ps: Ps,
@@ -631,6 +631,7 @@ impl Machine {
             self.now = self.now.max(done);
         }
     }
+
     /// A load's access half: the entry check, the design access, the
     /// retire and the static part of settlement. Returns the loaded
     /// value and the window for [`Machine::settle_window`].
