@@ -459,10 +459,10 @@ enum Slot {
 /// Jobs already in the memo cache are returned without simulating;
 /// duplicate keys within the batch simulate once. The remaining misses
 /// are split into lockstep units (jobs of one kernel under a memory
-/// budget) that execute on a
-/// [`std::thread::scope`] work queue of [`jobs`] workers. The progress
-/// stream is flushed before returning, so a caller that never reaches
-/// [`telemetry::finish_sweep`] still leaves every heartbeat on disk.
+/// budget) that execute on a [`std::thread::scope`] work queue of
+/// [`jobs`] workers. The progress stream is flushed before returning,
+/// so a caller that never reaches [`telemetry::finish_sweep`] still
+/// leaves every heartbeat on disk.
 pub fn run_batch(batch: &[Job]) -> Vec<Arc<Report>> {
     // Resolve against the cache and deduplicate within the batch.
     let mut slots: Vec<Slot> = Vec::with_capacity(batch.len());
@@ -612,6 +612,37 @@ mod tests {
         let a = memo_key(&Job::new(SimConfig::wl_cache(), 3, Scale::Small));
         let b = memo_key(&Job::new(SimConfig::wl_cache(), 3, Scale::Small));
         assert_eq!(a, b);
+    }
+
+    /// Units keep to one kernel and scale, fill in submission order,
+    /// and stop at the job cap or the memory budget.
+    #[test]
+    fn lockstep_units_respect_the_budget() {
+        let cfg = SimConfig::wl_cache();
+        // Small sha (4 KiB): ten jobs fill a unit of 8, then one of 2;
+        // a Small qsort job in between gets its own unit.
+        let mut jobs: Vec<Job> = (0..10)
+            .map(|_| Job::new(cfg.clone(), 12, Scale::Small))
+            .collect();
+        jobs.insert(3, Job::new(cfg.clone(), 16, Scale::Small));
+        // Default gsmdecode (14 KiB): 4 fit in 64 KiB. Default sha
+        // (384 KiB) runs alone.
+        jobs.extend((0..5).map(|_| Job::new(cfg.clone(), 5, Scale::Default)));
+        jobs.extend((0..2).map(|_| Job::new(cfg.clone(), 12, Scale::Default)));
+        let refs: Vec<&Job> = jobs.iter().collect();
+        let units = lockstep_units(&refs);
+        assert_eq!(
+            units,
+            [
+                vec![0, 1, 2, 4, 5, 6, 7, 8],
+                vec![3],
+                vec![9, 10],
+                vec![11, 12, 13, 14],
+                vec![15],
+                vec![16],
+                vec![17],
+            ]
+        );
     }
 
     #[test]
