@@ -12,12 +12,12 @@
 //!
 //! **Direct execution in lockstep groups.** Every simulation runs its
 //! kernel on the simulated machine. A batch's misses of one kernel and
-//! scale run as one lockstep group ([`ehsim::Simulator::run_lockstep`]):
-//! the kernel executes once and drives every member's machine, whose
-//! reports are bit-identical to solo runs. A group is bounded by 64 KiB
-//! of simulated memory (the sum of its kernels' `mem_bytes`) and 8
-//! jobs, so a sweep's footprint is at most one group of machines per worker
-//! plus the memo. Jobs whose kernel is `EHSIM_TRACE_WORKLOAD` run solo.
+//! scale run as lockstep groups of up to 8 jobs
+//! ([`ehsim::Simulator::run_lockstep`]): the kernel executes once and
+//! drives every member's machine, whose reports are bit-identical to
+//! solo runs. A group's members share one simulated NVM, so a sweep's
+//! footprint is at most one group per worker plus the memo. Jobs whose
+//! kernel is `EHSIM_TRACE_WORKLOAD` run solo.
 //!
 //! **Persistent result store.** `EHSIM_RESULT_STORE=<dir>` persists
 //! completed *reports* across processes in
@@ -390,58 +390,27 @@ fn save_stored(key: Option<&MemoKey>, report: &Report) {
     }
 }
 
-/// Bound on a lockstep group: the sum of its jobs'
-/// [`Workload::mem_bytes`](ehsim_mem::Workload::mem_bytes). A group
-/// holds one machine, and so one simulated NVM, per job; this keeps
-/// grouping to the small kernels, where the per-op overlap pays and
-/// the extra machines cost little resident memory.
-const GROUP_MEM_BYTES: u64 = 64 * 1024;
-
 /// Most jobs in one lockstep group.
 const GROUP_MAX_JOBS: usize = 8;
 
-/// [`Workload::mem_bytes`](ehsim_mem::Workload::mem_bytes) of workload
-/// `ix` at `scale` (kernels are cheap to construct; their inputs are
-/// built when they run).
-fn workload_mem_bytes(ix: usize, scale: Scale) -> u64 {
-    static SIZES: [OnceLock<Vec<u32>>; 2] = [OnceLock::new(), OnceLock::new()];
-    let cell = match scale {
-        Scale::Small => &SIZES[0],
-        Scale::Default => &SIZES[1],
-    };
-    let sizes = cell.get_or_init(|| {
-        ehsim_workloads::all23(scale)
-            .iter()
-            .map(|w| w.mem_bytes())
-            .collect()
-    });
-    u64::from(sizes[ix])
-}
-
 /// Splits `misses` into units of miss indices: jobs of one
-/// (workload, scale), in submission order, filling a unit until the
-/// next job would break [`GROUP_MEM_BYTES`] or [`GROUP_MAX_JOBS`]. A
-/// kernel larger than the budget runs alone, and so does every job of
-/// the `EHSIM_TRACE_WORKLOAD` kernel, which streams its own timeline.
-fn lockstep_units(misses: &[&Job]) -> Vec<Vec<usize>> {
+/// (workload, scale), in submission order, filling a unit until it
+/// holds [`GROUP_MAX_JOBS`]. Every job of the `traced` kernel
+/// (`EHSIM_TRACE_WORKLOAD`), which streams its own timeline, runs
+/// alone.
+fn lockstep_units(misses: &[&Job], traced: Option<&str>) -> Vec<Vec<usize>> {
     let mut units: Vec<Vec<usize>> = Vec::new();
-    // (workload, scale) -> (open unit, its bytes)
-    let mut open: HashMap<(usize, Scale), (usize, u64)> = HashMap::new();
+    // (workload, scale) -> its open unit
+    let mut open: HashMap<(usize, Scale), usize> = HashMap::new();
     for (i, job) in misses.iter().enumerate() {
-        if trace_workload() == Some(workload_name(job.workload)) {
+        if traced == Some(workload_name(job.workload)) {
             units.push(vec![i]);
             continue;
         }
-        let bytes = workload_mem_bytes(job.workload, job.scale);
-        match open.get_mut(&(job.workload, job.scale)) {
-            Some((u, used))
-                if units[*u].len() < GROUP_MAX_JOBS && *used + bytes <= GROUP_MEM_BYTES =>
-            {
-                units[*u].push(i);
-                *used += bytes;
-            }
+        match open.get(&(job.workload, job.scale)) {
+            Some(&u) if units[u].len() < GROUP_MAX_JOBS => units[u].push(i),
             _ => {
-                open.insert((job.workload, job.scale), (units.len(), bytes));
+                open.insert((job.workload, job.scale), units.len());
                 units.push(vec![i]);
             }
         }
@@ -458,8 +427,8 @@ enum Slot {
 ///
 /// Jobs already in the memo cache are returned without simulating;
 /// duplicate keys within the batch simulate once. The remaining misses
-/// are split into lockstep units (jobs of one kernel under a memory
-/// budget) that execute on a [`std::thread::scope`] work queue of
+/// are split into lockstep units (up to [`GROUP_MAX_JOBS`] jobs of one
+/// kernel) that execute on a [`std::thread::scope`] work queue of
 /// [`jobs`] workers. The progress stream is flushed before returning,
 /// so a caller that never reaches [`telemetry::finish_sweep`] still
 /// leaves every heartbeat on disk.
@@ -502,7 +471,7 @@ pub fn run_batch(batch: &[Job]) -> Vec<Arc<Report>> {
     // Execute the misses on the worker pool, one lockstep unit per
     // claim. Store hits drop out of a unit before it runs.
     let results: Vec<OnceLock<Arc<Report>>> = (0..misses.len()).map(|_| OnceLock::new()).collect();
-    let units = lockstep_units(&misses);
+    let units = lockstep_units(&misses, trace_workload());
     if !units.is_empty() {
         let workers = jobs().min(units.len());
         let next = AtomicUsize::new(0);
@@ -614,35 +583,37 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// Units keep to one kernel and scale, fill in submission order,
-    /// and stop at the job cap or the memory budget.
+    /// Units keep to one kernel and scale, fill in submission order up
+    /// to the job cap whatever the kernel's size, and leave every job
+    /// of the traced kernel alone.
     #[test]
-    fn lockstep_units_respect_the_budget() {
+    fn lockstep_units_fill_to_the_job_cap() {
         let cfg = SimConfig::wl_cache();
-        // Small sha (4 KiB): ten jobs fill a unit of 8, then one of 2;
-        // a Small qsort job in between gets its own unit.
+        // Small sha: ten jobs fill a unit of 8, then one of 2; a Small
+        // qsort job in between gets its own unit.
         let mut jobs: Vec<Job> = (0..10)
             .map(|_| Job::new(cfg.clone(), 12, Scale::Small))
             .collect();
         jobs.insert(3, Job::new(cfg.clone(), 16, Scale::Small));
-        // Default gsmdecode (14 KiB): 4 fit in 64 KiB. Default sha
-        // (384 KiB) runs alone.
-        jobs.extend((0..5).map(|_| Job::new(cfg.clone(), 5, Scale::Default)));
-        jobs.extend((0..2).map(|_| Job::new(cfg.clone(), 12, Scale::Default)));
+        // Default sha (384 KiB) groups like any other kernel.
+        jobs.extend((0..5).map(|_| Job::new(cfg.clone(), 12, Scale::Default)));
+        // Default qsort, the traced kernel: each job alone.
+        jobs.extend((0..2).map(|_| Job::new(cfg.clone(), 16, Scale::Default)));
         let refs: Vec<&Job> = jobs.iter().collect();
-        let units = lockstep_units(&refs);
+        let units = lockstep_units(&refs, Some(workload_name(16)));
         assert_eq!(
             units,
             [
                 vec![0, 1, 2, 4, 5, 6, 7, 8],
                 vec![3],
                 vec![9, 10],
-                vec![11, 12, 13, 14],
-                vec![15],
+                vec![11, 12, 13, 14, 15],
                 vec![16],
                 vec![17],
             ]
         );
+        // Untraced, the two qsort jobs share a unit.
+        assert_eq!(lockstep_units(&refs, None).last(), Some(&vec![16, 17]));
     }
 
     #[test]

@@ -4,14 +4,39 @@
 //! field-for-field equal to a direct [`ehsim::Simulator::run`] of each
 //! job (through [`ehsim_bench::run`]), for every design and harvesting
 //! trace — regardless of worker count, memo state, or submission
-//! order. The rendered figure TSVs are pinned by `pinned_goldens`; this
-//! test compares the full [`ehsim::Report`] structs, so a divergence in
-//! any statistic that happens not to be printed still fails.
+//! order, and however the batch falls into lockstep groups. The
+//! rendered figure TSVs are pinned by `pinned_goldens`; this test
+//! compares the full [`ehsim::Report`] structs, so a divergence in any
+//! statistic that happens not to be printed still fails.
 
 use ehsim::SimConfig;
 use ehsim_bench::exec::{run_batch, Job};
 use ehsim_energy::TraceKind;
 use ehsim_workloads::Scale;
+
+/// Asserts that every report of `batch` from the engine equals a direct
+/// run of its job; returns the engine's reports.
+fn assert_engine_matches_direct(batch: &[Job], scale: Scale) -> Vec<std::sync::Arc<ehsim::Report>> {
+    // Engine side: parallel workers plus the memo cache.
+    let engine = run_batch(batch);
+
+    // Reference: one fresh simulator per job, outside the executor.
+    let workloads = ehsim_workloads::all23(scale);
+    assert_eq!(engine.len(), batch.len());
+    for (job, e) in batch.iter().zip(&engine) {
+        let w = workloads[job.workload].as_ref();
+        let direct = ehsim_bench::run(job.cfg.clone(), w);
+        assert_eq!(
+            **e,
+            direct,
+            "engine and direct reports differ for {} on {} / {}",
+            job.cfg.design.label(),
+            job.cfg.trace_label(),
+            w.name()
+        );
+    }
+    engine
+}
 
 #[test]
 fn engine_reports_match_direct_runs() {
@@ -32,22 +57,30 @@ fn engine_reports_match_direct_runs() {
         .collect();
     batch.push(batch[0].clone());
 
-    // Engine side: parallel workers plus the memo cache.
-    let engine = run_batch(&batch);
-
-    // Reference: one fresh simulator per job, outside the executor.
-    let workloads = ehsim_workloads::all23(Scale::Small);
-    assert_eq!(engine.len(), batch.len());
-    for (job, e) in batch.iter().zip(&engine) {
-        let direct = ehsim_bench::run(job.cfg.clone(), workloads[job.workload].as_ref());
-        assert_eq!(
-            **e,
-            direct,
-            "engine and direct reports differ for {} on {}",
-            job.cfg.design.label(),
-            job.cfg.trace_label()
-        );
-    }
+    let engine = assert_engine_matches_direct(&batch, Scale::Small);
     // The duplicated head job must have produced the identical report.
     assert_eq!(engine[0], engine[batch.len() - 1]);
+}
+
+/// Two large Default-scale kernels (`sha`, 384 KiB of memory, and
+/// `jpegdecode`, 250 KiB), every design on tr.3: each kernel's jobs run
+/// as one lockstep group on one shared NVM, and every member's report
+/// must still equal its direct run.
+#[test]
+fn large_kernels_group_on_a_shared_nvm_and_match_direct_runs() {
+    let names: Vec<String> = ehsim_workloads::all23(Scale::Default)
+        .iter()
+        .map(|w| w.name().to_string())
+        .collect();
+    let index = |name: &str| names.iter().position(|n| n == name).expect(name);
+    let mut cfgs = SimConfig::all_designs();
+    cfgs.push(SimConfig::wl_cache_dyn());
+    let batch: Vec<Job> = [index("sha"), index("jpegdecode")]
+        .into_iter()
+        .flat_map(|w| {
+            cfgs.iter()
+                .map(move |cfg| Job::new(cfg.clone().with_trace(TraceKind::Rf3), w, Scale::Default))
+        })
+        .collect();
+    assert_engine_matches_direct(&batch, Scale::Default);
 }

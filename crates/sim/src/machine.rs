@@ -12,10 +12,19 @@ use ehsim_energy::{
 use ehsim_mem::{ps_to_f64, AccessSize, Bus, FunctionalMem, NvmPort, Pj, Ps};
 use ehsim_obs::{Event, ObserverBox};
 
-/// Panic payload used to abort a run from inside the [`Bus`] methods
+/// Unwind payload used to abort a run from inside the [`Bus`] methods
 /// (which cannot return `Result`); `Simulator::run` catches it and
-/// surfaces the recorded [`SimError`].
+/// surfaces the recorded [`SimError`]. It is raised with
+/// [`std::panic::resume_unwind`], so an expected abort never reaches
+/// the panic hook and prints nothing.
 pub(crate) struct Abort;
+
+/// The NVM size of a machine for `cfg` running a kernel of `mem_bytes`:
+/// at least one cache line, rounded up to whole lines.
+pub(crate) fn nvm_bytes(cfg: &SimConfig, mem_bytes: u32) -> u32 {
+    let line = cfg.geometry.line_bytes();
+    mem_bytes.max(line).div_ceil(line) * line
+}
 
 /// The energy-harvesting machine: an in-order core, one cache design,
 /// NVM main memory, and a capacitor fed by a harvesting trace.
@@ -44,6 +53,9 @@ pub struct Machine {
     /// only); when false, `retire_instruction` skips building a
     /// [`MemCtx`] — the default hook returns `ctx.now` unchanged.
     instr_hook: bool,
+    /// Present only under [`SimConfig::verify`]. A verifying machine
+    /// always runs on its own `nvm`, whose write tracker the checker
+    /// drains.
     verify_oracle: Option<FunctionalMem>,
     /// Line size used by the incremental consistency checker's write
     /// tracking (one cache line).
@@ -91,9 +103,31 @@ impl Machine {
     /// [`Machine::new`] with an event sink attached. The observer only
     /// watches — simulated results are identical to an unobserved run.
     pub fn with_observer(cfg: &SimConfig, mem_bytes: u32, obs: ObserverBox) -> Self {
+        Self::build(cfg, nvm_bytes(cfg, mem_bytes), obs)
+    }
+
+    /// A lockstep-group member for a kernel of `mem_bytes`. A verifying
+    /// member keeps its own NVM; any other member gets none and runs on
+    /// the group's (see [`Machine::shares_nvm`]).
+    pub(crate) fn member(cfg: &SimConfig, mem_bytes: u32) -> Self {
+        let size = if cfg.verify {
+            nvm_bytes(cfg, mem_bytes)
+        } else {
+            0
+        };
+        Self::build(cfg, size, ObserverBox::Noop)
+    }
+
+    /// Whether a group drives this machine with the group's NVM: every
+    /// member but a verifying one, whose checker needs its own.
+    #[inline(always)]
+    pub(crate) fn shares_nvm(&self) -> bool {
+        self.verify_oracle.is_none()
+    }
+
+    fn build(cfg: &SimConfig, size: u32, obs: ObserverBox) -> Self {
         let design = DesignBox::from_config(cfg);
         let line = cfg.geometry.line_bytes();
-        let size = mem_bytes.max(line).div_ceil(line) * line;
         let failures = cfg.custom_trace.is_some() || cfg.trace != TraceKind::None;
         let mut cap = Capacitor::with_uf(cfg.capacitor_uf, 2.8, 3.5);
         // With failures enabled, the node starts unpowered and must
@@ -262,7 +296,7 @@ impl Machine {
 
     fn abort(&mut self, e: SimError) -> ! {
         self.error = Some(e);
-        std::panic::panic_any(Abort)
+        std::panic::resume_unwind(Box::new(Abort))
     }
 
     /// Entry check of every [`Bus`] op: one branch on the common path
@@ -279,7 +313,7 @@ impl Machine {
     #[inline(never)]
     fn enter_slow(&mut self) {
         if self.error.is_some() {
-            std::panic::panic_any(Abort)
+            std::panic::resume_unwind(Box::new(Abort))
         }
         self.boot();
     }
@@ -386,30 +420,31 @@ impl Machine {
     /// An op's settle half: the capacitor step over the window `dt`
     /// from its access half, then the power-failure check. One
     /// out-of-line call, made only when failures are enabled, so a
-    /// failure-free run never touches the capacitor.
+    /// failure-free run never touches the capacitor. `group_nvm` is as
+    /// in [`Machine::with_ctx`].
     #[inline(always)]
-    pub(crate) fn settle_window(&mut self, dt: Ps) {
+    pub(crate) fn settle_window(&mut self, group_nvm: Option<&mut FunctionalMem>, dt: Ps) {
         if self.failures_enabled {
-            self.settle_capacitor(dt);
+            self.settle_capacitor(group_nvm, dt);
         }
     }
 
     /// The capacitor step of one settlement window, then the
     /// power-failure check.
     #[inline(never)]
-    fn settle_capacitor(&mut self, dt: Ps) {
+    fn settle_capacitor(&mut self, mut group_nvm: Option<&mut FunctionalMem>, dt: Ps) {
         self.step_capacitor(dt);
         // `Vbackup` must be re-read from the design on every check:
         // WL-Cache(dyn) raises it mid-run via the opportunistic
         // dynamic `maxline` raise, not only at reboot.
         while self.cap.voltage() < self.design.thresholds().v_backup {
-            self.power_failure();
+            self.power_failure(group_nvm.as_deref_mut());
         }
     }
 
     /// The full outage protocol (§3.2): checkpoint, verify, power off,
     /// recharge to `Von`, reboot, adapt.
-    fn power_failure(&mut self) {
+    fn power_failure(&mut self, mut group_nvm: Option<&mut FunctionalMem>) {
         if self.outages >= self.max_outages {
             self.abort(SimError::TooManyOutages {
                 limit: self.max_outages,
@@ -427,7 +462,9 @@ impl Machine {
         let ckpt_lines_before = self.stats.checkpoint_lines;
 
         // JIT checkpoint: dirty lines (design-specific) + registers.
-        let done = self.with_ctx(|design, ctx| design.checkpoint(ctx));
+        let done = self.with_ctx(group_nvm.as_deref_mut(), |design, ctx| {
+            design.checkpoint(ctx)
+        });
         self.now = done + self.cpu.reg_checkpoint_ps;
         self.meter
             .add(EnergyCategory::Compute, self.cpu.reg_checkpoint_pj);
@@ -465,7 +502,7 @@ impl Machine {
 
         // Reboot: restore registers, warm/cold cache, adapt thresholds.
         let boot_start = self.now;
-        let done = self.with_ctx(|design, ctx| design.reboot(ctx, on_time));
+        let done = self.with_ctx(group_nvm, |design, ctx| design.reboot(ctx, on_time));
         self.now = done + self.cpu.reg_restore_ps;
         self.meter
             .add(EnergyCategory::Compute, self.cpu.reg_restore_pj);
@@ -602,16 +639,22 @@ impl Machine {
     /// Runs `f` with a fresh [`MemCtx`] at the current time; returns
     /// `f`'s result (usually a completion time). Every run of design
     /// code goes through here: loads, stores, `on_instructions`,
-    /// checkpoint and reboot.
+    /// checkpoint and reboot. The design reads and writes `group_nvm`
+    /// when given — a lockstep group's NVM, see `crate::lockstep` —
+    /// and the machine's own NVM otherwise.
     #[inline(always)]
-    fn with_ctx<R>(&mut self, f: impl FnOnce(&mut DesignBox, &mut MemCtx<'_>) -> R) -> R {
+    fn with_ctx<R>(
+        &mut self,
+        group_nvm: Option<&mut FunctionalMem>,
+        f: impl FnOnce(&mut DesignBox, &mut MemCtx<'_>) -> R,
+    ) -> R {
         let cap_voltage = self.cap.voltage();
         let mut ctx = MemCtx {
             now: self.now,
             port: &mut self.port,
             timing: &self.timing,
             energy: &self.energy,
-            nvm: &mut self.nvm,
+            nvm: group_nvm.unwrap_or(&mut self.nvm),
             meter: &mut self.meter,
             stats: &mut self.stats,
             cap_voltage,
@@ -621,42 +664,58 @@ impl Machine {
     }
 
     #[inline(always)]
-    fn retire_instruction(&mut self) {
+    fn retire_instruction(&mut self, group_nvm: Option<&mut FunctionalMem>) {
         self.instructions += 1;
         self.meter
             .add(EnergyCategory::Compute, self.cpu.compute_pj_per_cycle);
         if self.instr_hook {
             let n = self.instructions;
-            let done = self.with_ctx(|design, ctx| design.on_instructions(ctx, n));
+            let done = self.with_ctx(group_nvm, |design, ctx| design.on_instructions(ctx, n));
             self.now = self.now.max(done);
         }
     }
 
     /// A load's access half: the entry check, the design access, the
     /// retire and the static part of settlement. Returns the loaded
-    /// value and the window for [`Machine::settle_window`].
+    /// value and the window for [`Machine::settle_window`]. `group_nvm`
+    /// is as in [`Machine::with_ctx`].
     #[inline(always)]
-    pub(crate) fn load_access(&mut self, addr: u32, size: AccessSize) -> (u64, Ps) {
+    pub(crate) fn load_access(
+        &mut self,
+        mut group_nvm: Option<&mut FunctionalMem>,
+        addr: u32,
+        size: AccessSize,
+    ) -> (u64, Ps) {
         self.enter();
         let start = self.now;
-        let (done, value) = self.with_ctx(|design, ctx| design.load(ctx, addr, size));
+        let (done, value) = self.with_ctx(group_nvm.as_deref_mut(), |design, ctx| {
+            design.load(ctx, addr, size)
+        });
         // In-order core: an instruction takes at least one cycle.
         self.now = done.max(start + self.cpu.ps_per_cycle);
-        self.retire_instruction();
+        self.retire_instruction(group_nvm);
         (value, self.open_window())
     }
 
     /// A store's access half; see [`Machine::load_access`].
     #[inline(always)]
-    pub(crate) fn store_access(&mut self, addr: u32, size: AccessSize, value: u64) -> Ps {
+    pub(crate) fn store_access(
+        &mut self,
+        mut group_nvm: Option<&mut FunctionalMem>,
+        addr: u32,
+        size: AccessSize,
+        value: u64,
+    ) -> Ps {
         self.enter();
         let start = self.now;
-        let done = self.with_ctx(|design, ctx| design.store(ctx, addr, size, value));
+        let done = self.with_ctx(group_nvm.as_deref_mut(), |design, ctx| {
+            design.store(ctx, addr, size, value)
+        });
         self.now = done.max(start + self.cpu.ps_per_cycle);
         if let Some(oracle) = &mut self.verify_oracle {
             oracle.write(addr, size, value);
         }
-        self.retire_instruction();
+        self.retire_instruction(group_nvm);
         self.open_window()
     }
 
@@ -664,7 +723,11 @@ impl Machine {
     /// [`COMPUTE_CHUNK_CYCLES`]); the caller ran [`Machine::enter`]
     /// once for the whole compute stretch.
     #[inline(always)]
-    pub(crate) fn compute_access(&mut self, chunk: u64) -> Ps {
+    pub(crate) fn compute_access(
+        &mut self,
+        group_nvm: Option<&mut FunctionalMem>,
+        chunk: u64,
+    ) -> Ps {
         self.now += chunk * self.cpu.ps_per_cycle;
         self.meter.add(
             EnergyCategory::Compute,
@@ -673,24 +736,25 @@ impl Machine {
         self.instructions += chunk;
         if self.instr_hook {
             let n = self.instructions;
-            let done = self.with_ctx(|design, ctx| design.on_instructions(ctx, n));
+            let done = self.with_ctx(group_nvm, |design, ctx| design.on_instructions(ctx, n));
             self.now = self.now.max(done);
         }
         self.open_window()
     }
 }
 
-/// Each op runs its access half and then its settle half.
+/// Each op runs its access half and then its settle half, on the
+/// machine's own NVM.
 impl Bus for Machine {
     fn load(&mut self, addr: u32, size: AccessSize) -> u64 {
-        let (value, dt) = self.load_access(addr, size);
-        self.settle_window(dt);
+        let (value, dt) = self.load_access(None, addr, size);
+        self.settle_window(None, dt);
         value
     }
 
     fn store(&mut self, addr: u32, size: AccessSize, value: u64) {
-        let dt = self.store_access(addr, size, value);
-        self.settle_window(dt);
+        let dt = self.store_access(None, addr, size, value);
+        self.settle_window(None, dt);
     }
 
     fn compute(&mut self, cycles: u64) {
@@ -699,8 +763,8 @@ impl Bus for Machine {
         while remaining > 0 {
             let chunk = remaining.min(COMPUTE_CHUNK_CYCLES);
             remaining -= chunk;
-            let dt = self.compute_access(chunk);
-            self.settle_window(dt);
+            let dt = self.compute_access(None, chunk);
+            self.settle_window(None, dt);
         }
     }
 }

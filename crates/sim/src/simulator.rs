@@ -95,6 +95,9 @@ impl Simulator {
     /// access halves before all settle halves so the machines'
     /// capacitor chains overlap. Results come back in `cfgs` order,
     /// each bit-identical to [`Simulator::run`] of that configuration.
+    /// The machines share one simulated NVM, except those of verifying
+    /// configurations ([`SimConfig::verify`]), which keep their own;
+    /// the `lockstep` module docs give the exactness argument.
     ///
     /// If any machine aborts, the kernel panics, or a machine loads a
     /// value that differs from the first machine's, the group is

@@ -1,42 +1,46 @@
 //! Lockstep groups: one kernel run driving several configurations'
 //! machines (`Simulator::run_lockstep`) must give every member exactly
-//! the `Report` — or the `SimError` — a solo `Simulator::run` gives.
+//! the `Report` — or the `SimError` — a solo `Simulator::run` gives,
+//! whether a member runs on the group's shared NVM or, under
+//! `with_verify()`, on its own.
 
 use std::cell::Cell;
-use std::sync::Once;
 use wl_cache_repro::ehsim::{SimConfig as Cfg, SimError};
 use wl_cache_repro::ehsim_cache::CacheGeometry;
 use wl_cache_repro::prelude::*;
 
-thread_local! {
-    /// Panics raised on this thread, counted by the hook below.
-    static PANICS: Cell<u64> = const { Cell::new(0) };
+/// A kernel that counts its runs. A group that ran in lockstep to the
+/// end ran it once; a group that fell back to solo runs ran it once
+/// more per member.
+struct Counted<'a> {
+    inner: &'a dyn Workload,
+    runs: Cell<usize>,
 }
 
-/// Runs `f` and says whether it panicked (and caught it) on the way.
-/// A group falls back to solo runs only after a panic — an aborting
-/// machine, a kernel panic or a diverging load — so a group that ran
-/// panic-free ran in lockstep to the end.
-fn panicked_during<R>(f: impl FnOnce() -> R) -> (R, bool) {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let default = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            PANICS.with(|p| p.set(p.get() + 1));
-            default(info);
-        }));
-    });
-    let before = PANICS.with(Cell::get);
-    let r = f();
-    (r, PANICS.with(Cell::get) != before)
+impl Workload for Counted<'_> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn mem_bytes(&self) -> u32 {
+        self.inner.mem_bytes()
+    }
+    fn run(&self, bus: &mut dyn Bus) -> u64 {
+        self.runs.set(self.runs.get() + 1);
+        self.inner.run(bus)
+    }
 }
 
 /// Asserts that `run_lockstep(cfgs, w)` equals solo runs of `cfgs`,
 /// field for field, error for error, and that it fell back to solo runs
 /// only when `falls_back`; returns the solo outcomes.
 fn check_group(cfgs: &[Cfg], w: &dyn Workload, falls_back: bool) -> Vec<Result<Report, SimError>> {
-    let (grouped, fell_back) = panicked_during(|| Simulator::run_lockstep(cfgs, w));
-    assert_eq!(fell_back, falls_back, "group fallback on {}", w.name());
+    let counted = Counted {
+        inner: w,
+        runs: Cell::new(0),
+    };
+    let grouped = Simulator::run_lockstep(cfgs, &counted);
+    let runs = if falls_back { 1 + cfgs.len() } else { 1 };
+    assert_eq!(counted.runs.get(), runs, "kernel runs on {}", w.name());
     assert_eq!(grouped.len(), cfgs.len());
     cfgs.iter()
         .zip(grouped)
@@ -62,22 +66,26 @@ fn assert_matches_solo(cfgs: &[Cfg], w: &dyn Workload) -> Vec<Result<Report, Sim
 
 /// Stores, loads and compute stretches of up to several
 /// `COMPUTE_CHUNK_CYCLES` chunks (the 23 kernels issue only short
-/// ones).
-struct LongCompute;
+/// ones), over `bytes` of memory.
+struct LongCompute {
+    bytes: u32,
+}
+
+const LONG_COMPUTE: LongCompute = LongCompute { bytes: 4096 };
 
 impl Workload for LongCompute {
     fn name(&self) -> &str {
         "long-compute"
     }
     fn mem_bytes(&self) -> u32 {
-        4096
+        self.bytes
     }
     fn run(&self, bus: &mut dyn Bus) -> u64 {
         let mut acc = 0u64;
         for i in 0..3_000u32 {
-            bus.store_u32((i * 68) % 4096, i);
+            bus.store_u32((i * 68) % self.bytes, i);
             bus.compute(u64::from(i % 5) * 2_000 + 7);
-            acc = acc.wrapping_add(u64::from(bus.load_u32((i * 36) % 4096)));
+            acc = acc.wrapping_add(u64::from(bus.load_u32((i * 36) % self.bytes)));
         }
         acc
     }
@@ -89,53 +97,110 @@ fn designs() -> Vec<Cfg> {
     cfgs
 }
 
-#[test]
-fn every_design_matches_solo_on_each_trace() {
+/// Every design on each trace, each member finished by `finish`.
+fn design_trace_grid(finish: fn(Cfg) -> Cfg) {
     let workloads: Vec<Box<dyn Workload>> = vec![Box::new(Qsort::small()), Box::new(Sha::small())];
     for w in &workloads {
         for trace in [TraceKind::None, TraceKind::Rf1, TraceKind::Rf3] {
             let cfgs: Vec<Cfg> = designs()
                 .into_iter()
-                .map(|c| c.with_trace(trace).with_verify())
+                .map(|c| finish(c.with_trace(trace)))
                 .collect();
             assert_matches_solo(&cfgs, w.as_ref());
         }
     }
 }
 
-/// The settle half's outage protocol (checkpoint, verify, recharge,
-/// restore) runs inside the group for every member.
-#[test]
-fn every_design_matches_solo_through_outages() {
-    let w = AdpcmDecode::new(60_000);
+/// Every design on a 0.1 µF buffer under tr.3, each member finished by
+/// `finish`, running `w`: every member must see outages.
+fn through_outages(w: &dyn Workload, finish: fn(Cfg) -> Cfg) {
     let cfgs: Vec<Cfg> = designs()
         .into_iter()
-        .map(|c| {
-            c.with_capacitor_uf(0.1)
-                .with_trace(TraceKind::Rf3)
-                .with_verify()
-        })
+        .map(|c| finish(c.with_capacitor_uf(0.1).with_trace(TraceKind::Rf3)))
         .collect();
-    for (cfg, solo) in cfgs.iter().zip(assert_matches_solo(&cfgs, &w)) {
+    for (cfg, solo) in cfgs.iter().zip(assert_matches_solo(&cfgs, w)) {
         let outages = solo.map(|r| r.outages).unwrap_or_default();
         assert!(outages > 0, "{}: no outage exercised", cfg.design.label());
     }
 }
 
+/// Leaves a configuration as it is: the member runs on the group's NVM.
+fn shared(cfg: Cfg) -> Cfg {
+    cfg
+}
+
+#[test]
+fn every_design_matches_solo_on_each_trace() {
+    design_trace_grid(Cfg::with_verify);
+}
+
+#[test]
+fn every_design_matches_solo_on_each_trace_on_a_shared_nvm() {
+    design_trace_grid(shared);
+}
+
+/// The settle half's outage protocol (checkpoint, verify, recharge,
+/// restore) runs inside the group for every member.
+#[test]
+fn every_design_matches_solo_through_outages() {
+    through_outages(&AdpcmDecode::new(60_000), Cfg::with_verify);
+}
+
+/// Checkpoints and reboots write and read the group's NVM.
+#[test]
+fn every_design_matches_solo_through_outages_on_a_shared_nvm() {
+    through_outages(&AdpcmDecode::new(60_000), shared);
+}
+
 #[test]
 fn long_compute_stretches_match_solo() {
+    through_outages(&LONG_COMPUTE, Cfg::with_verify);
+}
+
+#[test]
+fn long_compute_stretches_match_solo_on_a_shared_nvm() {
+    through_outages(&LONG_COMPUTE, shared);
+}
+
+/// A kernel of 4064 B rounds to 4064 B of NVM on 32 B lines and to
+/// 4096 B on 64 B lines; the group's NVM takes the larger.
+#[test]
+fn a_group_mixing_32_and_64_byte_lines_matches_solo() {
+    let w = LongCompute { bytes: 4064 };
+    let line32 = CacheGeometry::new(1024, 2, 32);
     let cfgs: Vec<Cfg> = designs()
         .into_iter()
-        .map(|c| {
-            c.with_capacitor_uf(0.1)
-                .with_trace(TraceKind::Rf3)
-                .with_verify()
+        .enumerate()
+        .map(|(i, c)| {
+            let c = c.with_capacitor_uf(0.1).with_trace(TraceKind::Rf3);
+            if i % 2 == 0 {
+                c.with_geometry(line32)
+            } else {
+                c
+            }
         })
         .collect();
-    for (cfg, solo) in cfgs.iter().zip(assert_matches_solo(&cfgs, &LongCompute)) {
-        let outages = solo.map(|r| r.outages).unwrap_or_default();
-        assert!(outages > 0, "{}: no outage exercised", cfg.design.label());
-    }
+    assert_matches_solo(&cfgs, &w);
+}
+
+/// Verifying members run on their own NVMs beside members on the
+/// group's.
+#[test]
+fn a_group_mixing_verifying_and_shared_members_matches_solo() {
+    let cfgs: Vec<Cfg> = designs()
+        .into_iter()
+        .enumerate()
+        .map(|(i, c)| {
+            let c = c.with_capacitor_uf(0.1).with_trace(TraceKind::Rf3);
+            if i % 2 == 0 {
+                c.with_verify()
+            } else {
+                c
+            }
+        })
+        .collect();
+    assert_matches_solo(&cfgs, &AdpcmDecode::new(60_000));
+    assert_matches_solo(&cfgs, &LONG_COMPUTE);
 }
 
 #[test]
@@ -186,6 +251,37 @@ fn a_failing_member_gets_its_solo_error_and_the_rest_their_reports() {
         "the doomed member fails solo"
     );
     assert!(solo[0].is_ok() && solo[2].is_ok());
+}
+
+thread_local! {
+    /// Calls of the panic hook on this thread.
+    static HOOK_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// An abort is how a run ends with a `SimError`, not a bug: neither a
+/// solo run nor a group (nor its solo reruns) may print a panic message
+/// for one.
+#[test]
+fn expected_aborts_never_reach_the_panic_hook() {
+    let default = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        HOOK_CALLS.with(|c| c.set(c.get() + 1));
+        default(info);
+    }));
+    let w = AdpcmDecode::new(60_000);
+    let mut doomed = Cfg::wl_cache()
+        .with_capacitor_uf(0.1)
+        .with_trace(TraceKind::Rf3);
+    doomed.max_outages = 1;
+    let too_many = Err(SimError::TooManyOutages { limit: 1 });
+    assert_eq!(Simulator::new(doomed.clone()).run(&w), too_many);
+    let group = Simulator::run_lockstep(&[Cfg::nvsram().with_trace(TraceKind::Rf3), doomed], &w);
+    assert_eq!(group[1], too_many);
+    assert_eq!(
+        HOOK_CALLS.with(Cell::get),
+        0,
+        "an abort reached the panic hook"
+    );
 }
 
 #[test]
