@@ -12,12 +12,15 @@
 //!
 //! **Direct execution in lockstep groups.** Every simulation runs its
 //! kernel on the simulated machine. A batch's misses of one kernel and
-//! scale run as lockstep groups of up to 8 jobs
-//! ([`ehsim::Simulator::run_lockstep`]): the kernel executes once and
-//! drives every member's machine, whose reports are bit-identical to
-//! solo runs. A group's members share one simulated NVM, so a sweep's
-//! footprint is at most one group per worker plus the memo. Jobs whose
-//! kernel is `EHSIM_TRACE_WORKLOAD` run solo.
+//! scale run as lockstep groups ([`ehsim::Simulator::run_lockstep`]):
+//! the kernel executes once and drives every member's machine, whose
+//! reports are bit-identical to solo runs. A group takes whole
+//! [`ehsim::AccessClass`]es — jobs that differ only in their power
+//! input, whose access half one member runs for all until their first
+//! outage — up to 8 classes and 16 jobs. A group's members share one
+//! simulated NVM, so a sweep's footprint is at most one group per
+//! worker plus the memo. Jobs whose kernel is `EHSIM_TRACE_WORKLOAD`
+//! run solo.
 //!
 //! **Persistent result store.** `EHSIM_RESULT_STORE=<dir>` persists
 //! completed *reports* across processes in
@@ -113,6 +116,14 @@ pub struct ExecStats {
     /// (truncated, corrupt, stale version); each fell back to
     /// execution.
     pub store_rejects: u64,
+    /// Lockstep groups dropped and rerun solo. In a sweep, where every
+    /// simulation error is fatal, a fallback means a divergence or a
+    /// kernel panic: a simulator bug that the solo reruns hide.
+    pub lockstep_fallbacks: u64,
+    /// Executed simulations that followed another member's access half
+    /// in a lockstep group, for the whole run or until their first
+    /// outage.
+    pub lockstep_followers: u64,
 }
 
 #[derive(Default)]
@@ -123,6 +134,8 @@ struct Counters {
     store_hits: AtomicU64,
     store_misses: AtomicU64,
     store_rejects: AtomicU64,
+    lockstep_fallbacks: AtomicU64,
+    lockstep_followers: AtomicU64,
 }
 
 fn counters() -> &'static Counters {
@@ -146,6 +159,8 @@ pub fn stats() -> ExecStats {
         store_hits: c.store_hits.load(Ordering::Relaxed),
         store_misses: c.store_misses.load(Ordering::Relaxed),
         store_rejects: c.store_rejects.load(Ordering::Relaxed),
+        lockstep_fallbacks: c.lockstep_fallbacks.load(Ordering::Relaxed),
+        lockstep_followers: c.lockstep_followers.load(Ordering::Relaxed),
     }
 }
 
@@ -310,7 +325,13 @@ fn run_direct(unit: &[&Job]) -> Vec<Report> {
         return vec![report];
     }
     let cfgs: Vec<SimConfig> = unit.iter().map(|job| job.cfg.clone()).collect();
-    Simulator::run_lockstep_with(&cfgs, w.as_ref())
+    let run = Simulator::run_lockstep_with(&cfgs, w.as_ref());
+    let c = counters();
+    c.lockstep_fallbacks
+        .fetch_add(u64::from(run.fell_back), Ordering::Relaxed);
+    c.lockstep_followers
+        .fetch_add(run.followers as u64, Ordering::Relaxed);
+    run.outcomes
         .into_iter()
         .zip(unit)
         .map(|(outcome, job)| {
@@ -390,31 +411,65 @@ fn save_stored(key: Option<&MemoKey>, report: &Report) {
     }
 }
 
-/// Most jobs in one lockstep group.
-const GROUP_MAX_JOBS: usize = 8;
+/// Most access classes, so most machines running an access half, in
+/// one lockstep group.
+const GROUP_MAX_CLASSES: usize = 8;
 
-/// Splits `misses` into units of miss indices: jobs of one
-/// (workload, scale), in submission order, filling a unit until it
-/// holds [`GROUP_MAX_JOBS`]. Every job of the `traced` kernel
-/// (`EHSIM_TRACE_WORKLOAD`), which streams its own timeline, runs
-/// alone.
+/// Most jobs in one lockstep group.
+const GROUP_MAX_JOBS: usize = 16;
+
+/// Splits `misses` into units of miss indices. A unit holds jobs of one
+/// (workload, scale) and takes whole access classes
+/// ([`ehsim::SimConfig::access_class`]) in first-appearance order, until
+/// the next class would bring it past [`GROUP_MAX_CLASSES`] classes or
+/// [`GROUP_MAX_JOBS`] jobs; a class of more than [`GROUP_MAX_JOBS`]
+/// jobs is split. Each unit lists its jobs in submission order, and
+/// the units are ordered by their first job. Every job of the `traced`
+/// kernel (`EHSIM_TRACE_WORKLOAD`), which streams its own timeline,
+/// runs alone.
 fn lockstep_units(misses: &[&Job], traced: Option<&str>) -> Vec<Vec<usize>> {
     let mut units: Vec<Vec<usize>> = Vec::new();
-    // (workload, scale) -> its open unit
-    let mut open: HashMap<(usize, Scale), usize> = HashMap::new();
+    // Each (workload, scale)'s access classes, in first-appearance
+    // order.
+    let mut kernels: Vec<Vec<Vec<usize>>> = Vec::new();
+    let mut kernel_of: HashMap<(usize, Scale), usize> = HashMap::new();
     for (i, job) in misses.iter().enumerate() {
         if traced == Some(workload_name(job.workload)) {
             units.push(vec![i]);
             continue;
         }
-        match open.get(&(job.workload, job.scale)) {
-            Some(&u) if units[u].len() < GROUP_MAX_JOBS => units[u].push(i),
-            _ => {
-                open.insert((job.workload, job.scale), units.len());
-                units.push(vec![i]);
-            }
+        let k = *kernel_of
+            .entry((job.workload, job.scale))
+            .or_insert_with(|| {
+                kernels.push(Vec::new());
+                kernels.len() - 1
+            });
+        let classes = &mut kernels[k];
+        let class = job.cfg.access_class();
+        let same =
+            |c: &&mut Vec<usize>| class.is_some() && misses[c[0]].cfg.access_class() == class;
+        match classes.iter_mut().find(same) {
+            Some(c) => c.push(i),
+            None => classes.push(vec![i]),
         }
     }
+    for classes in kernels {
+        let mut unit: Vec<usize> = Vec::new();
+        let mut held = 0;
+        for part in classes.iter().flat_map(|c| c.chunks(GROUP_MAX_JOBS)) {
+            if held == GROUP_MAX_CLASSES || unit.len() + part.len() > GROUP_MAX_JOBS {
+                units.push(std::mem::take(&mut unit));
+                held = 0;
+            }
+            unit.extend_from_slice(part);
+            held += 1;
+        }
+        units.push(unit);
+    }
+    for unit in &mut units {
+        unit.sort_unstable();
+    }
+    units.sort_unstable_by_key(|unit| unit[0]);
     units
 }
 
@@ -427,8 +482,9 @@ enum Slot {
 ///
 /// Jobs already in the memo cache are returned without simulating;
 /// duplicate keys within the batch simulate once. The remaining misses
-/// are split into lockstep units (up to [`GROUP_MAX_JOBS`] jobs of one
-/// kernel) that execute on a [`std::thread::scope`] work queue of
+/// are split into lockstep units (whole access classes of one kernel,
+/// see [`lockstep_units`]) that execute on a [`std::thread::scope`]
+/// work queue of
 /// [`jobs`] workers. The progress stream is flushed before returning,
 /// so a caller that never reaches [`telemetry::finish_sweep`] still
 /// leaves every heartbeat on disk.
@@ -551,6 +607,7 @@ pub fn run_suites(cfgs: &[SimConfig], scale: Scale) -> Vec<Vec<Arc<Report>>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ehsim_energy::TraceKind;
 
     /// The memo key is the store's [`ehsim_farm::SimKey`], verbatim —
     /// the per-field injectivity tests live next to the encoding in
@@ -583,37 +640,77 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// Units keep to one kernel and scale, fill in submission order up
-    /// to the job cap whatever the kernel's size, and leave every job
-    /// of the traced kernel alone.
+    /// Units keep to one kernel and scale and take whole access
+    /// classes, up to the class and job caps, in first-appearance
+    /// order; each lists its jobs in submission order. Every job of the
+    /// traced kernel runs alone.
     #[test]
-    fn lockstep_units_fill_to_the_job_cap() {
-        let cfg = SimConfig::wl_cache();
-        // Small sha: ten jobs fill a unit of 8, then one of 2; a Small
-        // qsort job in between gets its own unit.
-        let mut jobs: Vec<Job> = (0..10)
-            .map(|_| Job::new(cfg.clone(), 12, Scale::Small))
+    fn lockstep_units_take_whole_access_classes() {
+        let caps = [0.1, 1.0, 100.0];
+        let on =
+            |cfg: &SimConfig, uf: f64| cfg.clone().with_capacitor_uf(uf).with_trace(TraceKind::Rf1);
+        let designs = SimConfig::all_designs();
+        // Small sha, Fig 10(b)-shaped: five designs, three capacitors
+        // each — five classes of three, one unit of 15. A Small qsort
+        // job in between gets its own unit.
+        let mut jobs: Vec<Job> = designs
+            .iter()
+            .flat_map(|cfg| caps.map(|uf| Job::new(on(cfg, uf), 12, Scale::Small)))
             .collect();
-        jobs.insert(3, Job::new(cfg.clone(), 16, Scale::Small));
-        // Default sha (384 KiB) groups like any other kernel.
-        jobs.extend((0..5).map(|_| Job::new(cfg.clone(), 12, Scale::Default)));
-        // Default qsort, the traced kernel: each job alone.
-        jobs.extend((0..2).map(|_| Job::new(cfg.clone(), 16, Scale::Default)));
-        let refs: Vec<&Job> = jobs.iter().collect();
-        let units = lockstep_units(&refs, Some(workload_name(16)));
-        assert_eq!(
-            units,
-            [
-                vec![0, 1, 2, 4, 5, 6, 7, 8],
-                vec![3],
-                vec![9, 10],
-                vec![11, 12, 13, 14, 15],
-                vec![16],
-                vec![17],
-            ]
+        jobs.insert(3, Job::new(SimConfig::wl_cache(), 16, Scale::Small));
+        // Default sha, nine classes of one (each verifying job is a
+        // class of its own): the ninth opens a unit past the cap of 8.
+        let mut more: Vec<SimConfig> = designs.iter().map(|c| c.clone().with_verify()).collect();
+        more.extend((1..=4).map(SimConfig::wl_cache_static));
+        jobs.extend(
+            more.into_iter()
+                .map(|cfg| Job::new(cfg, 12, Scale::Default)),
         );
-        // Untraced, the two qsort jobs share a unit.
-        assert_eq!(lockstep_units(&refs, None).last(), Some(&vec![16, 17]));
+        // One class of 18 Default qsort jobs splits at 16 jobs; a
+        // verifying job, a class of its own, fills the second unit.
+        jobs.extend((0..18).map(|i| {
+            Job::new(
+                on(&SimConfig::nvsram(), 1.0 + f64::from(i)),
+                16,
+                Scale::Default,
+            )
+        }));
+        jobs.push(Job::new(
+            SimConfig::nvsram().with_verify(),
+            16,
+            Scale::Default,
+        ));
+        let refs: Vec<&Job> = jobs.iter().collect();
+        let units = lockstep_units(&refs, None);
+        let sha_small: Vec<usize> = (0..16).filter(|&i| i != 3).collect();
+        assert_eq!(units[0], sha_small);
+        assert_eq!(units[1], [3]);
+        assert_eq!(units[2], (16..24).collect::<Vec<_>>());
+        assert_eq!(units[3], [24]);
+        assert_eq!(units[4], (25..41).collect::<Vec<_>>());
+        assert_eq!(units[5], [41, 42, 43]);
+        assert_eq!(units.len(), 6);
+        // Traced, every qsort job runs alone, in place.
+        let traced = lockstep_units(&refs, Some(workload_name(16)));
+        assert_eq!(traced[1], [3]);
+        assert_eq!(traced.len(), 4 + 19);
+        assert!(traced[4..].iter().all(|u| u.len() == 1));
+    }
+
+    /// The Fig 4 job set — five designs on the 23 kernels, submitted
+    /// design by design — stays 23 units of 5, in kernel order.
+    #[test]
+    fn fig04_jobs_form_one_unit_per_kernel() {
+        let jobs: Vec<Job> = SimConfig::all_designs()
+            .into_iter()
+            .flat_map(|cfg| (0..23).map(move |w| Job::new(cfg.clone(), w, Scale::Default)))
+            .collect();
+        let refs: Vec<&Job> = jobs.iter().collect();
+        let units = lockstep_units(&refs, None);
+        let expected: Vec<Vec<usize>> = (0..23)
+            .map(|w| (0..5).map(|d| d * 23 + w).collect())
+            .collect();
+        assert_eq!(units, expected);
     }
 
     #[test]

@@ -55,4 +55,9 @@ fn small_scale_figures_are_pinned() {
         "pinned figure mismatches:\n{}\nfull regenerated table:\n{table}",
         mismatches.join("\n")
     );
+    assert_eq!(
+        ehsim_bench::exec::stats().lockstep_fallbacks,
+        0,
+        "a lockstep group fell back to solo runs"
+    );
 }

@@ -10,15 +10,21 @@
 //! statistic that happens not to be printed still fails.
 
 use ehsim::SimConfig;
-use ehsim_bench::exec::{run_batch, Job};
+use ehsim_bench::exec::{self, run_batch, Job};
 use ehsim_energy::TraceKind;
 use ehsim_workloads::Scale;
 
 /// Asserts that every report of `batch` from the engine equals a direct
-/// run of its job; returns the engine's reports.
+/// run of its job, and that no lockstep group fell back to solo runs;
+/// returns the engine's reports.
 fn assert_engine_matches_direct(batch: &[Job], scale: Scale) -> Vec<std::sync::Arc<ehsim::Report>> {
     // Engine side: parallel workers plus the memo cache.
     let engine = run_batch(batch);
+    assert_eq!(
+        exec::stats().lockstep_fallbacks,
+        0,
+        "a lockstep group fell back"
+    );
 
     // Reference: one fresh simulator per job, outside the executor.
     let workloads = ehsim_workloads::all23(scale);
@@ -83,4 +89,62 @@ fn large_kernels_group_on_a_shared_nvm_and_match_direct_runs() {
         })
         .collect();
     assert_engine_matches_direct(&batch, Scale::Default);
+}
+
+/// A Small batch of `cfgs` on three kernels, design by design as the
+/// figures submit them: every report must equal its direct run, and
+/// some jobs must have followed another's access half.
+fn assert_classes_match_direct(cfgs: &[SimConfig]) {
+    let before = exec::stats().lockstep_followers;
+    let batch: Vec<Job> = cfgs
+        .iter()
+        .flat_map(|cfg| [0, 12, 16].map(|w| Job::new(cfg.clone(), w, Scale::Small)))
+        .collect();
+    assert_engine_matches_direct(&batch, Scale::Small);
+    assert!(exec::stats().lockstep_followers > before, "no job followed");
+}
+
+/// Fig 10(b)'s shape: four designs on seven capacitors under tr.1,
+/// four access classes of seven per kernel.
+#[test]
+fn capacitor_classes_match_direct_runs() {
+    let designs = [
+        SimConfig::vcache_wt(),
+        SimConfig::replay(),
+        SimConfig::nvsram(),
+        SimConfig::wl_cache(),
+    ];
+    let cfgs: Vec<SimConfig> = [0.1, 0.344, 1.0, 10.0, 100.0, 500.0, 1000.0]
+        .into_iter()
+        .flat_map(|uf| {
+            designs
+                .iter()
+                .map(move |cfg| cfg.clone().with_capacitor_uf(uf).with_trace(TraceKind::Rf1))
+        })
+        .collect();
+    assert_classes_match_direct(&cfgs);
+}
+
+/// Fig 13(a)'s shape: five designs, WL-Cache(dyn) among them, on five
+/// traces; every WL-Cache(dyn) job runs its own access half.
+#[test]
+fn trace_classes_match_direct_runs() {
+    let designs = [
+        SimConfig::nvsram(),
+        SimConfig::vcache_wt(),
+        SimConfig::replay(),
+        SimConfig::wl_cache(),
+        SimConfig::wl_cache_dyn(),
+    ];
+    let cfgs: Vec<SimConfig> = [
+        TraceKind::Rf1,
+        TraceKind::Rf2,
+        TraceKind::Rf3,
+        TraceKind::Solar,
+        TraceKind::Thermal,
+    ]
+    .into_iter()
+    .flat_map(|trace| designs.iter().map(move |cfg| cfg.clone().with_trace(trace)))
+    .collect();
+    assert_classes_match_direct(&cfgs);
 }

@@ -130,6 +130,12 @@ pub trait CacheDesign {
     /// reboot for WL-Cache's adaptive management).
     fn thresholds(&self) -> VoltageThresholds;
 
+    /// First power-up: the initial charge ended at `now` and execution
+    /// starts. Not called after an outage ([`CacheDesign::reboot`] is).
+    fn boot(&mut self, now: Ps) {
+        let _ = now;
+    }
+
     /// Serves a load; returns `(completion_time, value)`.
     fn load(&mut self, ctx: &mut MemCtx<'_>, addr: u32, size: AccessSize) -> (Ps, u64);
 

@@ -1594,6 +1594,8 @@ mod tests {
             store_hits: 12,
             store_misses: 3,
             store_rejects: 1,
+            lockstep_fallbacks: 0,
+            lockstep_followers: 0,
         };
         assert_eq!(
             store_summary(&st),

@@ -110,7 +110,62 @@ pub struct SimConfig {
     pub max_outages: u64,
 }
 
+/// The part of a [`SimConfig`] that a run's *access half* reads — the
+/// cache, NVM and clock work of every op — with the *power input* left
+/// out: `trace`, `custom_trace`, `capacitor_uf`, `charging` and
+/// `max_outages`. Configurations of one class do identical access work
+/// until their first outage, so a lockstep group runs that work once
+/// for all of them (see the `lockstep` module). Built by
+/// [`SimConfig::access_class`].
+#[derive(Debug, PartialEq)]
+pub struct AccessClass<'a> {
+    design: &'a DesignKind,
+    geometry: &'a CacheGeometry,
+    cache_policy: &'a ReplacementPolicy,
+    cpu: &'a CpuParams,
+    nvm_timing: &'a NvmTiming,
+    nvm_energy: &'a NvmEnergy,
+}
+
 impl SimConfig {
+    /// This configuration's [`AccessClass`], or `None` when it never
+    /// shares its access half: a verifying configuration keeps its own
+    /// NVM and checker, and WL-Cache(dyn)'s access half reads the
+    /// capacitor voltage (its opportunistic `maxline` raise).
+    pub fn access_class(&self) -> Option<AccessClass<'_>> {
+        // Exhaustive destructuring: a new `SimConfig` field breaks this
+        // binding until it is sorted into the class or the power input.
+        let SimConfig {
+            design,
+            geometry,
+            cache_policy,
+            trace: _,
+            custom_trace: _,
+            capacitor_uf: _,
+            cpu,
+            nvm_timing,
+            nvm_energy,
+            charging: _,
+            verify,
+            max_outages: _,
+        } = self;
+        let dynamic = matches!(
+            design,
+            DesignKind::Wl {
+                adaptation: AdaptationMode::Dynamic,
+                ..
+            }
+        );
+        (!*verify && !dynamic).then_some(AccessClass {
+            design,
+            geometry,
+            cache_policy,
+            cpu,
+            nvm_timing,
+            nvm_energy,
+        })
+    }
+
     fn base(design: DesignKind) -> Self {
         Self {
             design,
@@ -322,6 +377,32 @@ mod tests {
             }
             _ => panic!("expected WL design"),
         }
+    }
+
+    /// The power input stays out of the class; everything else, verify
+    /// and WL-Cache(dyn) keep a configuration out of every class.
+    #[test]
+    fn access_classes_leave_out_the_power_input() {
+        let base = SimConfig::replay();
+        let mut powered = base
+            .clone()
+            .with_trace(TraceKind::Rf3)
+            .with_capacitor_uf(100.0)
+            .with_custom_trace(PowerTrace::constant(5.0));
+        powered.max_outages = 3;
+        powered.charging = ChargingModel::ideal();
+        assert_eq!(base.access_class(), powered.access_class());
+        assert!(base.access_class().is_some());
+        let other = [
+            SimConfig::replay().with_paper_geometry(),
+            SimConfig::replay().with_cache_policy(ReplacementPolicy::Fifo),
+            SimConfig::wl_cache(),
+        ];
+        for cfg in &other {
+            assert_ne!(base.access_class(), cfg.access_class());
+        }
+        assert_eq!(base.clone().with_verify().access_class(), None);
+        assert_eq!(SimConfig::wl_cache_dyn().access_class(), None);
     }
 
     #[test]

@@ -110,6 +110,9 @@ impl CacheDesign for DesignBox {
     fn thresholds(&self) -> VoltageThresholds {
         delegate!(self, d => d.thresholds())
     }
+    fn boot(&mut self, now: Ps) {
+        delegate!(self, d => d.boot(now))
+    }
     #[inline(always)]
     fn load(&mut self, ctx: &mut MemCtx<'_>, addr: u32, size: AccessSize) -> (Ps, u64) {
         delegate!(self, d => d.load(ctx, addr, size))

@@ -53,11 +53,11 @@ pub mod params;
 mod report;
 mod simulator;
 
-pub use config::{DesignKind, SimConfig};
+pub use config::{AccessClass, DesignKind, SimConfig};
 pub use ehsim_mem::{BusOp, BusTrace, TraceRecorder};
 pub use ehsim_obs::{Event, ObserverBox, Recorder, RunTrace};
 pub use error::SimError;
 pub use machine::Machine;
 pub use params::CpuParams;
 pub use report::{gmean, Report, WlReport};
-pub use simulator::Simulator;
+pub use simulator::{LockstepRun, Simulator};

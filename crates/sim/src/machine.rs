@@ -76,7 +76,14 @@ pub struct Machine {
     harvested_pj: Pj,
 
     booted: bool,
+    /// The access clock: every time the access half reads or stores is
+    /// on it. [`Machine::now`] is `now + epoch`.
     now: Ps,
+    /// Offset of the access clock from this machine's own time, modulo
+    /// 2^64: 0, except on a lockstep member that took over another
+    /// member's access state ([`Machine::fork`]), whose clock ran
+    /// from a different initial charge.
+    epoch: Ps,
     boot_time: Ps,
     last_sync: Ps,
     /// `meter.total()` as of the last drain of the capacitor.
@@ -187,6 +194,7 @@ impl Machine {
             harvested_pj: 0.0,
             booted: false,
             now: 0,
+            epoch: 0,
             boot_time: 0,
             last_sync: 0,
             drained_pj: 0.0,
@@ -202,7 +210,7 @@ impl Machine {
 
     /// Current simulation time.
     pub fn now(&self) -> Ps {
-        self.now
+        self.now.wrapping_add(self.epoch)
     }
 
     /// Total retired instructions.
@@ -342,13 +350,15 @@ impl Machine {
     /// runs with failures enabled.
     fn sync_energy(&mut self) {
         let dt = self.accrue_static();
-        self.step_capacitor(dt);
+        self.step_capacitor(dt, self.meter.total());
     }
 
     /// The capacitor half of settlement over a window of `dt`: harvest,
     /// then drain what was metered since the previous drain. Runs only
     /// with failures enabled, and also for `dt == 0`, because the drain
-    /// must still happen then.
+    /// must still happen then. `total` is `meter.total()` — of the
+    /// machine whose access half this machine follows, for a lockstep
+    /// follower, which is the same value.
     ///
     /// `drained_pj` holds `meter.total()` as of the previous drain, and
     /// the drain is the fresh total minus it. `total()` is a fixed
@@ -361,7 +371,7 @@ impl Machine {
     /// would equal `drained_pj` bit for bit and the `spent > 0.0` guard
     /// would skip the drain.
     #[inline(always)]
-    fn step_capacitor(&mut self, dt: Ps) {
+    fn step_capacitor(&mut self, dt: Ps, total: Pj) {
         let v_before = self.cap.voltage();
         if dt > 0 {
             let harvested = self.cursor.advance(dt);
@@ -371,7 +381,6 @@ impl Machine {
                 self.harvested_pj += harvested;
             }
         }
-        let total = self.meter.total();
         let spent = total - self.drained_pj;
         if spent > 0.0 {
             self.cap.drain_pj(spent);
@@ -405,6 +414,7 @@ impl Machine {
             self.boot_time = self.now;
             self.last_sync = self.now;
         }
+        self.design.boot(self.now);
         self.obs.emit(self.now, || Event::PowerOn { interval: 0 });
     }
 
@@ -418,28 +428,86 @@ impl Machine {
     }
 
     /// An op's settle half: the capacitor step over the window `dt`
-    /// from its access half, then the power-failure check. One
-    /// out-of-line call, made only when failures are enabled, so a
-    /// failure-free run never touches the capacitor. `group_nvm` is as
-    /// in [`Machine::with_ctx`].
+    /// from its access half. One out-of-line call, made only when
+    /// failures are enabled, so a failure-free run never touches the
+    /// capacitor. Returns whether the voltage sank below `Vbackup`; the
+    /// caller then runs [`Machine::power_failures`].
     #[inline(always)]
-    pub(crate) fn settle_window(&mut self, group_nvm: Option<&mut FunctionalMem>, dt: Ps) {
-        if self.failures_enabled {
-            self.settle_capacitor(group_nvm, dt);
-        }
+    pub(crate) fn settle_window(&mut self, dt: Ps) -> bool {
+        self.failures_enabled && self.settle_capacitor(dt)
     }
 
     /// The capacitor step of one settlement window, then the
     /// power-failure check.
     #[inline(never)]
-    fn settle_capacitor(&mut self, mut group_nvm: Option<&mut FunctionalMem>, dt: Ps) {
-        self.step_capacitor(dt);
-        // `Vbackup` must be re-read from the design on every check:
-        // WL-Cache(dyn) raises it mid-run via the opportunistic
-        // dynamic `maxline` raise, not only at reboot.
-        while self.cap.voltage() < self.design.thresholds().v_backup {
-            self.power_failure(group_nvm.as_deref_mut());
+    fn settle_capacitor(&mut self, dt: Ps) -> bool {
+        self.step_capacitor(dt, self.meter.total());
+        self.below_backup()
+    }
+
+    /// The settle half of a lockstep follower, which runs no access half
+    /// of its own: the capacitor step over the window `dt` of the
+    /// machine it follows, draining that machine's `meter_total`. Returns
+    /// whether the voltage sank below `Vbackup`, as
+    /// [`Machine::settle_window`] does.
+    pub(crate) fn follow_window(&mut self, dt: Ps, meter_total: Pj) -> bool {
+        if !self.failures_enabled {
+            return false;
         }
+        self.step_capacitor(dt, meter_total);
+        self.below_backup()
+    }
+
+    /// The power-failure check. `Vbackup` must be re-read from the
+    /// design on every check: WL-Cache(dyn) raises it mid-run via the
+    /// opportunistic dynamic `maxline` raise, not only at reboot.
+    #[inline(always)]
+    fn below_backup(&self) -> bool {
+        self.cap.voltage() < self.design.thresholds().v_backup
+    }
+
+    /// Runs the outage protocol until the voltage is back at or above
+    /// `Vbackup`; called when [`Machine::settle_window`] (or
+    /// [`Machine::follow_window`]) returned true. `group_nvm` is as in
+    /// [`Machine::with_ctx`].
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn power_failures(&mut self, mut group_nvm: Option<&mut FunctionalMem>) {
+        loop {
+            self.power_failure(group_nvm.as_deref_mut());
+            if !self.below_backup() {
+                break;
+            }
+        }
+    }
+
+    /// Takes over `leader`'s access state: design, NVM port, meter,
+    /// stats, instruction and window counts, and the access clock. The
+    /// power state — capacitor, trace cursor, drained energy, off time,
+    /// outages — stays this machine's own.
+    ///
+    /// Called on a lockstep follower, which boots on its own trace but
+    /// runs no access half while it follows: at its first `Vbackup`
+    /// crossing, when `leader` is about to fail, or at the end of the
+    /// run. Neither machine has had an outage, so both have done the
+    /// same access work since their own boots, and their clocks differ
+    /// by a constant, the difference of their boot times, which becomes
+    /// this machine's `epoch`.
+    pub(crate) fn fork(&mut self, leader: &Machine) {
+        debug_assert!(self.outages == 0 && leader.outages == 0 && self.epoch == 0);
+        debug_assert!(self.verify_oracle.is_none() && leader.verify_oracle.is_none());
+        // Both `boot_time`s are on their machine's access clock; this
+        // machine's is also its own time, since its epoch is still 0.
+        self.epoch = self.boot_time.wrapping_sub(leader.boot_time);
+        self.now = leader.now;
+        self.boot_time = leader.boot_time;
+        self.last_sync = leader.last_sync;
+        self.design.clone_from(&leader.design);
+        self.port.clone_from(&leader.port);
+        self.meter = leader.meter;
+        self.stats = leader.stats;
+        self.instructions = leader.instructions;
+        self.settles = leader.settles;
     }
 
     /// The full outage protocol (§3.2): checkpoint, verify, power off,
@@ -623,7 +691,7 @@ impl Machine {
                     }
                 }
                 None => {
-                    let at_ps = self.now;
+                    let at_ps = self.now();
                     self.abort(SimError::SourceDead { at_ps });
                 }
             }
@@ -748,13 +816,17 @@ impl Machine {
 impl Bus for Machine {
     fn load(&mut self, addr: u32, size: AccessSize) -> u64 {
         let (value, dt) = self.load_access(None, addr, size);
-        self.settle_window(None, dt);
+        if self.settle_window(dt) {
+            self.power_failures(None);
+        }
         value
     }
 
     fn store(&mut self, addr: u32, size: AccessSize, value: u64) {
         let dt = self.store_access(None, addr, size, value);
-        self.settle_window(None, dt);
+        if self.settle_window(dt) {
+            self.power_failures(None);
+        }
     }
 
     fn compute(&mut self, cycles: u64) {
@@ -764,7 +836,9 @@ impl Bus for Machine {
             let chunk = remaining.min(COMPUTE_CHUNK_CYCLES);
             remaining -= chunk;
             let dt = self.compute_access(None, chunk);
-            self.settle_window(None, dt);
+            if self.settle_window(dt) {
+                self.power_failures(None);
+            }
         }
     }
 }
@@ -895,6 +969,41 @@ mod tests {
             }
             e => panic!("expected ConsistencyViolation, got {e:?}"),
         }
+    }
+
+    /// An outage before ReplayCache's first region commit replays the
+    /// work since the end of the initial charge, not the charge itself:
+    /// the first restore takes the replay debt plus the register
+    /// restore, and the debt is the on-time worked before the outage.
+    #[test]
+    fn replay_debt_before_the_first_region_excludes_the_initial_charge() {
+        let cfg = SimConfig::replay()
+            .with_custom_trace(ehsim_energy::PowerTrace::constant(50.0))
+            .with_capacitor_uf(0.008);
+        let mut m = Machine::with_observer(&cfg, 4096, ObserverBox::recording());
+        let mut line = 0;
+        while m.outages() == 0 {
+            let _ = m.load_u32(line);
+            line = (line + 64) % 4096;
+        }
+        assert!(m.instructions() < 64, "{} instructions", m.instructions());
+        let end = m.now();
+        let trace = m.take_observer().into_trace(end);
+        let on_ps = trace.events.iter().find_map(|(_, e)| match e {
+            Event::OutageBegin { on_ps, .. } => Some(*on_ps),
+            _ => None,
+        });
+        let at = |want: fn(&Event) -> bool| {
+            trace
+                .events
+                .iter()
+                .find(|(_, e)| want(e))
+                .map(|&(t, _)| t)
+                .expect("the outage restores")
+        };
+        let restore =
+            at(|e| matches!(e, Event::RestoreEnd)) - at(|e| matches!(e, Event::RestoreBegin));
+        assert_eq!(Some(restore - cfg.cpu.reg_restore_ps), on_ps);
     }
 
     #[test]

@@ -96,8 +96,10 @@ impl Simulator {
     /// capacitor chains overlap. Results come back in `cfgs` order,
     /// each bit-identical to [`Simulator::run`] of that configuration.
     /// The machines share one simulated NVM, except those of verifying
-    /// configurations ([`SimConfig::verify`]), which keep their own;
-    /// the `lockstep` module docs give the exactness argument.
+    /// configurations ([`SimConfig::verify`]), which keep their own.
+    /// Configurations of one [`AccessClass`](crate::AccessClass) run
+    /// one access half between them until each one's first outage. The
+    /// `lockstep` module docs give the exactness arguments.
     ///
     /// If any machine aborts, the kernel panics, or a machine loads a
     /// value that differs from the first machine's, the group is
@@ -110,22 +112,22 @@ impl Simulator {
         workload: &dyn Workload,
     ) -> Vec<Result<Report, SimError>> {
         Self::run_lockstep_with(cfgs, workload)
+            .outcomes
             .into_iter()
             .map(|r| r.map(|(report, _)| report))
             .collect()
     }
 
     /// [`Simulator::run_lockstep`], returning each configuration's
-    /// machine beside its report, as [`Simulator::run_with`] does.
-    pub fn run_lockstep_with(
-        cfgs: &[SimConfig],
-        workload: &dyn Workload,
-    ) -> Vec<Result<(Report, Machine), SimError>> {
+    /// machine beside its report, as [`Simulator::run_with`] does, and
+    /// how the group ran.
+    pub fn run_lockstep_with(cfgs: &[SimConfig], workload: &dyn Workload) -> LockstepRun {
         if cfgs.len() > 1 {
             let mut group = Lockstep::new(cfgs, workload.mem_bytes());
+            let followers = group.followers();
             if let Ok(checksum) = catch_unwind(AssertUnwindSafe(|| workload.run(&mut group))) {
-                return group
-                    .machines
+                let outcomes = group
+                    .into_machines()
                     .into_iter()
                     .zip(cfgs)
                     .map(|(mut machine, cfg)| {
@@ -134,11 +136,21 @@ impl Simulator {
                         Ok((report, machine))
                     })
                     .collect();
+                return LockstepRun {
+                    outcomes,
+                    followers,
+                    fell_back: false,
+                };
             }
         }
-        cfgs.iter()
-            .map(|cfg| Simulator::new(cfg.clone()).run_with(workload, ObserverBox::Noop))
-            .collect()
+        LockstepRun {
+            outcomes: cfgs
+                .iter()
+                .map(|cfg| Simulator::new(cfg.clone()).run_with(workload, ObserverBox::Noop))
+                .collect(),
+            followers: 0,
+            fell_back: cfgs.len() > 1,
+        }
     }
 
     /// Replays a recorded [`BusTrace`] on a fresh machine.
@@ -197,6 +209,20 @@ impl Simulator {
             Err(payload) => Err(abort_error(&mut machine, payload)),
         }
     }
+}
+
+/// The outcome of [`Simulator::run_lockstep_with`].
+#[derive(Debug)]
+pub struct LockstepRun {
+    /// Each configuration's report and machine, or its error, in
+    /// configuration order.
+    pub outcomes: Vec<Result<(Report, Machine), SimError>>,
+    /// Members that followed another member's access half, from the
+    /// start until their first outage or the end of the run. 0 when the
+    /// group fell back.
+    pub followers: usize,
+    /// Whether the group was dropped and every member rerun solo.
+    pub fell_back: bool,
 }
 
 /// Converts a caught panic into the [`SimError`] the machine recorded

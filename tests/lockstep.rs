@@ -2,7 +2,9 @@
 //! machines (`Simulator::run_lockstep`) must give every member exactly
 //! the `Report` — or the `SimError` — a solo `Simulator::run` gives,
 //! whether a member runs on the group's shared NVM or, under
-//! `with_verify()`, on its own.
+//! `with_verify()`, on its own, and whether it runs its own access half
+//! or follows that of a member of its access class until its first
+//! outage.
 
 use std::cell::Cell;
 use wl_cache_repro::ehsim::{SimConfig as Cfg, SimError};
@@ -32,19 +34,27 @@ impl Workload for Counted<'_> {
 
 /// Asserts that `run_lockstep(cfgs, w)` equals solo runs of `cfgs`,
 /// field for field, error for error, and that it fell back to solo runs
-/// only when `falls_back`; returns the solo outcomes.
-fn check_group(cfgs: &[Cfg], w: &dyn Workload, falls_back: bool) -> Vec<Result<Report, SimError>> {
+/// only when `falls_back`; returns the solo outcomes and the number of
+/// members that followed another's access half.
+fn check_group(
+    cfgs: &[Cfg],
+    w: &dyn Workload,
+    falls_back: bool,
+) -> (Vec<Result<Report, SimError>>, usize) {
     let counted = Counted {
         inner: w,
         runs: Cell::new(0),
     };
-    let grouped = Simulator::run_lockstep(cfgs, &counted);
+    let group = Simulator::run_lockstep_with(cfgs, &counted);
     let runs = if falls_back { 1 + cfgs.len() } else { 1 };
     assert_eq!(counted.runs.get(), runs, "kernel runs on {}", w.name());
-    assert_eq!(grouped.len(), cfgs.len());
-    cfgs.iter()
-        .zip(grouped)
+    assert_eq!(group.fell_back, falls_back && cfgs.len() > 1);
+    assert_eq!(group.outcomes.len(), cfgs.len());
+    let solo = cfgs
+        .iter()
+        .zip(group.outcomes)
         .map(|(cfg, got)| {
+            let got = got.map(|(report, _)| report);
             let solo = Simulator::new(cfg.clone()).run(w);
             assert_eq!(
                 got,
@@ -56,12 +66,23 @@ fn check_group(cfgs: &[Cfg], w: &dyn Workload, falls_back: bool) -> Vec<Result<R
             );
             solo
         })
-        .collect()
+        .collect();
+    (solo, group.followers)
 }
 
 /// [`check_group`] for a group whose members all complete.
 fn assert_matches_solo(cfgs: &[Cfg], w: &dyn Workload) -> Vec<Result<Report, SimError>> {
-    check_group(cfgs, w, false)
+    check_group(cfgs, w, false).0
+}
+
+/// [`assert_matches_solo`] for a group in which `followers` members
+/// follow another's access half; returns the solo reports.
+fn assert_shares(cfgs: &[Cfg], w: &dyn Workload, followers: usize) -> Vec<Report> {
+    let (solo, got) = check_group(cfgs, w, false);
+    assert_eq!(got, followers, "followers on {}", w.name());
+    solo.into_iter()
+        .map(|r| r.unwrap_or_else(|e| panic!("a member failed: {e}")))
+        .collect()
 }
 
 /// Stores, loads and compute stretches of up to several
@@ -244,7 +265,7 @@ fn a_failing_member_gets_its_solo_error_and_the_rest_their_reports() {
         doomed,
         Cfg::replay().with_trace(TraceKind::Rf3),
     ];
-    let solo = check_group(&cfgs, &w, true);
+    let (solo, _) = check_group(&cfgs, &w, true);
     assert_eq!(
         solo[1],
         Err(SimError::TooManyOutages { limit: 1 }),
@@ -289,4 +310,105 @@ fn a_group_of_one_and_an_empty_group_are_plain_runs() {
     let w = Qsort::small();
     assert_matches_solo(&[Cfg::wl_cache().with_trace(TraceKind::Rf1)], &w);
     assert!(Simulator::run_lockstep(&[], &w).is_empty());
+}
+
+/// Each design's configurations in `powers`, design by design: one
+/// access class of `powers.len()` per design but WL-Cache(dyn), whose
+/// members all run their own access half. Returns the group and its
+/// number of followers.
+fn classes(powers: &[fn(Cfg) -> Cfg]) -> (Vec<Cfg>, usize) {
+    let cfgs: Vec<Cfg> = designs()
+        .into_iter()
+        .flat_map(|d| powers.iter().map(move |p| p(d.clone())))
+        .collect();
+    let classes = designs().len() - 1;
+    (cfgs, classes * (powers.len() - 1))
+}
+
+#[test]
+fn access_classes_over_traces_match_solo() {
+    let (cfgs, followers) = classes(&[
+        |c| c.with_trace(TraceKind::Rf1),
+        |c| c.with_trace(TraceKind::Rf3),
+        |c| c.with_trace(TraceKind::Solar),
+    ]);
+    for w in [&Qsort::small() as &dyn Workload, &AdpcmDecode::new(60_000)] {
+        assert_shares(&cfgs, w, followers);
+    }
+}
+
+#[test]
+fn access_classes_over_capacitors_match_solo() {
+    let (cfgs, followers) = classes(&[
+        |c| c.with_capacitor_uf(0.1).with_trace(TraceKind::Rf1),
+        |c| c.with_trace(TraceKind::Rf1),
+        |c| c.with_capacitor_uf(100.0).with_trace(TraceKind::Rf1),
+    ]);
+    for w in [&AdpcmDecode::new(60_000) as &dyn Workload, &LONG_COMPUTE] {
+        let solo = assert_shares(&cfgs, w, followers);
+        assert!(solo.iter().any(|r| r.outages > 0), "no outage exercised");
+    }
+}
+
+/// A failure-free leader never settles; its followers on RF traces
+/// boot, settle and fork on their own.
+#[test]
+fn a_failure_free_leader_with_rf_followers_matches_solo() {
+    let (cfgs, followers) = classes(&[
+        |c| c,
+        |c| c.with_trace(TraceKind::Rf1),
+        |c| c.with_capacitor_uf(0.1).with_trace(TraceKind::Rf3),
+    ]);
+    let solo = assert_shares(&cfgs, &LONG_COMPUTE, followers);
+    assert!(solo.iter().step_by(3).all(|r| r.outages == 0));
+    assert!(solo.iter().skip(2).step_by(3).all(|r| r.outages > 0));
+}
+
+/// The leader, on the smallest capacitor, fails first and hands its
+/// access state to the next member, which later fails and hands it on
+/// to the last, which never fails and follows to the end.
+#[test]
+fn a_leader_failing_before_its_followers_promotes_one() {
+    let (cfgs, followers) = classes(&[
+        |c| c.with_capacitor_uf(0.1).with_trace(TraceKind::Rf3),
+        |c| c.with_trace(TraceKind::Rf3),
+        |c| c.with_capacitor_uf(1000.0).with_trace(TraceKind::Rf3),
+    ]);
+    let solo = assert_shares(&cfgs, &AdpcmDecode::new(60_000), followers);
+    for class in solo.chunks(3).take(designs().len() - 1) {
+        assert!(class[0].outages > class[1].outages, "{}", class[0].design);
+        assert!(class[1].outages > 0, "{}", class[1].design);
+        assert_eq!(class[2].outages, 0, "{}", class[2].design);
+    }
+}
+
+/// Every member of every class forks at its own first outage.
+#[test]
+fn a_group_whose_members_all_fork_matches_solo() {
+    let (cfgs, followers) = classes(&[
+        |c| c.with_capacitor_uf(0.1).with_trace(TraceKind::Rf3),
+        |c| c.with_capacitor_uf(0.2).with_trace(TraceKind::Rf3),
+        |c| c.with_capacitor_uf(0.1).with_trace(TraceKind::Rf1),
+    ]);
+    for w in [&AdpcmDecode::new(60_000) as &dyn Workload, &LONG_COMPUTE] {
+        let solo = assert_shares(&cfgs, w, followers);
+        assert!(solo.iter().all(|r| r.outages > 0), "a member never forked");
+    }
+}
+
+/// Verifying members and WL-Cache(dyn) never follow, even beside
+/// members of their class that would.
+#[test]
+fn verifying_and_dynamic_members_never_follow() {
+    let cfgs = [
+        Cfg::wl_cache_dyn().with_trace(TraceKind::Rf1),
+        Cfg::wl_cache_dyn()
+            .with_capacitor_uf(0.1)
+            .with_trace(TraceKind::Rf3),
+        Cfg::replay().with_trace(TraceKind::Rf1).with_verify(),
+        Cfg::replay().with_trace(TraceKind::Rf3).with_verify(),
+        Cfg::replay().with_trace(TraceKind::Rf1),
+        Cfg::replay().with_trace(TraceKind::Rf3),
+    ];
+    assert_shares(&cfgs, &AdpcmDecode::new(60_000), 1);
 }
