@@ -48,8 +48,8 @@ fn field(line: &str, key: &str) -> u64 {
 }
 
 /// Runs one child sweep against `store`, returning (seconds, counters
-/// line). The child runs in `workdir` so its Small-scale
-/// `results/*.tsv` never clobber the repo's Default-scale tables.
+/// line). The child runs in `workdir` so its `results/small/*.tsv` land
+/// in the scratch directory, not under the caller's working directory.
 fn run_child(
     exe: &std::path::Path,
     store: &std::path::Path,

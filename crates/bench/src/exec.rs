@@ -51,7 +51,7 @@
 //!
 //! Setting `EHSIM_TRACE_WORKLOAD=<name>` additionally streams an event
 //! timeline for every simulation of that workload: each one writes a
-//! JSON-lines event stream (loadable by `ehsim-analyze` /
+//! JSON-lines event stream (loadable by `RunTrace::load` /
 //! `ehsim-cli diff-traces`, convertible to Chrome/interval exports
 //! with `ehsim-cli convert-trace`) into `EHSIM_TRACE_DIR` (default
 //! `traces/`), named `<workload>__<design>__<trace>.events.jsonl`.

@@ -754,12 +754,22 @@ impl SweepRun {
     }
 }
 
+/// Where [`sweep`] saves its tables at `scale`. The committed
+/// Default-scale tables live in `results/`; Small-scale ones go to
+/// `results/small/`, so a quick sweep never overwrites them.
+pub fn results_dir(scale: Scale) -> &'static str {
+    match scale {
+        Scale::Small => "results/small",
+        Scale::Default => "results",
+    }
+}
+
 /// The sweep driver behind `all_figures`, `ehsim-cli sweep` and
 /// `farm_bench`: regenerates `figures` at `scale` into
-/// `results/<name>.tsv` with the phase profiler on. Writes the progress
-/// stream's meta line first and the end-of-sweep profile last (when a
-/// stream is open), and prints each table to stdout under a
-/// `==== <name> ====` banner.
+/// `<results_dir(scale)>/<name>.tsv` with the phase profiler on. Writes
+/// the progress stream's meta line first and the end-of-sweep profile
+/// last (when a stream is open), and prints each table to stdout under
+/// a `==== <name> ====` banner.
 pub fn sweep(figures: &[(&str, FigureFn)], scale: Scale) -> SweepRun {
     telemetry::enable();
     telemetry::emit_meta(match scale {
@@ -773,7 +783,7 @@ pub fn sweep(figures: &[(&str, FigureFn)], scale: Scale) -> SweepRun {
         // (memo lookup, worker wait, TSV write) nest inside and are
         // subtracted from its self-time.
         let _t = telemetry::scope(Phase::Reduce);
-        figure(scale).save(name);
+        figure(scale).save_in(results_dir(scale), name);
         println!();
     }
     let wall_ns = telemetry::now_ns().saturating_sub(start_ns);

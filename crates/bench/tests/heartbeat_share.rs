@@ -2,7 +2,7 @@
 //! each grouped simulation its share of the group's wall time, so the
 //! heartbeats' `elapsed_ns` add up to no more than the workers' time.
 //! Were every member charged the whole group, a group of eight would
-//! count its time eight times over (and `ehsim-analyze profile-sweep`
+//! count its time eight times over (and `ehsim-cli profile-sweep`
 //! would overstate each design's `sim_wall_s`).
 //!
 //! Telemetry globals are process-wide, so this file keeps a single

@@ -10,11 +10,15 @@
 //! dependency set to the offline-approved crates) and exposed from this
 //! library so it can be unit-tested; `src/main.rs` is a thin shell.
 
+mod plot;
+mod profile;
+
 use ehsim::{BusTrace, DesignKind, Report, SimConfig, Simulator};
 use ehsim_bench::{exec, figures, telemetry};
 use ehsim_cache::{CacheGeometry, ReplacementPolicy};
 use ehsim_energy::TraceKind;
 use ehsim_mem::{import_column_trace, BusOp, Workload};
+use ehsim_obs::RunTrace;
 use ehsim_workloads::{all23, Scale};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -250,7 +254,7 @@ OPTIONS:
   --metrics-out <path>  write per-power-interval metrics as TSV
   --stream-out <path>   stream events as JSON-lines while running
                         (constant memory; the one capture format that
-                        diff-traces, convert-trace and ehsim-analyze load)
+                        diff-traces and convert-trace load)
   --tsv-out <path>      voltage-plot/dq-plot/energy-plot: write the
                         series as TSV
   --svg-out <path>      voltage-plot/dq-plot/energy-plot: write the
@@ -275,10 +279,11 @@ diverging Bus operation, or two JSONL event captures (`--stream-out`,
 interval. Chrome JSON (`--trace-out`) and the metrics TSV
 (`--metrics-out`) are write-only exports.
 
-`sweep` regenerates `results/*.tsv` through the shared executor with
-the phase profiler enabled; `profile-sweep` turns the progress stream
-back into the per-phase attribution and per-design tables. Telemetry
-only observes: the TSVs are byte-identical with or without it. With
+`sweep` regenerates `results/*.tsv` (`results/small/*.tsv` at
+`--scale small`) through the shared executor with the phase profiler
+enabled; `profile-sweep` turns the progress stream back into the
+per-phase attribution and per-design tables. Telemetry only observes:
+the TSVs are byte-identical with or without it. With
 `EHSIM_RESULT_STORE=<dir>` set, every executed simulation's report
 persists to a content-addressed on-disk store, so a later sweep — even
 after `kill -9` — loads it instead of re-simulating, and the summary
@@ -744,16 +749,15 @@ fn render_bus_diff(a: &BusTrace, a_path: &str, b: &BusTrace, b_path: &str) -> St
     s
 }
 
-/// Runs `opt` with the full recording observer and wraps the recorded
-/// timeline as the analysis model, so the plot series the caller
-/// derives reconcile bit-for-bit with the live recorder's counters.
-fn recorded_run(opt: &RunOptions) -> Result<(Report, ehsim_analyze::Run), String> {
+/// Runs `opt` with the full recording observer, so the plot series the
+/// caller derives reconcile bit-for-bit with the live recorder's
+/// counters.
+fn recorded_run(opt: &RunOptions) -> Result<(Report, RunTrace), String> {
     let cfg = config_of(opt)?;
     let w = workload_of(&opt.workload, opt.scale)?;
-    let (r, trace) = Simulator::new(cfg)
+    Simulator::new(cfg)
         .run_traced(w.as_ref())
-        .map_err(|e| e.to_string())?;
-    Ok((r, ehsim_analyze::Run::from_trace(trace)))
+        .map_err(|e| e.to_string())
 }
 
 /// Writes `run`'s `--trace-out`/`--metrics-out` exports of `trace`,
@@ -761,7 +765,7 @@ fn recorded_run(opt: &RunOptions) -> Result<(Report, ehsim_analyze::Run), String
 fn write_exports(
     opt: &RunOptions,
     r: &Report,
-    trace: &ehsim_obs::RunTrace,
+    trace: &RunTrace,
     s: &mut String,
 ) -> Result<(), String> {
     if let Some(path) = &opt.trace_out {
@@ -831,7 +835,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 // Chrome/TSV exports are derived from the streamed
                 // capture itself, proving the JSONL is self-sufficient.
                 if opt.trace_out.is_some() || opt.metrics_out.is_some() {
-                    let trace = ehsim_analyze::Run::load(stream_path)?.to_trace();
+                    let trace = RunTrace::load(stream_path)?;
                     write_exports(opt, &r, &trace, &mut s)?;
                 }
                 return Ok(s);
@@ -858,10 +862,10 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                     Ok(render_bus_diff(&a, a_path, &b, b_path))
                 }
                 (false, false) => {
-                    let a = ehsim_analyze::Run::load(a_path)?;
-                    let b = ehsim_analyze::Run::load(b_path)?;
-                    let report = ehsim_analyze::diff_runs(&a, a_path, &b, b_path);
-                    Ok(ehsim_analyze::render_diff(&report, &a, &b))
+                    let a = RunTrace::load(a_path)?;
+                    let b = RunTrace::load(b_path)?;
+                    let report = ehsim_obs::diff_runs(&a, a_path, &b, b_path);
+                    Ok(ehsim_obs::render_diff(&report, &a, &b))
                 }
                 _ => Err(format!(
                     "cannot diff a Bus trace against an event capture \
@@ -961,7 +965,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             let mut s = render_report(&r);
             let _ = writeln!(s, "samples       {} voltage points", series.len());
             if let Some(path) = &plot.tsv_out {
-                std::fs::write(path, ehsim_analyze::voltage_tsv(&series))
+                std::fs::write(path, plot::voltage_tsv(&series))
                     .map_err(|e| format!("--tsv-out {path}: {e}"))?;
                 let _ = writeln!(s, "voltage tsv   {path}");
             }
@@ -970,14 +974,14 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                     "{} / {} / {} — capacitor voltage",
                     r.workload, r.design, r.trace
                 );
-                std::fs::write(path, ehsim_analyze::voltage_svg(&series, &title, &rails))
+                std::fs::write(path, plot::voltage_svg(&series, &title, &rails))
                     .map_err(|e| format!("--svg-out {path}: {e}"))?;
                 let _ = writeln!(s, "voltage svg   {path}");
             }
             Ok(s)
         }
         Command::ConvertTrace(conv) => {
-            let trace = ehsim_analyze::Run::load(&conv.input)?.to_trace();
+            let trace = RunTrace::load(&conv.input)?;
             let name = conv.name.as_deref().unwrap_or(&conv.input);
             std::fs::write(&conv.output, trace.chrome_trace(name))
                 .map_err(|e| format!("{}: {e}", conv.output))?;
@@ -1012,8 +1016,9 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             let mut s = String::new();
             let _ = writeln!(
                 s,
-                "figures       {} regenerated under results/",
-                chosen.len()
+                "figures       {} regenerated under {}/",
+                chosen.len(),
+                figures::results_dir(opt.scale)
             );
             let _ = writeln!(s, "wall          {:.3} s", run.wall_ns as f64 / 1e9);
             let _ = writeln!(
@@ -1039,7 +1044,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             Ok(s)
         }
         Command::ProfileSweep(ps) => {
-            let log = ehsim_analyze::load_progress_log(&ps.input)?;
+            let log = profile::load_progress_log(&ps.input)?;
             let mut s = String::new();
             if let Some(meta) = &log.meta {
                 let _ = writeln!(
@@ -1055,22 +1060,22 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 log.skipped
             );
             s.push('\n');
-            s.push_str(&ehsim_analyze::profile_phase_tsv(&log));
+            s.push_str(&profile::profile_phase_tsv(&log));
             s.push('\n');
-            s.push_str(&ehsim_analyze::design_table_tsv(&log));
+            s.push_str(&profile::design_table_tsv(&log));
             if let Some(path) = &ps.tsv_out {
-                std::fs::write(path, ehsim_analyze::profile_phase_tsv(&log))
+                std::fs::write(path, profile::profile_phase_tsv(&log))
                     .map_err(|e| format!("--tsv-out {path}: {e}"))?;
                 let _ = writeln!(s, "phase tsv     {path}");
             }
             if let Some(path) = &ps.design_out {
-                std::fs::write(path, ehsim_analyze::design_table_tsv(&log))
+                std::fs::write(path, profile::design_table_tsv(&log))
                     .map_err(|e| format!("--design-out {path}: {e}"))?;
                 let _ = writeln!(s, "design tsv    {path}");
             }
             if let Some(path) = &ps.svg_out {
                 let title = format!("{} — sweep phase profile", ps.input);
-                std::fs::write(path, ehsim_analyze::profile_svg(&log, &title))
+                std::fs::write(path, profile::profile_svg(&log, &title))
                     .map_err(|e| format!("--svg-out {path}: {e}"))?;
                 let _ = writeln!(s, "profile svg   {path}");
             }
@@ -1078,7 +1083,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
         }
         Command::DqPlot(plot) => {
             let (r, run) = recorded_run(&plot.run)?;
-            let series = ehsim_analyze::dq_occupancy(&run);
+            let series = ehsim_obs::dq_occupancy(&run);
             let c = &run.counters;
             let expected = c.dq_enqueues as i64 - c.dq_acks as i64 - c.stale_drops as i64;
             let final_depth = series.last().map(|&(_, d)| d).unwrap_or(0);
@@ -1096,7 +1101,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 series.len()
             );
             if let Some(path) = &plot.tsv_out {
-                std::fs::write(path, ehsim_analyze::dq_occupancy_tsv(&series))
+                std::fs::write(path, plot::dq_occupancy_tsv(&series))
                     .map_err(|e| format!("--tsv-out {path}: {e}"))?;
                 let _ = writeln!(s, "dq tsv        {path}");
             }
@@ -1105,7 +1110,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                     "{} / {} / {} — DirtyQueue occupancy",
                     r.workload, r.design, r.trace
                 );
-                std::fs::write(path, ehsim_analyze::dq_occupancy_svg(&series, &title))
+                std::fs::write(path, plot::dq_occupancy_svg(&series, &title))
                     .map_err(|e| format!("--svg-out {path}: {e}"))?;
                 let _ = writeln!(s, "dq svg        {path}");
             }
@@ -1113,7 +1118,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
         }
         Command::EnergyPlot(plot) => {
             let (r, run) = recorded_run(&plot.run)?;
-            let series = ehsim_analyze::energy_series(&run);
+            let series = ehsim_obs::energy_series(&run);
             let mut s = render_report(&r);
             let _ = writeln!(
                 s,
@@ -1121,7 +1126,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 series.len()
             );
             if let Some(path) = &plot.tsv_out {
-                std::fs::write(path, ehsim_analyze::energy_tsv(&series))
+                std::fs::write(path, plot::energy_tsv(&series))
                     .map_err(|e| format!("--tsv-out {path}: {e}"))?;
                 let _ = writeln!(s, "energy tsv    {path}");
             }
@@ -1130,7 +1135,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                     "{} / {} / {} — per-interval energy",
                     r.workload, r.design, r.trace
                 );
-                std::fs::write(path, ehsim_analyze::energy_svg(&series, &title))
+                std::fs::write(path, plot::energy_svg(&series, &title))
                     .map_err(|e| format!("--svg-out {path}: {e}"))?;
                 let _ = writeln!(s, "energy svg    {path}");
             }

@@ -37,8 +37,8 @@ fn entries(store: &Path) -> usize {
     })
 }
 
-/// A sweep over `store`, run in `workdir` so its Small-scale
-/// `results/*.tsv` never touch the committed Default-scale tables.
+/// A sweep over `store`, run in `workdir` so its `results/small/*.tsv`
+/// land in the test's own directory.
 fn sweep(store: &Path, workdir: &Path, args: &[&str]) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_ehsim-cli"));
     cmd.arg("sweep")
@@ -103,7 +103,7 @@ fn killed_sweep_resumes_warm_from_the_store() {
     );
     assert_eq!(rejects, 0, "a killed sweep left a torn entry:\n{summary}");
 
-    let tsv = std::fs::read(workdir.join("results/fig04.tsv")).expect("read fig04.tsv");
+    let tsv = std::fs::read(workdir.join("results/small/fig04.tsv")).expect("read fig04.tsv");
     assert_eq!(
         fnv1a(&tsv),
         FIG04_SMALL_FNV,

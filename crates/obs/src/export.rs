@@ -272,8 +272,8 @@ pub(crate) fn chrome_trace(trace: &RunTrace, name: &str) -> String {
 
 /// One finished power-on interval, as derived from the event timeline.
 ///
-/// This is the typed row behind [`RunTrace::interval_metrics_tsv`]; the
-/// `ehsim-analyze` crate consumes the same rows for cross-run diffing.
+/// This is the typed row behind [`RunTrace::interval_metrics_tsv`];
+/// [`crate::diff_runs`] aligns two runs by the same rows.
 /// Rows close at the interval's `CheckpointEnd` (or at `RunEnd` for the
 /// final, uninterrupted one, where `dirty_flushed` is `None` because no
 /// checkpoint ran). For non-WL designs the DirtyQueue columns are zero.
@@ -450,8 +450,8 @@ pub(crate) fn interval_metrics_tsv(trace: &RunTrace) -> String {
     );
     let opt = |v: Option<u64>| v.map_or_else(|| "-".to_string(), |v| v.to_string());
     let optu = |v: Option<usize>| v.map_or_else(|| "-".to_string(), |v| v.to_string());
-    // `{}` is Rust's shortest round-trip float formatting: the analyze
-    // crate parses these back to bit-identical values.
+    // `{}` is Rust's shortest round-trip float formatting, so each
+    // printed value parses back to the identical `f64`.
     let optf = |v: Option<f64>| v.map_or_else(|| "-".to_string(), |v| v.to_string());
     for row in intervals(trace) {
         let _ = writeln!(

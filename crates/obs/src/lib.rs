@@ -20,7 +20,15 @@
 //! [Perfetto](https://ui.perfetto.dev)) or a per-interval metrics TSV.
 //! [`validate_chrome_trace`] checks an emitted trace for monotonic
 //! timestamps and balanced begin/end pairs — used by CI.
+//!
+//! The JSON-lines capture is the one format that loads back:
+//! [`RunTrace::load`] replays it through a live [`Recorder`], so a
+//! loaded run reconciles bit-for-bit with the recording that wrote it.
+//! [`diff_runs`] aligns two runs by power-on interval and names their
+//! first divergence; [`dq_occupancy`] and [`energy_series`] fold a run
+//! into the DirtyQueue depth over time and the per-interval energy.
 
+mod analysis;
 mod event;
 mod export;
 mod histogram;
@@ -31,6 +39,10 @@ mod recorder;
 mod stream;
 mod telemetry;
 
+pub use analysis::{
+    diff_runs, dq_occupancy, energy_series, render_diff, DiffReport, Divergence, EnergyPoint,
+    FieldDiff, OccupancyPoint, ThresholdState,
+};
 pub use event::Event;
 pub use export::{validate_chrome_trace, TraceCheck, TraceInterval};
 pub use histogram::{Histogram, Quantile};

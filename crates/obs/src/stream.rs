@@ -9,12 +9,12 @@
 //! run length. The JSONL format round-trips exactly: every field is
 //! printed with Rust's shortest-round-trip formatting, and
 //! [`parse_jsonl_line`] restores the identical `(timestamp, Event)`
-//! pair, which is what lets `ehsim-analyze` rebuild the full `Run`
-//! model (counters, histograms, intervals) from a streamed file.
+//! pair, which is what lets [`RunTrace::from_jsonl`] rebuild the whole
+//! recording (counters, histograms, intervals) from a streamed file.
 
 use crate::event::Event;
 use crate::observer::Observer;
-use crate::recorder::{tally, ObsCounters, ObsHistograms};
+use crate::recorder::{tally, ObsCounters, ObsHistograms, Recorder, RunTrace};
 use ehsim_mem::Ps;
 use std::fmt::{self, Write as _};
 use std::io;
@@ -246,6 +246,64 @@ pub fn parse_jsonl_line(line: &str) -> Result<(Ps, Event), String> {
     Ok((ts, ev))
 }
 
+/// Appended to a first-line parse error: the input is not an event
+/// capture at all, most likely one of the write-only exports.
+const NOT_A_CAPTURE: &str = "not a JSONL event capture; only JSONL captures load \
+     (write one with `ehsim-cli run --stream-out <p.jsonl>` or \
+     `EHSIM_TRACE_WORKLOAD=<kernel>`); Chrome JSON and the interval-metrics \
+     TSV are export-only";
+
+impl RunTrace {
+    /// Loads a JSON-lines event capture (see [`RunTrace::from_jsonl`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the file for I/O and parse errors.
+    pub fn load(path: &str) -> Result<RunTrace, String> {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+        RunTrace::from_jsonl(&text).map_err(|e| format!("{path}: {e}"))
+    }
+
+    /// Parses a JSON-lines event capture (`ehsim-cli run --stream-out`,
+    /// `EHSIM_TRACE_WORKLOAD`, [`RunTrace::jsonl`]). Lossless: the
+    /// events are replayed through a live [`Recorder`], so counters,
+    /// histograms and interval rows reconcile exactly with the
+    /// recording that wrote them.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first malformed line (1-indexed), or the line at
+    /// which the stale-drop total would overflow `u64`.
+    pub fn from_jsonl(text: &str) -> Result<RunTrace, String> {
+        let mut rec = Recorder::default();
+        let (mut loaded, mut end, mut stale_drops) = (0usize, 0, 0u64);
+        for (i, line) in text.lines().enumerate() {
+            if line.trim().is_empty() {
+                continue;
+            }
+            let n = i + 1;
+            let (at, ev) = parse_jsonl_line(line).map_err(|e| match loaded {
+                0 => format!("line {n}: {e}: {NOT_A_CAPTURE}"),
+                _ => format!("line {n}: {e}"),
+            })?;
+            // The recorder's tally adds unchecked, as the live path
+            // does; a capture is untrusted input.
+            if let Event::DqStaleDrop { dropped } = ev {
+                stale_drops = stale_drops
+                    .checked_add(dropped as u64)
+                    .ok_or_else(|| format!("line {n}: stale-drop total overflows u64"))?;
+            }
+            rec.event(at, ev);
+            loaded += 1;
+            end = end.max(at);
+        }
+        if loaded == 0 {
+            return Err("no events in JSONL input".to_string());
+        }
+        Ok(rec.finish(end))
+    }
+}
+
 /// Summary statistics published by a [`StreamingObserver`] through its
 /// shared handle — the streaming twin of a [`crate::Recorder`]'s
 /// counters and histograms, plus buffer accounting for the
@@ -386,9 +444,10 @@ pub type StreamStatsHandle = Arc<Mutex<StreamStats>>;
 /// Attach it with [`crate::ObserverBox::custom`]; memory stays constant
 /// (at most `capacity` buffered events) regardless of run length, so
 /// Default-scale multi-minute runs can be recorded without holding the
-/// ~million-event timeline in RAM. The emitted file converts back into
-/// the full `Run` model with `ehsim-analyze` (or `ehsim-cli
-/// convert-trace`), so streamed traces diff exactly like in-memory ones.
+/// ~million-event timeline in RAM. The emitted file loads back as the
+/// full [`RunTrace`] with [`RunTrace::load`] (or converts with
+/// `ehsim-cli convert-trace`), so streamed traces diff exactly like
+/// in-memory ones.
 ///
 /// Sink errors never panic and never reach the simulation: the first
 /// error is recorded in [`StreamStats::io_error`], writing stops, and
@@ -827,5 +886,97 @@ mod tests {
         let text = String::from_utf8(bytes).expect("utf-8");
         let last = text.lines().last().expect("stream closed on drop");
         assert_eq!(parse_jsonl_line(last), Ok((42, Event::RunEnd)));
+    }
+
+    /// The capture behind the loader tests: one outage with a
+    /// checkpoint, a restore and two energy samples.
+    fn sample_trace() -> RunTrace {
+        let mut rec = Recorder::default();
+        for (at, ev) in [
+            (
+                0,
+                Event::InitialThresholds {
+                    maxline: 6,
+                    waterline: 2,
+                },
+            ),
+            (0, Event::PowerOn { interval: 0 }),
+            (10, Event::DqEnqueue { base: 64 }),
+            (
+                20,
+                Event::WritebackIssued {
+                    base: 64,
+                    ack_at: 120,
+                },
+            ),
+            (120, Event::DqAck { base: 64 }),
+            (
+                500,
+                Event::OutageBegin {
+                    on_ps: 500,
+                    voltage: 2.96,
+                },
+            ),
+            (500, Event::CheckpointBegin { dirty_lines: 1 }),
+            (
+                550,
+                Event::EnergySample {
+                    harvested_pj: 10.5,
+                    consumed_pj: 8.25,
+                },
+            ),
+            (550, Event::CheckpointEnd { flushed_lines: 1 }),
+            (550, Event::PowerOff),
+            (900, Event::RestoreBegin),
+            (920, Event::RestoreEnd),
+            (920, Event::PowerOn { interval: 1 }),
+            (
+                1000,
+                Event::EnergySample {
+                    harvested_pj: 11.0,
+                    consumed_pj: 9.0,
+                },
+            ),
+            (1000, Event::RunEnd),
+        ] {
+            rec.event(at, ev);
+        }
+        rec.finish(1000)
+    }
+
+    #[test]
+    fn jsonl_round_trip_reconciles_exactly() {
+        let trace = sample_trace();
+        let run = RunTrace::from_jsonl(&trace.jsonl()).unwrap();
+        assert_eq!(run.events, trace.events);
+        assert_eq!(run.counters, trace.counters);
+        assert_eq!(run.histograms, trace.histograms);
+        assert_eq!(run.intervals(), trace.intervals());
+    }
+
+    #[test]
+    fn exports_are_rejected_with_where_captures_come_from() {
+        let trace = sample_trace();
+        for export in [trace.chrome_trace("x"), trace.interval_metrics_tsv()] {
+            let err = RunTrace::from_jsonl(&export).unwrap_err();
+            assert!(err.starts_with("line 1: "), "{err}");
+            assert!(err.contains("only JSONL captures load"), "{err}");
+        }
+        // Damage past the first event is an ordinary line error.
+        let mut text = trace.jsonl();
+        text.push_str("garbage\n");
+        let err = RunTrace::from_jsonl(&text).unwrap_err();
+        assert!(!err.contains("only JSONL"), "{err}");
+        assert!(RunTrace::from_jsonl("\n\n").is_err());
+    }
+
+    /// Two stale drops of `u64::MAX` entries: the recorder's unchecked
+    /// tally would overflow, so the loader refuses the capture.
+    #[test]
+    fn stale_drop_total_overflow_is_an_error() {
+        let line = "{\"ts\":1,\"ev\":\"DqStaleDrop\",\"dropped\":18446744073709551615}\n";
+        assert!(RunTrace::from_jsonl(line).is_ok());
+        let err = RunTrace::from_jsonl(&line.repeat(2)).unwrap_err();
+        assert_eq!(err, "line 2: stale-drop total overflows u64");
     }
 }

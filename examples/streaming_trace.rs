@@ -5,7 +5,7 @@
 //! long-horizon sensor run. This recipe streams the same timeline to
 //! disk as JSON-lines through the bounded-buffer `StreamingObserver`,
 //! proves the buffer never grew past its capacity, then reloads the
-//! file with `ehsim-analyze` and diffs it against itself (the
+//! file as a `RunTrace` and diffs it against itself (the
 //! command-line twin is `ehsim-cli run --stream-out` followed by
 //! `ehsim-cli diff-traces`).
 //!
@@ -13,8 +13,9 @@
 //! cargo run --release --example streaming_trace
 //! ```
 
-use wl_cache_repro::ehsim_analyze::{diff_runs, render_diff, Run};
-use wl_cache_repro::ehsim_obs::{StreamingObserver, DEFAULT_STREAM_CAPACITY};
+use wl_cache_repro::ehsim_obs::{
+    diff_runs, render_diff, StreamingObserver, DEFAULT_STREAM_CAPACITY,
+};
 use wl_cache_repro::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -53,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The streamed file is a complete, lossless record: reload it and
     // diff it against itself. Any real A/B experiment replaces one side
     // with a second capture.
-    let run = Run::load(&path.display().to_string())?;
+    let run = RunTrace::load(&path.display().to_string())?;
     assert_eq!(run.counters, snap.counters, "stream reconciles losslessly");
     let diff = diff_runs(&run, "capture", &run, "capture");
     print!("{}", render_diff(&diff, &run, &run));

@@ -14,8 +14,6 @@
 //! - [`ehsim_energy`] — capacitor and power-trace models.
 //! - [`ehsim_workloads`] — the 23 benchmark kernels.
 //! - [`ehsim_hwcost`] — CACTI-lite hardware cost model.
-//! - [`ehsim_analyze`] — trace loading, cross-run diffing, voltage
-//!   trajectory export.
 //!
 //! # Examples
 //!
@@ -28,7 +26,6 @@
 //! ```
 
 pub use ehsim;
-pub use ehsim_analyze;
 pub use ehsim_cache;
 pub use ehsim_energy;
 pub use ehsim_hwcost;

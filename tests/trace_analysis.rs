@@ -6,8 +6,9 @@
 //! loader's byte-mutation property.
 
 use wl_cache_repro::ehsim::Event;
-use wl_cache_repro::ehsim_analyze::{diff_runs, dq_occupancy, energy_series, render_diff, Run};
-use wl_cache_repro::ehsim_obs::{StreamingObserver, DEFAULT_STREAM_CAPACITY};
+use wl_cache_repro::ehsim_obs::{
+    diff_runs, dq_occupancy, energy_series, render_diff, StreamingObserver, DEFAULT_STREAM_CAPACITY,
+};
 use wl_cache_repro::prelude::*;
 
 fn kernel(name: &str, scale: Scale) -> Box<dyn Workload> {
@@ -33,16 +34,15 @@ fn jsonl_round_trip_is_lossless_on_a_real_run() {
     let (report, trace) = traced(cfg, "FFT_i", Scale::Small);
     assert!(report.outages > 0, "rf3 must cause outages");
 
-    let run = Run::from_jsonl(&trace.jsonl()).expect("own JSONL parses");
+    let run = RunTrace::from_jsonl(&trace.jsonl()).expect("own JSONL parses");
     assert_eq!(run.events, trace.events, "event-for-event identical");
     assert_eq!(run.counters, trace.counters);
     assert_eq!(run.histograms, trace.histograms);
-    assert_eq!(run.intervals, trace.intervals(), "interval rows rebuild");
+    assert_eq!(run.intervals(), trace.intervals(), "interval rows rebuild");
 
     // And the reloaded run re-renders byte-identical exports.
-    let back = run.to_trace();
-    assert_eq!(back.jsonl(), trace.jsonl());
-    assert_eq!(back.interval_metrics_tsv(), trace.interval_metrics_tsv());
+    assert_eq!(run.jsonl(), trace.jsonl());
+    assert_eq!(run.interval_metrics_tsv(), trace.interval_metrics_tsv());
 }
 
 /// 64-bit FNV-1a.
@@ -84,8 +84,8 @@ fn self_diff_reports_no_divergence() {
     let (_, trace) = traced(cfg.clone(), "FFT_i", Scale::Small);
     let (_, again) = traced(cfg, "FFT_i", Scale::Small);
 
-    let a = Run::from_jsonl(&trace.jsonl()).unwrap();
-    let b = Run::from_jsonl(&again.jsonl()).unwrap();
+    let a = RunTrace::from_jsonl(&trace.jsonl()).unwrap();
+    let b = RunTrace::from_jsonl(&again.jsonl()).unwrap();
     let report = diff_runs(&a, "a.jsonl", &b, "b.jsonl");
     assert!(report.identical(), "identical configs must not diverge");
     let text = render_diff(&report, &a, &b);
@@ -105,8 +105,8 @@ fn wl_vs_wl_dyn_diff_names_the_first_divergence() {
         Scale::Small,
     );
 
-    let a = Run::from_jsonl(&wl.jsonl()).unwrap();
-    let b = Run::from_jsonl(&dyn_.jsonl()).unwrap();
+    let a = RunTrace::from_jsonl(&wl.jsonl()).unwrap();
+    let b = RunTrace::from_jsonl(&dyn_.jsonl()).unwrap();
     let report = diff_runs(&a, "wl", &b, "wl-dyn");
     let div = report
         .divergence
@@ -161,7 +161,7 @@ fn streaming_observer_is_constant_memory_on_a_heavy_run() {
 
     // The streamed file reconciles event-for-event with the in-memory
     // recording of the identical run.
-    let streamed = Run::load(&path.display().to_string()).unwrap();
+    let streamed = RunTrace::load(&path.display().to_string()).unwrap();
     assert_eq!(streamed.events, trace.events);
     let _ = std::fs::remove_file(&path);
 }
@@ -274,7 +274,7 @@ fn every_jsonl_byte_mutation_and_truncation_is_handled() {
         "{c:?}"
     );
     let bytes = trace.jsonl().into_bytes();
-    let base = Run::from_jsonl(&String::from_utf8_lossy(&bytes)).expect("own JSONL loads");
+    let base = RunTrace::from_jsonl(&String::from_utf8_lossy(&bytes)).expect("own JSONL loads");
 
     let mut damaged: Vec<Vec<u8>> = (0..bytes.len()).map(|cut| bytes[..cut].to_vec()).collect();
     for i in 0..bytes.len() {
@@ -293,16 +293,15 @@ fn every_jsonl_byte_mutation_and_truncation_is_handled() {
     }
     let (mut rejected, mut same, mut other) = (0, 0, 0);
     for bad in &damaged {
-        match Run::from_jsonl(&String::from_utf8_lossy(bad)) {
+        match RunTrace::from_jsonl(&String::from_utf8_lossy(bad)) {
             Err(_) => rejected += 1,
             Ok(run) => {
                 let diff = diff_runs(&base, "base", &run, "damaged");
                 let _ = render_diff(&diff, &base, &run);
                 let _ = dq_occupancy(&run);
                 let _ = energy_series(&run);
-                let back = run.to_trace();
-                let _ = back.chrome_trace("damaged");
-                let _ = back.interval_metrics_tsv();
+                let _ = run.chrome_trace("damaged");
+                let _ = run.interval_metrics_tsv();
                 if run.events == base.events {
                     same += 1;
                 } else {
