@@ -17,10 +17,13 @@
 //! reports are bit-identical to solo runs. A group takes whole
 //! [`ehsim::AccessClass`]es — jobs that differ only in their power
 //! input, whose access half one member runs for all until their first
-//! outage — up to 8 classes and 16 jobs. A group's members share one
-//! simulated NVM, so a sweep's footprint is at most one group per
-//! worker plus the memo. Jobs whose kernel is `EHSIM_TRACE_WORKLOAD`
-//! run solo.
+//! outage — up to 8 classes and 16 jobs; a kernel's classes split into
+//! the fewest balanced units, keeping each [`ehsim::ResidencyClass`] —
+//! write-back designs of one geometry and policy, which share one tag
+//! array in a group — in one unit where the caps allow. A group's
+//! members share one simulated NVM, so a sweep's footprint is at most
+//! one group per worker plus the memo. Jobs whose kernel is
+//! `EHSIM_TRACE_WORKLOAD` run solo.
 //!
 //! **Persistent result store.** `EHSIM_RESULT_STORE=<dir>` persists
 //! completed *reports* across processes in
@@ -124,6 +127,10 @@ pub struct ExecStats {
     /// in a lockstep group, for the whole run or until their first
     /// outage.
     pub lockstep_followers: u64,
+    /// Executed simulations that followed a residency-class lead's tag
+    /// array in a lockstep group, for the whole run or until they left
+    /// their class.
+    pub residency_followers: u64,
 }
 
 #[derive(Default)]
@@ -136,6 +143,7 @@ struct Counters {
     store_rejects: AtomicU64,
     lockstep_fallbacks: AtomicU64,
     lockstep_followers: AtomicU64,
+    residency_followers: AtomicU64,
 }
 
 fn counters() -> &'static Counters {
@@ -161,6 +169,7 @@ pub fn stats() -> ExecStats {
         store_rejects: c.store_rejects.load(Ordering::Relaxed),
         lockstep_fallbacks: c.lockstep_fallbacks.load(Ordering::Relaxed),
         lockstep_followers: c.lockstep_followers.load(Ordering::Relaxed),
+        residency_followers: c.residency_followers.load(Ordering::Relaxed),
     }
 }
 
@@ -331,6 +340,8 @@ fn run_direct(unit: &[&Job]) -> Vec<Report> {
         .fetch_add(u64::from(run.fell_back), Ordering::Relaxed);
     c.lockstep_followers
         .fetch_add(run.followers as u64, Ordering::Relaxed);
+    c.residency_followers
+        .fetch_add(run.residency_followers as u64, Ordering::Relaxed);
     run.outcomes
         .into_iter()
         .zip(unit)
@@ -420,13 +431,16 @@ const GROUP_MAX_JOBS: usize = 16;
 
 /// Splits `misses` into units of miss indices. A unit holds jobs of one
 /// (workload, scale) and takes whole access classes
-/// ([`ehsim::SimConfig::access_class`]) in first-appearance order, until
-/// the next class would bring it past [`GROUP_MAX_CLASSES`] classes or
-/// [`GROUP_MAX_JOBS`] jobs; a class of more than [`GROUP_MAX_JOBS`]
-/// jobs is split. Each unit lists its jobs in submission order, and
-/// the units are ordered by their first job. Every job of the `traced`
-/// kernel (`EHSIM_TRACE_WORKLOAD`), which streams its own timeline,
-/// runs alone.
+/// ([`ehsim::SimConfig::access_class`]; a class of more than
+/// [`GROUP_MAX_JOBS`] jobs is split into parts of at most that many).
+/// A kernel's parts go into the fewest units that hold at most
+/// [`GROUP_MAX_CLASSES`] parts and [`GROUP_MAX_JOBS`] jobs each, with
+/// part counts that differ by at most one, and the parts of one
+/// residency class ([`ehsim::SimConfig::residency_class`]) share a unit
+/// where the caps allow ([`pack_parts`]). Each unit lists its jobs in
+/// submission order, and the units are ordered by their first job.
+/// Every job of the `traced` kernel (`EHSIM_TRACE_WORKLOAD`), which
+/// streams its own timeline, runs alone.
 fn lockstep_units(misses: &[&Job], traced: Option<&str>) -> Vec<Vec<usize>> {
     let mut units: Vec<Vec<usize>> = Vec::new();
     // Each (workload, scale)'s access classes, in first-appearance
@@ -454,23 +468,92 @@ fn lockstep_units(misses: &[&Job], traced: Option<&str>) -> Vec<Vec<usize>> {
         }
     }
     for classes in kernels {
-        let mut unit: Vec<usize> = Vec::new();
-        let mut held = 0;
+        // The kernel's residency groups: parts of one residency class
+        // together, in first-appearance order; a part outside every
+        // class is a group of its own.
+        let mut groups: Vec<Vec<&[usize]>> = Vec::new();
         for part in classes.iter().flat_map(|c| c.chunks(GROUP_MAX_JOBS)) {
-            if held == GROUP_MAX_CLASSES || unit.len() + part.len() > GROUP_MAX_JOBS {
-                units.push(std::mem::take(&mut unit));
-                held = 0;
+            let class = misses[part[0]].cfg.residency_class();
+            let same = |g: &&mut Vec<&[usize]>| {
+                class.is_some() && misses[g[0][0]].cfg.residency_class() == class
+            };
+            match groups.iter_mut().find(same) {
+                Some(g) => g.push(part),
+                None => groups.push(vec![part]),
             }
-            unit.extend_from_slice(part);
-            held += 1;
         }
-        units.push(unit);
+        units.extend(
+            pack_parts(&groups)
+                .into_iter()
+                .filter(|unit| !unit.is_empty())
+                .map(|unit| unit.concat()),
+        );
     }
     for unit in &mut units {
         unit.sort_unstable();
     }
     units.sort_unstable_by_key(|unit| unit[0]);
     units
+}
+
+/// Packs one kernel's parts — given as residency groups of parts — into
+/// the fewest units of at most [`GROUP_MAX_CLASSES`] parts and
+/// [`GROUP_MAX_JOBS`] jobs whose part counts differ by at most one.
+///
+/// For a unit count `n`, every unit takes `⌊p/n⌋` or `⌈p/n⌉` of the `p`
+/// parts. Groups go largest first; each part goes to the unit that took
+/// its group's previous part if that unit has room, and otherwise to the
+/// unit with room that holds the fewest parts, then the fewest jobs. If
+/// a part finds no unit with room, `n` grows by one; at one part per
+/// unit every part fits.
+fn pack_parts<'a>(groups: &[Vec<&'a [usize]>]) -> Vec<Vec<&'a [usize]>> {
+    let parts: usize = groups.iter().map(Vec::len).sum();
+    let jobs: usize = groups.iter().flatten().map(|p| p.len()).sum();
+    let mut order: Vec<&Vec<&[usize]>> = groups.iter().collect();
+    order.sort_by_key(|g| std::cmp::Reverse(g.len()));
+    let mut n = parts
+        .div_ceil(GROUP_MAX_CLASSES)
+        .max(jobs.div_ceil(GROUP_MAX_JOBS))
+        .max(1);
+    loop {
+        let most = parts.div_ceil(n);
+        // How many units may hold `most` parts: the rest hold one less.
+        let mut full_left = match parts % n {
+            0 => n,
+            r => r,
+        };
+        let mut units: Vec<Vec<&[usize]>> = vec![Vec::new(); n];
+        let mut held = vec![0; n];
+        let placed = order.iter().all(|group| {
+            let mut last: Option<usize> = None;
+            group.iter().all(|part| {
+                let room = |u: usize| {
+                    let count = units[u].len();
+                    held[u] + part.len() <= GROUP_MAX_JOBS
+                        && (count + 1 < most || (count + 1 == most && full_left > 0))
+                };
+                let unit = last.filter(|&u| room(u)).or_else(|| {
+                    (0..n)
+                        .filter(|&u| room(u))
+                        .min_by_key(|&u| (units[u].len(), held[u]))
+                });
+                let Some(u) = unit else {
+                    return false;
+                };
+                units[u].push(part);
+                held[u] += part.len();
+                if units[u].len() == most {
+                    full_left -= 1;
+                }
+                last = Some(u);
+                true
+            })
+        });
+        if placed {
+            return units;
+        }
+        n += 1;
+    }
 }
 
 enum Slot {
@@ -641,9 +724,10 @@ mod tests {
     }
 
     /// Units keep to one kernel and scale and take whole access
-    /// classes, up to the class and job caps, in first-appearance
-    /// order; each lists its jobs in submission order. Every job of the
-    /// traced kernel runs alone.
+    /// classes, up to the class and job caps, in the fewest units of
+    /// balanced size that keep residency classes together; each lists
+    /// its jobs in submission order. Every job of the traced kernel
+    /// runs alone.
     #[test]
     fn lockstep_units_take_whole_access_classes() {
         let caps = [0.1, 1.0, 100.0];
@@ -659,7 +743,8 @@ mod tests {
             .collect();
         jobs.insert(3, Job::new(SimConfig::wl_cache(), 16, Scale::Small));
         // Default sha, nine classes of one (each verifying job is a
-        // class of its own): the ninth opens a unit past the cap of 8.
+        // class of its own): two units, of five and four classes. The
+        // four static WL-Cache jobs, one residency class, share one.
         let mut more: Vec<SimConfig> = designs.iter().map(|c| c.clone().with_verify()).collect();
         more.extend((1..=4).map(SimConfig::wl_cache_static));
         jobs.extend(
@@ -685,8 +770,8 @@ mod tests {
         let sha_small: Vec<usize> = (0..16).filter(|&i| i != 3).collect();
         assert_eq!(units[0], sha_small);
         assert_eq!(units[1], [3]);
-        assert_eq!(units[2], (16..24).collect::<Vec<_>>());
-        assert_eq!(units[3], [24]);
+        assert_eq!(units[2], [16, 17, 18, 19]);
+        assert_eq!(units[3], [20, 21, 22, 23, 24]);
         assert_eq!(units[4], (25..41).collect::<Vec<_>>());
         assert_eq!(units[5], [41, 42, 43]);
         assert_eq!(units.len(), 6);
@@ -695,6 +780,45 @@ mod tests {
         assert_eq!(traced[1], [3]);
         assert_eq!(traced.len(), 4 + 19);
         assert!(traced[4..].iter().all(|u| u.len() == 1));
+    }
+
+    /// Fig 12's misses on one kernel — static WL-Cache at four maxlines
+    /// and adaptive WL-Cache under FIFO, and the four static ones under
+    /// LRU — are nine classes of two residency classes: two units of
+    /// five and four, one residency class each, not eight and one.
+    #[test]
+    fn nine_classes_split_five_and_four_by_residency_class() {
+        use ehsim_cache::ReplacementPolicy::{Fifo, Lru};
+        let mut cfgs: Vec<SimConfig> = [2, 4, 6, 8]
+            .into_iter()
+            .map(|m| SimConfig::wl_cache_static(m).with_cache_policy(Lru))
+            .collect();
+        cfgs.extend(
+            [2, 4, 6, 8]
+                .into_iter()
+                .map(|m| SimConfig::wl_cache_static(m).with_cache_policy(Fifo)),
+        );
+        cfgs.push(SimConfig::wl_cache().with_cache_policy(Fifo));
+        let jobs: Vec<Job> = cfgs
+            .into_iter()
+            .map(|cfg| Job::new(cfg.with_trace(TraceKind::Rf2), 3, Scale::Small))
+            .collect();
+        let refs: Vec<&Job> = jobs.iter().collect();
+        assert_eq!(
+            lockstep_units(&refs, None),
+            [vec![0, 1, 2, 3], vec![4, 5, 6, 7, 8]]
+        );
+    }
+
+    /// Seventeen classes of one: three units of six, six and five.
+    #[test]
+    fn seventeen_classes_split_into_three_balanced_units() {
+        let jobs: Vec<Job> = (0..17)
+            .map(|_| Job::new(SimConfig::vcache_wt().with_verify(), 5, Scale::Small))
+            .collect();
+        let refs: Vec<&Job> = jobs.iter().collect();
+        let sizes: Vec<usize> = lockstep_units(&refs, None).iter().map(Vec::len).collect();
+        assert_eq!(sizes, [6, 6, 5]);
     }
 
     /// The Fig 4 job set — five designs on the 23 kernels, submitted

@@ -296,6 +296,7 @@ pub fn registry() -> MetricsRegistry {
     m.set_counter("store_rejects", st.store_rejects);
     m.set_counter("lockstep_fallbacks", st.lockstep_fallbacks);
     m.set_counter("lockstep_followers", st.lockstep_followers);
+    m.set_counter("residency_followers", st.residency_followers);
     m.set_counter("jobs", crate::exec::jobs() as u64);
     m.set_counter("host_cores", host_cores() as u64);
     m.set_text("engine", crate::exec::ENGINE);

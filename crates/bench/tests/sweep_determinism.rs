@@ -148,3 +148,25 @@ fn trace_classes_match_direct_runs() {
     .collect();
     assert_classes_match_direct(&cfgs);
 }
+
+/// Fig 4's shape — the five designs, failure-free, design by design —
+/// on a geometry no other test here runs, so that nothing is memoized:
+/// NVCache-WB, ReplayCache and WL-Cache follow NVSRAM(ideal)'s tag
+/// array on every kernel, and every report equals its direct run.
+#[test]
+fn fig04_shaped_batches_share_tag_arrays_and_match_direct_runs() {
+    let geometry = ehsim_cache::CacheGeometry::new(2048, 4, 32);
+    let before = exec::stats().residency_followers;
+    let batch: Vec<Job> = SimConfig::all_designs()
+        .into_iter()
+        .flat_map(|cfg| {
+            let cfg = cfg.with_geometry(geometry);
+            [0, 12, 16].map(move |w| Job::new(cfg.clone(), w, Scale::Small))
+        })
+        .collect();
+    assert_engine_matches_direct(&batch, Scale::Small);
+    assert!(
+        exec::stats().residency_followers >= before + 9,
+        "three members per kernel follow a residency-class lead"
+    );
+}

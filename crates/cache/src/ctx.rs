@@ -45,17 +45,27 @@ impl MemCtx<'_> {
     /// and counts traffic. Returns the absolute completion (ACK) time.
     #[inline]
     pub fn sync_line_write(&mut self, base: u32, data: &[u8]) -> Ps {
-        let (_, done) = self.port.schedule(
-            self.now,
-            self.timing.line_write_ps(),
-            self.timing.line_write_recovery_ps(),
-        );
         self.nvm.write_line(base, data);
         #[expect(
             clippy::cast_possible_truncation,
             reason = "a line buffer is `line_bytes: u32` long"
         )]
         let bytes = data.len() as u32;
+        self.charge_line_write(bytes)
+    }
+
+    /// The timing, energy and traffic of a synchronous line write of
+    /// `bytes` bytes, without the bytes: what [`MemCtx::sync_line_write`]
+    /// costs besides updating NVM. A residency-class follower's dirty
+    /// victim is already in NVM when it is evicted, so its write-back is
+    /// only this. Returns the absolute completion (ACK) time.
+    #[inline]
+    pub fn charge_line_write(&mut self, bytes: u32) -> Ps {
+        let (_, done) = self.port.schedule(
+            self.now,
+            self.timing.line_write_ps(),
+            self.timing.line_write_recovery_ps(),
+        );
         self.meter.add(
             ehsim_energy::EnergyCategory::MemWrite,
             self.energy.write_pj(bytes),
@@ -68,13 +78,21 @@ impl MemCtx<'_> {
     /// Returns the absolute completion time.
     #[inline]
     pub fn sync_line_read(&mut self, base: u32, buf: &mut [u8]) -> Ps {
-        let (_, done) = self.port.schedule(self.now, self.timing.line_read_ps(), 0);
         self.nvm.read_line(base, buf);
         #[expect(
             clippy::cast_possible_truncation,
             reason = "a line buffer is `line_bytes: u32` long"
         )]
         let bytes = buf.len() as u32;
+        self.charge_line_read(bytes)
+    }
+
+    /// The timing, energy and traffic of a synchronous line read of
+    /// `bytes` bytes, without the bytes: what [`MemCtx::sync_line_read`]
+    /// costs besides the copy. Returns the absolute completion time.
+    #[inline]
+    pub fn charge_line_read(&mut self, bytes: u32) -> Ps {
+        let (_, done) = self.port.schedule(self.now, self.timing.line_read_ps(), 0);
         self.meter.add(
             ehsim_energy::EnergyCategory::MemRead,
             self.energy.read_pj(bytes),
@@ -109,6 +127,15 @@ impl MemCtx<'_> {
     #[inline]
     pub fn async_line_write(&mut self, base: u32, data: &[u8]) -> Ps {
         let done = self.sync_line_write(base, data);
+        self.stats.async_writebacks += 1;
+        done
+    }
+
+    /// [`MemCtx::async_line_write`] without the bytes: its port
+    /// occupancy, energy and traffic. Returns the absolute ACK time.
+    #[inline]
+    pub fn charge_async_line_write(&mut self, bytes: u32) -> Ps {
+        let done = self.charge_line_write(bytes);
         self.stats.async_writebacks += 1;
         done
     }

@@ -10,7 +10,10 @@
 //! | [`WriteBufferCache`] | volatile SRAM + CAM buffer | write-through into buffer | buffer flush at checkpoint (the §3.3 rejected alternative) |
 //!
 //! WL-Cache itself lives in the `wl-cache` crate; it shares the
-//! [`WbCore`] substrate exported here.
+//! [`WbCore`] substrate exported here. NVCache-WB, NVSRAM(ideal),
+//! ReplayCache and WL-Cache are [`WriteBackDesign`]s: their access
+//! paths run over their own residency ([`Own`]) or over another such
+//! design's ([`Follow`]).
 
 mod common;
 mod nv_cache;
@@ -19,7 +22,7 @@ mod replay;
 mod write_buffer;
 mod write_through;
 
-pub use common::WbCore;
+pub use common::{Follow, Own, Residency, WbCore, WriteBackDesign};
 pub use nv_cache::NvCacheWb;
 pub use nvsram::NvSramCache;
 pub use replay::ReplayCache;

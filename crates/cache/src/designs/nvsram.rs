@@ -1,7 +1,7 @@
 //! `NVSRAM(ideal)`: volatile write-back SRAM cache with a non-volatile
 //! checkpoint counterpart (Fig 1(d)).
 
-use crate::designs::WbCore;
+use crate::designs::{Own, Residency, WbCore, WriteBackDesign};
 use crate::{CacheDesign, CacheGeometry, CacheTech, MemCtx, ReplacementPolicy};
 use ehsim_energy::{EnergyCategory, VoltageThresholds};
 use ehsim_mem::{AccessSize, NvmEnergy, Pj, Ps};
@@ -64,15 +64,12 @@ impl CacheDesign for NvSramCache {
 
     #[inline(always)]
     fn load(&mut self, ctx: &mut MemCtx<'_>, addr: u32, size: AccessSize) -> (Ps, u64) {
-        let (_, value, _) = self.core.load(ctx, addr, size);
-        (ctx.now, value)
+        self.load_with(Own, ctx, addr, size)
     }
 
     #[inline(always)]
     fn store(&mut self, ctx: &mut MemCtx<'_>, addr: u32, size: AccessSize, value: u64) -> Ps {
-        let (sw, _, _) = self.core.store_resident(ctx, addr, size, value);
-        self.core.array_mut().set_dirty(sw, true);
-        ctx.now
+        self.store_with(Own, ctx, addr, size, value)
     }
 
     fn checkpoint(&mut self, ctx: &mut MemCtx<'_>) -> Ps {
@@ -123,6 +120,42 @@ impl CacheDesign for NvSramCache {
     fn persistent_line(&self, base: u32) -> Option<&[u8]> {
         let sw = self.core.array().lookup(base)?;
         Some(self.core.array().line_data(sw))
+    }
+}
+
+impl WriteBackDesign for NvSramCache {
+    fn core(&self) -> &WbCore {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut WbCore {
+        &mut self.core
+    }
+
+    #[inline(always)]
+    fn load_with<'l, R: Residency<'l>>(
+        &mut self,
+        res: R,
+        ctx: &mut MemCtx<'_>,
+        addr: u32,
+        size: AccessSize,
+    ) -> (Ps, u64) {
+        let (_, value, _) = self.core.load(res, ctx, addr, size);
+        (ctx.now, value)
+    }
+
+    #[inline(always)]
+    fn store_with<'l, R: Residency<'l>>(
+        &mut self,
+        res: R,
+        ctx: &mut MemCtx<'_>,
+        addr: u32,
+        size: AccessSize,
+        value: u64,
+    ) -> Ps {
+        let (sw, _, _) = self.core.store_resident(res, ctx, addr, size, value);
+        self.core.set_dirty(res, sw, true);
+        ctx.now
     }
 }
 

@@ -20,7 +20,7 @@
 //! 3. **miss latency**: a miss consults the buffer *and* the cache
 //!    before going to memory, lengthening the miss path.
 
-use crate::designs::WbCore;
+use crate::designs::{Own, WbCore};
 use crate::{CacheDesign, CacheGeometry, CacheTech, MemCtx, ReplacementPolicy};
 use ehsim_energy::{EnergyCategory, VoltageThresholds};
 use ehsim_mem::{AccessSize, NvmEnergy, Pj, Ps};
@@ -146,7 +146,7 @@ impl CacheDesign for WriteBufferCache {
             }
             return (ctx.now, v);
         }
-        let (_, value, _) = self.core.load(ctx, addr, size);
+        let (_, value, _) = self.core.load(Own, ctx, addr, size);
         (ctx.now, value)
     }
 

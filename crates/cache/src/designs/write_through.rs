@@ -1,6 +1,6 @@
 //! `VCache-WT`: volatile SRAM write-through cache (Fig 1(b)).
 
-use crate::designs::WbCore;
+use crate::designs::{Own, WbCore};
 use crate::{CacheDesign, CacheGeometry, CacheTech, MemCtx, ReplacementPolicy};
 use ehsim_energy::{EnergyCategory, VoltageThresholds};
 use ehsim_mem::{AccessSize, NvmEnergy, Pj, Ps};
@@ -37,7 +37,7 @@ impl CacheDesign for VCacheWt {
 
     #[inline(always)]
     fn load(&mut self, ctx: &mut MemCtx<'_>, addr: u32, size: AccessSize) -> (Ps, u64) {
-        let (_, value, _) = self.core.load(ctx, addr, size);
+        let (_, value, _) = self.core.load(Own, ctx, addr, size);
         (ctx.now, value)
     }
 
@@ -181,6 +181,43 @@ mod tests {
         let _ = c.reboot(&mut ctx, 0);
         let (_, v) = c.load(&mut ctx, 0x30, AccessSize::B8);
         assert_eq!(v, 0xdeadbeef);
+    }
+
+    /// Why VCache-WT joins no residency class: a store miss leaves its
+    /// array as it was, where the write-back designs' residency step —
+    /// which a bare array running lookup and touch, or victim and fill,
+    /// on every access reproduces — fills the line. The stream: a load
+    /// fills line 0, a store misses on line 0x100, a load of line 0x200
+    /// in the same set then evicts a different line in each.
+    #[test]
+    fn its_residency_is_not_the_write_back_designs() {
+        let mut h = H::new();
+        let mut c = VCacheWt::new(CacheGeometry::new(256, 2, 64), ReplacementPolicy::Lru);
+        let mut bare = crate::TagArray::new(CacheGeometry::new(256, 2, 64), ReplacementPolicy::Lru);
+        for (store, addr) in [
+            (false, 0x000),
+            (true, 0x100),
+            (false, 0x200),
+            (false, 0x000),
+        ] {
+            let mut ctx = h.ctx();
+            if store {
+                let _ = c.store(&mut ctx, addr, AccessSize::B4, 1);
+            } else {
+                let _ = c.load(&mut ctx, addr, AccessSize::B4);
+            }
+            match bare.lookup(addr) {
+                Some(sw) => bare.touch(sw),
+                None => {
+                    let victim = bare.victim(addr);
+                    let _ = bare.fill_slot(victim, addr);
+                }
+            }
+        }
+        let lines = |a: &crate::TagArray| a.valid_lines().map(|(_, base)| base).collect::<Vec<_>>();
+        assert_eq!(lines(&bare), [0x200, 0x000]);
+        assert_eq!(lines(c.core.array()), [0x000, 0x200]);
+        assert_eq!(h.stats.load_hits, 1, "line 0 survives only in VCache-WT");
     }
 
     #[test]

@@ -40,8 +40,24 @@ pub struct SetWay {
 /// geometry's power-of-two invariants; they are exact integer
 /// equivalents of the division-based [`CacheGeometry`] helpers. A
 /// maintained counter makes [`TagArray::count_dirty`] O(1).
+///
+/// The dirty bits are kept apart from the rest, the array's
+/// *residency* — tags, LRU/FIFO stamps and line bytes — so that a
+/// write-back design can keep its own dirty bits over another array's
+/// residency ([`TagArray::adopt`] and the `designs::Follow` view).
 #[derive(Debug, Clone)]
 pub struct TagArray {
+    lines: Lines,
+    /// Dirty bit per slot. Only a valid slot is ever dirty.
+    dirty: Vec<bool>,
+    /// Number of set dirty bits, maintained across fills, `set_dirty`
+    /// transitions and invalidations.
+    dirty_count: usize,
+}
+
+/// Everything of a [`TagArray`] but its dirty bits.
+#[derive(Debug, Clone)]
+struct Lines {
     geom: CacheGeometry,
     policy: ReplacementPolicy,
     tick: u64,
@@ -54,12 +70,8 @@ pub struct TagArray {
     set_shift: u32,
     /// `n_sets - 1`, the mask selecting the set bits.
     set_mask: u32,
-    /// Number of valid dirty lines, maintained across fills,
-    /// `set_dirty` transitions and invalidations (dirty implies valid).
-    dirty_count: usize,
     /// Line tag per slot, or [`INVALID_TAG`] for an invalid slot.
     tags: Vec<u32>,
-    dirty: Vec<bool>,
     last_use: Vec<u64>,
     filled_at: Vec<u64>,
     /// All line contents, `line_bytes` per slot, in slot-index order.
@@ -70,6 +82,53 @@ pub struct TagArray {
 /// set_shift)` with a shift of at least one, so it is below `2^31` and
 /// never equals the sentinel.
 const INVALID_TAG: u32 = u32::MAX;
+
+impl Lines {
+    #[inline]
+    fn ix(&self, sw: SetWay) -> usize {
+        (sw.set * self.ways + sw.way) as usize
+    }
+
+    #[inline]
+    fn set_of(&self, addr: u32) -> u32 {
+        (addr >> self.line_shift) & self.set_mask
+    }
+
+    #[inline]
+    fn tag_of(&self, addr: u32) -> u32 {
+        addr >> (self.line_shift + self.set_shift)
+    }
+
+    #[inline]
+    fn valid(&self, ix: usize) -> bool {
+        self.tags[ix] != INVALID_TAG
+    }
+
+    /// Base address of the line whose tag is stored at slot `ix` in set
+    /// `set`. Shift form of `CacheGeometry::base_of`, exact under
+    /// wrapping as well.
+    #[inline]
+    fn base_of_ix(&self, ix: usize, set: u32) -> u32 {
+        ((self.tags[ix] << self.set_shift) | set) << self.line_shift
+    }
+
+    /// The set of slot `ix`.
+    #[inline]
+    fn set_of_ix(&self, ix: usize) -> u32 {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a slot index is below sets × ways, both u32"
+        )]
+        let ix = ix as u32;
+        ix / self.ways
+    }
+
+    #[inline]
+    fn line_slice(&self, ix: usize) -> &[u8] {
+        let lb = self.line_bytes as usize;
+        &self.data[ix * lb..(ix + 1) * lb]
+    }
+}
 
 impl TagArray {
     /// Creates an empty (all-invalid) array.
@@ -89,60 +148,70 @@ impl TagArray {
             "tags need at least one offset or set bit"
         );
         Self {
-            geom,
-            policy,
-            tick: 0,
-            ways: geom.ways(),
-            line_bytes,
-            line_shift: line_bytes.trailing_zeros(),
-            set_shift: geom.n_sets().trailing_zeros(),
-            set_mask: geom.n_sets() - 1,
-            dirty_count: 0,
-            tags: vec![INVALID_TAG; n],
+            lines: Lines {
+                geom,
+                policy,
+                tick: 0,
+                ways: geom.ways(),
+                line_bytes,
+                line_shift: line_bytes.trailing_zeros(),
+                set_shift: geom.n_sets().trailing_zeros(),
+                set_mask: geom.n_sets() - 1,
+                tags: vec![INVALID_TAG; n],
+                last_use: vec![0; n],
+                filled_at: vec![0; n],
+                data: vec![0u8; n * line_bytes as usize],
+            },
             dirty: vec![false; n],
-            last_use: vec![0; n],
-            filled_at: vec![0; n],
-            data: vec![0u8; n * line_bytes as usize],
+            dirty_count: 0,
         }
     }
 
     /// The array's geometry.
     pub fn geometry(&self) -> CacheGeometry {
-        self.geom
+        self.lines.geom
     }
 
     /// The replacement policy used by [`TagArray::victim`].
     pub fn policy(&self) -> ReplacementPolicy {
-        self.policy
+        self.lines.policy
     }
 
-    #[inline]
-    fn ix(&self, sw: SetWay) -> usize {
-        (sw.set * self.ways + sw.way) as usize
+    /// Takes `lead`'s residency — tags, LRU/FIFO stamps, the stamp
+    /// clock and line bytes — and keeps this array's own dirty bits.
+    ///
+    /// A write-back design that followed `lead`'s residency (see
+    /// `designs::Follow`) kept only its dirty bits current; adopting
+    /// makes it a complete array again, equal to the one it would hold
+    /// had it run every residency step itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two arrays differ in geometry or policy.
+    pub fn adopt(&mut self, lead: &TagArray) {
+        assert!(
+            self.lines.geom == lead.lines.geom && self.lines.policy == lead.lines.policy,
+            "only an array of the same geometry and policy has the same residency"
+        );
+        self.lines.clone_from(&lead.lines);
+        debug_assert!(
+            self.dirty
+                .iter()
+                .enumerate()
+                .all(|(ix, &d)| !d || self.lines.valid(ix)),
+            "a dirty slot is invalid in the adopted residency"
+        );
     }
 
-    #[inline]
-    fn set_of(&self, addr: u32) -> u32 {
-        (addr >> self.line_shift) & self.set_mask
-    }
-
-    #[inline]
-    fn tag_of(&self, addr: u32) -> u32 {
-        addr >> (self.line_shift + self.set_shift)
-    }
-
-    /// Base address of the line whose tag is stored at slot `ix` in set
-    /// `set`. Shift form of `CacheGeometry::base_of`, exact under
-    /// wrapping as well.
-    #[inline]
-    fn base_of_ix(&self, ix: usize, set: u32) -> u32 {
-        ((self.tags[ix] << self.set_shift) | set) << self.line_shift
-    }
-
-    #[inline]
-    fn line_slice(&self, ix: usize) -> &[u8] {
-        let lb = self.line_bytes as usize;
-        &self.data[ix * lb..(ix + 1) * lb]
+    /// Hands `f` the base address and bytes, in `lead`, of every line
+    /// `lead` holds dirty and this array holds clean, in slot order.
+    pub(crate) fn lines_dirty_only_in(&self, lead: &TagArray, mut f: impl FnMut(u32, &[u8])) {
+        let l = &lead.lines;
+        for (ix, (&theirs, &ours)) in lead.dirty.iter().zip(&self.dirty).enumerate() {
+            if theirs && !ours {
+                f(l.base_of_ix(ix, l.set_of_ix(ix)), l.line_slice(ix));
+            }
+        }
     }
 
     /// Finds the slot holding `addr`'s line, if present and valid.
@@ -157,12 +226,13 @@ impl TagArray {
     /// is debug-asserted on every call.
     #[inline]
     pub fn lookup(&self, addr: u32) -> Option<SetWay> {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let first = (set * self.ways) as usize;
-        let n = self.ways as usize;
+        let l = &self.lines;
+        let set = l.set_of(addr);
+        let tag = l.tag_of(addr);
+        let first = (set * l.ways) as usize;
+        let n = l.ways as usize;
         let mut mask: u64 = 0;
-        for (way, &t) in self.tags[first..first + n].iter().enumerate() {
+        for (way, &t) in l.tags[first..first + n].iter().enumerate() {
             mask |= ((t == tag) as u64) << way;
         }
         let hit = if mask == 0 {
@@ -184,12 +254,13 @@ impl TagArray {
     /// The reference early-exit scan [`TagArray::lookup`] is checked
     /// against in debug builds.
     fn lookup_scalar(&self, addr: u32) -> Option<SetWay> {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let first = (set * self.ways) as usize;
-        for way in 0..self.ways {
+        let l = &self.lines;
+        let set = l.set_of(addr);
+        let tag = l.tag_of(addr);
+        let first = (set * l.ways) as usize;
+        for way in 0..l.ways {
             let ix = first + way as usize;
-            if self.valid(ix) && self.tags[ix] == tag {
+            if l.valid(ix) && l.tags[ix] == tag {
                 return Some(SetWay { set, way });
             }
         }
@@ -199,9 +270,10 @@ impl TagArray {
     /// Records a use of `sw` for LRU bookkeeping.
     #[inline]
     pub fn touch(&mut self, sw: SetWay) {
-        self.tick += 1;
-        let ix = self.ix(sw);
-        self.last_use[ix] = self.tick;
+        let l = &mut self.lines;
+        l.tick += 1;
+        let ix = l.ix(sw);
+        l.last_use[ix] = l.tick;
     }
 
     /// Chooses the way that `addr`'s fill should displace: an invalid way
@@ -209,17 +281,18 @@ impl TagArray {
     /// fill order). Ties keep the lowest way.
     #[inline]
     pub fn victim(&self, addr: u32) -> SetWay {
-        let set = self.set_of(addr);
-        let first = (set * self.ways) as usize;
+        let l = &self.lines;
+        let set = l.set_of(addr);
+        let first = (set * l.ways) as usize;
         let mut best: Option<(u64, u32)> = None;
-        for way in 0..self.ways {
+        for way in 0..l.ways {
             let ix = first + way as usize;
-            if !self.valid(ix) {
+            if !l.valid(ix) {
                 return SetWay { set, way };
             }
-            let key = match self.policy {
-                ReplacementPolicy::Lru => self.last_use[ix],
-                ReplacementPolicy::Fifo => self.filled_at[ix],
+            let key = match l.policy {
+                ReplacementPolicy::Lru => l.last_use[ix],
+                ReplacementPolicy::Fifo => l.filled_at[ix],
             };
             if best.is_none_or(|(k, _)| key < k) {
                 best = Some((key, way));
@@ -240,7 +313,7 @@ impl TagArray {
     ///
     /// Panics if `data` is not exactly one line long.
     pub fn fill(&mut self, sw: SetWay, addr: u32, data: &[u8]) {
-        assert_eq!(data.len(), self.line_bytes as usize);
+        assert_eq!(data.len(), self.lines.line_bytes as usize);
         self.fill_slot(sw, addr).copy_from_slice(data);
     }
 
@@ -250,29 +323,33 @@ impl TagArray {
     /// used to read a line straight from NVM into the array.
     #[inline]
     pub fn fill_slot(&mut self, sw: SetWay, addr: u32) -> &mut [u8] {
-        self.tick += 1;
-        let tick = self.tick;
-        let tag = self.tag_of(addr);
-        let ix = self.ix(sw);
-        if self.dirty[ix] {
-            self.dirty_count -= 1;
-        }
-        self.tags[ix] = tag;
-        self.dirty[ix] = false;
-        self.last_use[ix] = tick;
-        self.filled_at[ix] = tick;
-        let lb = self.line_bytes as usize;
-        &mut self.data[ix * lb..(ix + 1) * lb]
+        self.clear_dirty(sw);
+        let l = &mut self.lines;
+        l.tick += 1;
+        let tick = l.tick;
+        let tag = l.tag_of(addr);
+        let ix = l.ix(sw);
+        l.tags[ix] = tag;
+        l.last_use[ix] = tick;
+        l.filled_at[ix] = tick;
+        let lb = l.line_bytes as usize;
+        &mut l.data[ix * lb..(ix + 1) * lb]
     }
 
+    /// Clears the dirty bit of `sw` without looking at its residency:
+    /// the dirty-bit half of a fill.
     #[inline]
-    fn valid(&self, ix: usize) -> bool {
-        self.tags[ix] != INVALID_TAG
+    pub(crate) fn clear_dirty(&mut self, sw: SetWay) {
+        let ix = self.lines.ix(sw);
+        if self.dirty[ix] {
+            self.dirty_count -= 1;
+            self.dirty[ix] = false;
+        }
     }
 
     /// Whether `sw` holds a valid line.
     pub fn is_valid(&self, sw: SetWay) -> bool {
-        self.valid(self.ix(sw))
+        self.lines.valid(self.lines.ix(sw))
     }
 
     /// Whether `sw` holds a valid, dirty line. Only a valid line can be
@@ -280,7 +357,7 @@ impl TagArray {
     /// clears the bit), so the dirty bit alone answers.
     #[inline]
     pub fn is_dirty(&self, sw: SetWay) -> bool {
-        self.dirty[self.ix(sw)]
+        self.dirty[self.lines.ix(sw)]
     }
 
     /// Sets or clears the dirty bit of a valid line.
@@ -290,8 +367,16 @@ impl TagArray {
     /// Panics if the slot is invalid.
     #[inline]
     pub fn set_dirty(&mut self, sw: SetWay, dirty: bool) {
-        let ix = self.ix(sw);
-        assert!(self.valid(ix), "cannot mark an invalid line");
+        assert!(self.is_valid(sw), "cannot mark an invalid line");
+        self.set_dirty_bit(sw, dirty);
+    }
+
+    /// [`TagArray::set_dirty`] without the validity check, for an array
+    /// whose residency is another's: the caller has checked the slot
+    /// there.
+    #[inline]
+    pub(crate) fn set_dirty_bit(&mut self, sw: SetWay, dirty: bool) {
+        let ix = self.lines.ix(sw);
         if self.dirty[ix] != dirty {
             if dirty {
                 self.dirty_count += 1;
@@ -304,17 +389,14 @@ impl TagArray {
 
     /// Invalidates one slot.
     pub fn invalidate(&mut self, sw: SetWay) {
-        let ix = self.ix(sw);
-        if self.dirty[ix] {
-            self.dirty_count -= 1;
-        }
-        self.tags[ix] = INVALID_TAG;
-        self.dirty[ix] = false;
+        self.clear_dirty(sw);
+        let ix = self.lines.ix(sw);
+        self.lines.tags[ix] = INVALID_TAG;
     }
 
     /// Invalidates every line (volatile cache at power-off).
     pub fn invalidate_all(&mut self) {
-        self.tags.fill(INVALID_TAG);
+        self.lines.tags.fill(INVALID_TAG);
         self.dirty.fill(false);
         self.dirty_count = 0;
     }
@@ -326,15 +408,15 @@ impl TagArray {
     /// Panics if the slot is invalid.
     #[inline]
     pub fn base_addr(&self, sw: SetWay) -> u32 {
-        let ix = self.ix(sw);
-        assert!(self.valid(ix), "invalid slot has no address");
-        self.base_of_ix(ix, sw.set)
+        let ix = self.lines.ix(sw);
+        assert!(self.lines.valid(ix), "invalid slot has no address");
+        self.lines.base_of_ix(ix, sw.set)
     }
 
     /// Borrows the line contents at `sw`.
     #[inline]
     pub fn line_data(&self, sw: SetWay) -> &[u8] {
-        self.line_slice(self.ix(sw))
+        self.lines.line_slice(self.lines.ix(sw))
     }
 
     /// LRU stamp of the line at `sw` (used by the DirtyQueue's LRU
@@ -342,7 +424,14 @@ impl TagArray {
     /// dirty line).
     #[inline]
     pub fn last_use(&self, sw: SetWay) -> u64 {
-        self.last_use[self.ix(sw)]
+        self.lines.last_use[self.lines.ix(sw)]
+    }
+
+    /// Fill stamp of the line at `sw`: the stamp clock's value when it
+    /// was filled, which orders FIFO victims.
+    #[inline]
+    pub fn filled_at(&self, sw: SetWay) -> u64 {
+        self.lines.filled_at[self.lines.ix(sw)]
     }
 
     /// Reads `size` bytes at `addr` from the (hitting) line at `sw`,
@@ -351,10 +440,10 @@ impl TagArray {
     /// # Panics
     ///
     /// Panics if `addr` does not fall within the line held at `sw`.
-    #[inline]
+    #[inline(always)]
     pub fn read(&self, sw: SetWay, addr: u32, size: AccessSize) -> u64 {
         let (ix, off) = self.offset_checked(sw, addr, size);
-        read_le(&self.line_slice(ix)[off..], size)
+        read_le(&self.lines.line_slice(ix)[off..], size)
     }
 
     /// Writes `size` bytes of `value` at `addr` into the line at `sw`.
@@ -363,11 +452,15 @@ impl TagArray {
     /// # Panics
     ///
     /// Panics if `addr` does not fall within the line held at `sw`.
-    #[inline]
+    #[inline(always)]
     pub fn write(&mut self, sw: SetWay, addr: u32, size: AccessSize, value: u64) {
         let (ix, off) = self.offset_checked(sw, addr, size);
-        let lb = self.line_bytes as usize;
-        write_le(&mut self.data[ix * lb + off..(ix + 1) * lb], size, value);
+        let lb = self.lines.line_bytes as usize;
+        write_le(
+            &mut self.lines.data[ix * lb + off..(ix + 1) * lb],
+            size,
+            value,
+        );
     }
 
     /// Bounds-checks an access and returns `(slot index, line offset)`.
@@ -380,28 +473,28 @@ impl TagArray {
     /// the offsets produced here index into a single line slice, so even
     /// in release builds an out-of-line access cannot read another
     /// line's bytes.
-    #[inline]
+    #[inline(always)]
     fn offset_checked(&self, sw: SetWay, addr: u32, size: AccessSize) -> (usize, usize) {
-        let ix = self.ix(sw);
-        debug_assert!(self.valid(ix), "access to invalid line");
-        let base = self.base_of_ix(ix, sw.set);
-        assert_eq!(
-            addr & !(self.line_bytes - 1),
-            base,
-            "address 0x{addr:x} not in line at 0x{base:x}"
-        );
+        let l = &self.lines;
+        let ix = l.ix(sw);
+        debug_assert!(l.valid(ix), "access to invalid line");
+        let base = l.base_of_ix(ix, sw.set);
+        if addr & !(l.line_bytes - 1) != base {
+            not_in_line(addr, base);
+        }
         let off = (addr - base) as usize;
-        debug_assert!(off + size.bytes() as usize <= self.line_bytes as usize);
+        debug_assert!(off + size.bytes() as usize <= l.line_bytes as usize);
         (ix, off)
     }
 
     /// Iterates over all valid dirty lines as `(slot, base_addr)`, in
     /// set-major slot order.
     pub fn dirty_lines(&self) -> impl Iterator<Item = (SetWay, u32)> + '_ {
-        (0..self.set_mask + 1).flat_map(move |set| {
-            (0..self.ways).filter_map(move |way| {
-                let ix = (set * self.ways + way) as usize;
-                self.dirty[ix].then(|| (SetWay { set, way }, self.base_of_ix(ix, set)))
+        let l = &self.lines;
+        (0..l.set_mask + 1).flat_map(move |set| {
+            (0..l.ways).filter_map(move |way| {
+                let ix = (set * l.ways + way) as usize;
+                self.dirty[ix].then(|| (SetWay { set, way }, l.base_of_ix(ix, set)))
             })
         })
     }
@@ -411,18 +504,31 @@ impl TagArray {
     /// handing `f` each line's base address and contents before its
     /// dirty bit clears. Allocation-free, and the walk stops at the
     /// last dirty line.
-    pub fn clean_dirty_lines(&mut self, mut f: impl FnMut(u32, &[u8])) {
+    pub fn clean_dirty_lines(&mut self, f: impl FnMut(u32, &[u8])) {
+        Self::clean(&mut self.dirty, &mut self.dirty_count, &self.lines, f);
+    }
+
+    /// [`TagArray::clean_dirty_lines`] over this array's dirty bits and
+    /// `lines`' residency: base addresses and bytes come from `lines`.
+    pub(crate) fn clean_dirty_lines_over(&mut self, lines: &TagArray, f: impl FnMut(u32, &[u8])) {
+        Self::clean(&mut self.dirty, &mut self.dirty_count, &lines.lines, f);
+    }
+
+    fn clean(
+        dirty: &mut [bool],
+        dirty_count: &mut usize,
+        lines: &Lines,
+        mut f: impl FnMut(u32, &[u8]),
+    ) {
         let mut ix = 0;
-        while self.dirty_count > 0 {
-            if self.dirty[ix] {
-                #[expect(
-                    clippy::cast_possible_truncation,
-                    reason = "a slot index is below sets × ways, both u32"
-                )]
-                let set = ix as u32 / self.ways;
-                f(self.base_of_ix(ix, set), self.line_slice(ix));
-                self.dirty[ix] = false;
-                self.dirty_count -= 1;
+        while *dirty_count > 0 {
+            if dirty[ix] {
+                f(
+                    lines.base_of_ix(ix, lines.set_of_ix(ix)),
+                    lines.line_slice(ix),
+                );
+                dirty[ix] = false;
+                *dirty_count -= 1;
             }
             ix += 1;
         }
@@ -431,11 +537,12 @@ impl TagArray {
     /// Iterates over all valid lines as `(slot, base_addr)`, in
     /// set-major slot order.
     pub fn valid_lines(&self) -> impl Iterator<Item = (SetWay, u32)> + '_ {
-        (0..self.set_mask + 1).flat_map(move |set| {
-            (0..self.ways).filter_map(move |way| {
-                let ix = (set * self.ways + way) as usize;
-                self.valid(ix)
-                    .then(|| (SetWay { set, way }, self.base_of_ix(ix, set)))
+        let l = &self.lines;
+        (0..l.set_mask + 1).flat_map(move |set| {
+            (0..l.ways).filter_map(move |way| {
+                let ix = (set * l.ways + way) as usize;
+                l.valid(ix)
+                    .then(|| (SetWay { set, way }, l.base_of_ix(ix, set)))
             })
         })
     }
@@ -444,6 +551,14 @@ impl TagArray {
     pub fn count_dirty(&self) -> usize {
         self.dirty_count
     }
+}
+
+/// The panic of an access outside the line it names, out of line so
+/// that the access paths stay small enough to inline.
+#[cold]
+#[inline(never)]
+fn not_in_line(addr: u32, base: u32) -> ! {
+    panic!("address 0x{addr:x} not in line at 0x{base:x}")
 }
 
 /// The first `size.bytes()` bytes of `bytes` as a little-endian,

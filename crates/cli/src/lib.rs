@@ -1601,6 +1601,7 @@ mod tests {
             store_rejects: 1,
             lockstep_fallbacks: 0,
             lockstep_followers: 0,
+            residency_followers: 0,
         };
         assert_eq!(
             store_summary(&st),

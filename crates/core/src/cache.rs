@@ -1,7 +1,7 @@
 //! The complete WL-Cache design (§3, §5).
 
 use crate::{AdaptationMode, AdaptiveController, DirtyQueue, DqPolicy, Thresholds};
-use ehsim_cache::designs::WbCore;
+use ehsim_cache::designs::{Own, Residency, WbCore, WriteBackDesign};
 use ehsim_cache::{CacheDesign, CacheGeometry, CacheTech, MemCtx, ReplacementPolicy, SetWay};
 use ehsim_energy::{EnergyCategory, VoltageThresholds};
 use ehsim_mem::{AccessSize, NvmEnergy, Pj, Ps};
@@ -197,10 +197,10 @@ impl WlCache {
 
     /// Recency stamp of the (still-dirty) line at `base`, or `None` if
     /// the line is stale — the DirtyQueue selection oracle.
-    fn stamp_of(core: &WbCore, base: u32) -> Option<u64> {
-        let array = core.array();
-        let sw = array.lookup(base)?;
-        (array.is_dirty(sw) && array.base_addr(sw) == base).then(|| array.last_use(sw))
+    fn stamp_of<'l, R: Residency<'l>>(core: &WbCore, res: R, base: u32) -> Option<u64> {
+        let lines = core.lines(res);
+        let sw = lines.lookup(base)?;
+        (core.array().is_dirty(sw) && lines.base_addr(sw) == base).then(|| lines.last_use(sw))
     }
 
     /// Polls completed write-back ACKs out of the DirtyQueue. The
@@ -232,14 +232,14 @@ impl WlCache {
     /// dirty line, mark it clean *first*, then launch the asynchronous
     /// write-back; the entry is popped later, at ACK (steps 3–4).
     /// Returns `false` if nothing was cleanable.
-    fn issue_cleaning(&mut self, ctx: &mut MemCtx<'_>) -> bool {
+    fn issue_cleaning<'l, R: Residency<'l>>(&mut self, res: R, ctx: &mut MemCtx<'_>) -> bool {
         if self.dq_policy == DqPolicy::Lru {
             ctx.meter.add(EnergyCategory::CacheRead, DQ_LRU_SEARCH_PJ);
         }
         let core = &self.core;
         let (selected, dropped) = self
             .dq
-            .select_for_cleaning(self.dq_policy, |base| Self::stamp_of(core, base));
+            .select_for_cleaning(self.dq_policy, |base| Self::stamp_of(core, res, base));
         self.wl_stats.stale_dropped += dropped as u64;
         if dropped > 0 {
             ctx.obs.emit(ctx.now, || Event::DqStaleDrop { dropped });
@@ -254,16 +254,16 @@ impl WlCache {
         )]
         let sw = self
             .core
-            .array()
+            .lines(res)
             .lookup(base)
             .expect("selected line is resident");
         // Step 1: mark clean before issuing, so a racing store to the
         // same line re-inserts it into the DirtyQueue (§5.3).
-        self.core.array_mut().set_dirty(sw, false);
+        self.core.set_dirty(res, sw, false);
         // Step 2: snapshot and issue; the line stays in the cache.
         ctx.meter
             .add(EnergyCategory::CacheRead, self.core.tech().read_pj);
-        let ack_at = ctx.async_line_write(base, self.core.array().line_data(sw));
+        let ack_at = res.async_write(ctx, base, self.core.lines(res).line_data(sw));
         ctx.meter.add(EnergyCategory::CacheWrite, DQ_ACCESS_PJ);
         self.dq.mark_cleaning(base, ack_at);
         self.wl_stats.cleanings += 1;
@@ -278,18 +278,18 @@ impl WlCache {
     /// lines coalesce and never get here. Reserves a slot, enqueues the
     /// line, then applies the waterline policy (§5.2).
     #[inline(never)]
-    fn track_dirty(&mut self, ctx: &mut MemCtx<'_>, sw: SetWay) {
-        self.reserve_dq_slot(ctx);
-        let base = self.core.array().base_addr(sw);
+    fn track_dirty<'l, R: Residency<'l>>(&mut self, res: R, ctx: &mut MemCtx<'_>, sw: SetWay) {
+        self.reserve_dq_slot(res, ctx);
+        let base = self.core.lines(res).base_addr(sw);
         self.dq.push(base);
         ctx.meter.add(EnergyCategory::CacheWrite, DQ_ACCESS_PJ);
-        self.core.array_mut().set_dirty(sw, true);
+        self.core.set_dirty(res, sw, true);
         ctx.obs.emit(ctx.now, || Event::DqEnqueue { base });
 
         // Waterline policy (§5.2): start cleaning asynchronously.
         let waterline = self.controller.thresholds().waterline();
         while self.dq.dirty_count() > waterline {
-            if !self.issue_cleaning(ctx) {
+            if !self.issue_cleaning(res, ctx) {
                 break;
             }
         }
@@ -297,7 +297,7 @@ impl WlCache {
 
     /// Makes room in the DirtyQueue for one more entry, stalling the
     /// store (or dynamically raising maxline) as needed.
-    fn reserve_dq_slot(&mut self, ctx: &mut MemCtx<'_>) {
+    fn reserve_dq_slot<'l, R: Residency<'l>>(&mut self, res: R, ctx: &mut MemCtx<'_>) {
         loop {
             self.poll_acks(ctx);
             let maxline = self.controller.thresholds().maxline();
@@ -337,7 +337,7 @@ impl WlCache {
                 None => {
                     // Queue full of Dirty entries with nothing in
                     // flight: force a cleaning and wait for it.
-                    if !self.issue_cleaning(ctx) {
+                    if !self.issue_cleaning(res, ctx) {
                         // Everything was stale and got dropped; loop.
                         continue;
                     }
@@ -364,19 +364,12 @@ impl CacheDesign for WlCache {
 
     #[inline(always)]
     fn load(&mut self, ctx: &mut MemCtx<'_>, addr: u32, size: AccessSize) -> (Ps, u64) {
-        self.poll_acks(ctx);
-        let (_, value, _) = self.core.load(ctx, addr, size);
-        (ctx.now, value)
+        self.load_with(Own, ctx, addr, size)
     }
 
     #[inline(always)]
     fn store(&mut self, ctx: &mut MemCtx<'_>, addr: u32, size: AccessSize, value: u64) -> Ps {
-        self.poll_acks(ctx);
-        let (sw, was_dirty, _) = self.core.store_resident(ctx, addr, size, value);
-        if !was_dirty {
-            self.track_dirty(ctx, sw);
-        }
-        ctx.now
+        self.store_with(Own, ctx, addr, size, value)
     }
 
     fn checkpoint(&mut self, ctx: &mut MemCtx<'_>) -> Ps {
@@ -445,6 +438,46 @@ impl CacheDesign for WlCache {
     fn worst_checkpoint_pj(&self, energy: &NvmEnergy) -> Pj {
         let line_bytes = self.core.array().geometry().line_bytes();
         self.controller.thresholds().maxline() as f64 * energy.write_pj(line_bytes)
+    }
+}
+
+impl WriteBackDesign for WlCache {
+    fn core(&self) -> &WbCore {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut WbCore {
+        &mut self.core
+    }
+
+    #[inline(always)]
+    fn load_with<'l, R: Residency<'l>>(
+        &mut self,
+        res: R,
+        ctx: &mut MemCtx<'_>,
+        addr: u32,
+        size: AccessSize,
+    ) -> (Ps, u64) {
+        self.poll_acks(ctx);
+        let (_, value, _) = self.core.load(res, ctx, addr, size);
+        (ctx.now, value)
+    }
+
+    #[inline(always)]
+    fn store_with<'l, R: Residency<'l>>(
+        &mut self,
+        res: R,
+        ctx: &mut MemCtx<'_>,
+        addr: u32,
+        size: AccessSize,
+        value: u64,
+    ) -> Ps {
+        self.poll_acks(ctx);
+        let (sw, was_dirty, _) = self.core.store_resident(res, ctx, addr, size, value);
+        if !was_dirty {
+            self.track_dirty(res, ctx, sw);
+        }
+        ctx.now
     }
 }
 

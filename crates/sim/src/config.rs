@@ -127,7 +127,58 @@ pub struct AccessClass<'a> {
     nvm_energy: &'a NvmEnergy,
 }
 
+/// The part of a [`SimConfig`] that decides a write-back design's
+/// *residency* — which line sits in which slot of its array, with which
+/// LRU/FIFO stamps — until its first outage: the geometry and the
+/// replacement policy. NVSRAM(ideal), NVCache-WB, ReplayCache and
+/// WL-Cache (in every adaptation mode) allocate on every miss and
+/// differ only in when dirty lines travel to NVM, so configurations of
+/// one class hold the same lines in the same slots on the same access
+/// stream, and a lockstep group runs their residency step once (see
+/// the `lockstep` module). Built by [`SimConfig::residency_class`].
+#[derive(Debug, PartialEq)]
+pub struct ResidencyClass<'a> {
+    geometry: &'a CacheGeometry,
+    cache_policy: &'a ReplacementPolicy,
+}
+
 impl SimConfig {
+    /// This configuration's [`ResidencyClass`], or `None` when it never
+    /// shares its array's residency: VCache-WT does not allocate on a
+    /// store miss and the write buffer's hits bypass the array, so their
+    /// residency is not the write-back designs'; a verifying
+    /// configuration keeps its own NVM, which a follower's skipped
+    /// write-back bytes would never reach.
+    pub fn residency_class(&self) -> Option<ResidencyClass<'_>> {
+        // Exhaustive destructuring: a new `SimConfig` field breaks this
+        // binding until it is sorted into the class or left out.
+        let SimConfig {
+            design,
+            geometry,
+            cache_policy,
+            trace: _,
+            custom_trace: _,
+            capacitor_uf: _,
+            cpu: _,
+            nvm_timing: _,
+            nvm_energy: _,
+            charging: _,
+            verify,
+            max_outages: _,
+        } = self;
+        let write_back = match design {
+            DesignKind::NvCacheWb
+            | DesignKind::NvSram
+            | DesignKind::Replay { .. }
+            | DesignKind::Wl { .. } => true,
+            DesignKind::VCacheWt | DesignKind::WBuf { .. } => false,
+        };
+        (write_back && !*verify).then_some(ResidencyClass {
+            geometry,
+            cache_policy,
+        })
+    }
+
     /// This configuration's [`AccessClass`], or `None` when it never
     /// shares its access half: a verifying configuration keeps its own
     /// NVM and checker, and WL-Cache(dyn)'s access half reads the
@@ -403,6 +454,40 @@ mod tests {
         }
         assert_eq!(base.clone().with_verify().access_class(), None);
         assert_eq!(SimConfig::wl_cache_dyn().access_class(), None);
+    }
+
+    /// Write-back designs of one geometry and policy share a class
+    /// whatever their design, power input or adaptation mode; VCache-WT,
+    /// the write buffer and verifying configurations share none.
+    #[test]
+    fn residency_classes_take_geometry_and_policy() {
+        let base = SimConfig::nvsram();
+        let same = [
+            SimConfig::nvcache_wb(),
+            SimConfig::replay().with_trace(TraceKind::Rf3),
+            SimConfig::wl_cache().with_capacitor_uf(0.1),
+            SimConfig::wl_cache_dyn(),
+            SimConfig::wl_cache_static(2).with_dq_policy(DqPolicy::Lru),
+        ];
+        for cfg in &same {
+            assert_eq!(base.residency_class(), cfg.residency_class());
+        }
+        assert!(base.residency_class().is_some());
+        let other = [
+            SimConfig::nvsram().with_paper_geometry(),
+            SimConfig::nvsram().with_cache_policy(ReplacementPolicy::Fifo),
+        ];
+        for cfg in &other {
+            assert!(cfg.residency_class().is_some());
+            assert_ne!(base.residency_class(), cfg.residency_class());
+        }
+        for cfg in [
+            SimConfig::vcache_wt(),
+            SimConfig::write_buffer(),
+            SimConfig::nvsram().with_verify(),
+        ] {
+            assert_eq!(cfg.residency_class(), None);
+        }
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! Static-dispatch wrapper over the five cache designs.
 
 use crate::config::{DesignKind, SimConfig};
-use ehsim_cache::designs::{NvCacheWb, NvSramCache, ReplayCache, VCacheWt, WriteBufferCache};
+use ehsim_cache::designs::{
+    Follow, NvCacheWb, NvSramCache, Own, ReplayCache, VCacheWt, WbCore, WriteBackDesign,
+    WriteBufferCache,
+};
 use ehsim_cache::{CacheDesign, MemCtx};
 use ehsim_energy::VoltageThresholds;
 use ehsim_mem::{AccessSize, FunctionalMem, NvmEnergy, Pj, Ps};
@@ -87,6 +90,124 @@ impl DesignBox {
     /// entirely — a pure hot-path saving with no observable effect.
     pub fn has_instruction_hook(&self) -> bool {
         matches!(self, DesignBox::Replay(_))
+    }
+}
+
+/// Runs `$e` on the [`WriteBackDesign`] inside a residency-class
+/// member's box. Only write-back designs join a residency class
+/// ([`SimConfig::residency_class`]).
+macro_rules! write_back {
+    ($self:ident, $d:ident => $e:expr) => {
+        match $self {
+            DesignBox::NvCacheWb($d) => $e,
+            DesignBox::NvSram($d) => $e,
+            DesignBox::Replay($d) => $e,
+            DesignBox::Wl($d) => $e,
+            DesignBox::VCacheWt(_) | DesignBox::WBuf(_) => {
+                unreachable!("only write-back designs join a residency class")
+            }
+        }
+    };
+}
+
+/// A residency-class member's residency (see the `lockstep` module).
+impl DesignBox {
+    /// The write-back core of a residency-class member.
+    fn core(&self) -> &WbCore {
+        write_back!(self, d => d.core())
+    }
+
+    /// This member's residency, for a member that follows it: its
+    /// array and its last access's outcome.
+    #[inline(always)]
+    pub(crate) fn residency(&self) -> Follow<'_> {
+        self.core().follow()
+    }
+
+    /// Ends following `lead`: takes its residency and keeps the own
+    /// dirty bits.
+    pub(crate) fn adopt(&mut self, lead: &DesignBox, nvm: &mut FunctionalMem) {
+        let lead = lead.core();
+        write_back!(self, d => d.core_mut().adopt(lead, nvm));
+    }
+}
+
+/// Where a machine's design takes its residency from for an access:
+/// [`Own`] for every design, or a residency-class lead's ([`Follow`]) for
+/// a write-back design that follows one (see the `lockstep` module). The
+/// machine's access halves are generic over it.
+pub(crate) trait Via: Copy {
+    fn load(
+        self,
+        d: &mut DesignBox,
+        ctx: &mut MemCtx<'_>,
+        addr: u32,
+        size: AccessSize,
+    ) -> (Ps, u64);
+    fn store(
+        self,
+        d: &mut DesignBox,
+        ctx: &mut MemCtx<'_>,
+        addr: u32,
+        size: AccessSize,
+        value: u64,
+    ) -> Ps;
+    fn on_instructions(self, d: &mut DesignBox, ctx: &mut MemCtx<'_>, total_instrs: u64) -> Ps;
+}
+
+impl Via for Own {
+    #[inline(always)]
+    fn load(
+        self,
+        d: &mut DesignBox,
+        ctx: &mut MemCtx<'_>,
+        addr: u32,
+        size: AccessSize,
+    ) -> (Ps, u64) {
+        d.load(ctx, addr, size)
+    }
+    #[inline(always)]
+    fn store(
+        self,
+        d: &mut DesignBox,
+        ctx: &mut MemCtx<'_>,
+        addr: u32,
+        size: AccessSize,
+        value: u64,
+    ) -> Ps {
+        d.store(ctx, addr, size, value)
+    }
+    #[inline(always)]
+    fn on_instructions(self, d: &mut DesignBox, ctx: &mut MemCtx<'_>, total_instrs: u64) -> Ps {
+        d.on_instructions(ctx, total_instrs)
+    }
+}
+
+impl Via for Follow<'_> {
+    #[inline(always)]
+    fn load(
+        self,
+        d: &mut DesignBox,
+        ctx: &mut MemCtx<'_>,
+        addr: u32,
+        size: AccessSize,
+    ) -> (Ps, u64) {
+        write_back!(d, d => d.load_with(self, ctx, addr, size))
+    }
+    #[inline(always)]
+    fn store(
+        self,
+        d: &mut DesignBox,
+        ctx: &mut MemCtx<'_>,
+        addr: u32,
+        size: AccessSize,
+        value: u64,
+    ) -> Ps {
+        write_back!(d, d => d.store_with(self, ctx, addr, size, value))
+    }
+    #[inline(always)]
+    fn on_instructions(self, d: &mut DesignBox, ctx: &mut MemCtx<'_>, total_instrs: u64) -> Ps {
+        write_back!(d, d => d.on_instructions_with(self, ctx, total_instrs))
     }
 }
 

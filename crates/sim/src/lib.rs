@@ -53,7 +53,7 @@ pub mod params;
 mod report;
 mod simulator;
 
-pub use config::{AccessClass, DesignKind, SimConfig};
+pub use config::{AccessClass, DesignKind, ResidencyClass, SimConfig};
 pub use ehsim_mem::{BusOp, BusTrace, TraceRecorder};
 pub use ehsim_obs::{Event, ObserverBox, Recorder, RunTrace};
 pub use error::SimError;

@@ -32,14 +32,38 @@
 //! rest. Followers settle before leaders within each op, so every copy
 //! is of pre-outage state. At the end, the followers left take their
 //! leader's access state for their reports.
+//!
+//! **One tag array per residency class.** Members that run their own
+//! access half and share a [`ResidencyClass`](crate::ResidencyClass) —
+//! write-back designs of one geometry and replacement policy on the
+//! group's NVM — hold the same lines in the same slots until their
+//! first outage, whatever their design (DESIGN §2.16). So the first of
+//! them in op order *leads* and runs the residency step — lookup and
+//! touch, or victim, dirty-victim write-back and fill — on its own
+//! array; every later one *follows*: it runs its own design code over
+//! the lead's tags, stamps and line bytes and the lead's outcome for
+//! the op, keeping only its own dirty bits, timing, energy, stats, NVM
+//! port and DirtyQueue or region state, and it moves no bytes. Each op
+//! runs the followers after every machine that runs its own residency
+//! step. A follower's load returns the lead's value, so the divergence
+//! check backs the leads and the members outside every class. A
+//! follower *leaves* its class — adopts the lead's residency, keeping
+//! its dirty bits, after writing to the group's NVM the lines its
+//! skipped cleanings would have left there — before its first outage
+//! and at the end of the run, and a copy of it made by
+//! [`Machine::fork`] adopts it too. A lead about to fail first hands
+//! the class to its first follower, which adopts and leads the rest.
+//! An access-class heir joins its class as it takes over.
 
+use crate::design_box::Via;
 use crate::machine::{nvm_bytes, Machine};
 use crate::params::COMPUTE_CHUNK_CYCLES;
 use crate::SimConfig;
+use ehsim_cache::designs::Own;
 use ehsim_mem::{AccessSize, Bus, FunctionalMem, Ps};
 
 /// Unwind payload raised when a machine loads a value that differs
-/// from machine 0's: the kernel only sees machine 0's values, so the
+/// from the first machine's: the kernel only sees that value, so the
 /// group is abandoned and its members rerun solo. Raised with
 /// [`std::panic::resume_unwind`], so it never reaches the panic hook.
 pub(crate) struct Diverged;
@@ -53,6 +77,18 @@ struct Follower {
     slot: usize,
 }
 
+/// A machine's place in its residency class.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// In no class: its configuration has none, or it had an outage.
+    Alone,
+    /// Runs the class's residency step on its own array.
+    Lead,
+    /// Follows the residency of the machine at this index in
+    /// [`Lockstep::machines`], which leads its class and comes earlier.
+    Follow(usize),
+}
+
 /// The fan-out bus over a group of machines.
 pub(crate) struct Lockstep {
     /// The members that run their own access half.
@@ -62,7 +98,20 @@ pub(crate) struct Lockstep {
     /// Each machine's open window, between its access and settle
     /// halves.
     dts: Vec<Ps>,
+    /// Each machine's place in its residency class.
+    roles: Vec<Role>,
+    /// Each configuration's residency class, named by the index of its
+    /// first configuration.
+    classes: Vec<Option<usize>>,
+    /// Each residency-class follower and its lead, in op order: every
+    /// op runs them after the other machines.
+    following: Vec<(usize, usize)>,
     followers: Vec<Follower>,
+    /// Members that followed a residency-class lead so far.
+    residency_followers: usize,
+    /// Whether any member simulates power failures: a group without
+    /// has no settle half.
+    powered: bool,
     /// The group's NVM, sized for the member with the largest NVM.
     nvm: FunctionalMem,
 }
@@ -74,15 +123,32 @@ impl Lockstep {
             .map(|c| nvm_bytes(c, mem_bytes))
             .max()
             .unwrap_or(0);
+        let classes = cfgs
+            .iter()
+            .map(|cfg| {
+                let class = cfg.residency_class();
+                class.is_some().then(|| {
+                    cfgs.iter()
+                        .position(|c| c.residency_class() == class)
+                        .unwrap_or_default()
+                })
+            })
+            .collect();
         let mut group = Self {
             machines: Vec::with_capacity(cfgs.len()),
             slots: Vec::with_capacity(cfgs.len()),
             dts: Vec::with_capacity(cfgs.len()),
+            roles: Vec::with_capacity(cfgs.len()),
+            classes,
+            following: Vec::new(),
             followers: Vec::new(),
+            residency_followers: 0,
+            powered: false,
             nvm: FunctionalMem::new(size),
         };
         for (slot, cfg) in cfgs.iter().enumerate() {
             let machine = Machine::member(cfg, mem_bytes);
+            group.powered |= machine.failures_enabled();
             let class = cfg.access_class();
             // The class's first member leads it: the leading machine
             // whose configuration (`slots`) is of the same class.
@@ -102,9 +168,8 @@ impl Lockstep {
                     slot,
                 }),
                 None => {
-                    group.machines.push(machine);
-                    group.slots.push(slot);
-                    group.dts.push(0);
+                    let role = group.join(slot);
+                    group.lead_from_now(machine, slot, role);
                 }
             }
         }
@@ -116,15 +181,30 @@ impl Lockstep {
         self.followers.len()
     }
 
+    /// Members that followed a residency-class lead, for the whole run
+    /// or until they left their class.
+    pub(crate) fn residency_followers(&self) -> usize {
+        self.residency_followers
+    }
+
     /// The members' machines in configuration order, after every
-    /// follower left has taken its leader's access state.
+    /// residency-class follower left has adopted its lead's residency
+    /// and every follower left has taken its leader's access state.
     pub(crate) fn into_machines(self) -> Vec<Machine> {
         let Self {
             mut machines,
             mut slots,
+            roles,
             followers,
+            mut nvm,
             ..
         } = self;
+        for (j, role) in roles.into_iter().enumerate() {
+            if let Role::Follow(i) = role {
+                let (head, tail) = machines.split_at_mut(j);
+                tail[0].adopt(&head[i], &mut nvm);
+            }
+        }
         for mut f in followers {
             f.machine.fork(&machines[f.lead]);
             machines.push(f.machine);
@@ -140,20 +220,124 @@ impl Lockstep {
         ordered.into_iter().flatten().collect()
     }
 
+    /// The role of a new machine for configuration `slot`: a follower
+    /// of its residency class's lead, or the lead of a class that has
+    /// none.
+    fn join(&mut self, slot: usize) -> Role {
+        let Some(class) = self.classes[slot] else {
+            return Role::Alone;
+        };
+        let lead = (0..self.machines.len())
+            .find(|&i| self.roles[i] == Role::Lead && self.classes[self.slots[i]] == Some(class));
+        match lead {
+            Some(i) => {
+                self.residency_followers += 1;
+                Role::Follow(i)
+            }
+            None => Role::Lead,
+        }
+    }
+
+    /// Takes machine `j` out of its residency class, before its first
+    /// outage. A follower adopts its lead's residency; a lead hands the
+    /// class to its first follower, which adopts its residency and leads
+    /// the others.
+    fn leave(&mut self, j: usize) {
+        match self.roles[j] {
+            Role::Alone => {}
+            Role::Follow(i) => {
+                let (head, tail) = self.machines.split_at_mut(j);
+                tail[0].adopt(&head[i], &mut self.nvm);
+            }
+            Role::Lead => {
+                if let Some(k) = self.roles.iter().position(|&r| r == Role::Follow(j)) {
+                    let (head, tail) = self.machines.split_at_mut(k);
+                    tail[0].adopt(&head[j], &mut self.nvm);
+                    self.roles[k] = Role::Lead;
+                    for role in &mut self.roles[k + 1..] {
+                        if *role == Role::Follow(j) {
+                            *role = Role::Follow(k);
+                        }
+                    }
+                }
+            }
+        }
+        self.roles[j] = Role::Alone;
+        self.regroup();
+    }
+
+    /// Rebuilds `following` from the roles.
+    fn regroup(&mut self) {
+        self.following.clear();
+        for (j, &role) in self.roles.iter().enumerate() {
+            if let Role::Follow(i) = role {
+                self.following.push((j, i));
+            }
+        }
+    }
+
+    /// Makes `machine` a copy of machine `j`'s access state
+    /// ([`Machine::fork`]), with the residency of `j`'s class lead if
+    /// `j` follows one.
+    fn fork_from(&mut self, machine: &mut Machine, j: usize) {
+        machine.fork(&self.machines[j]);
+        if let Role::Follow(i) = self.roles[j] {
+            machine.adopt(&self.machines[i], &mut self.nvm);
+        }
+    }
+
+    /// Every machine's access half of one op, `step`: first those that
+    /// run their own residency step, then the residency-class followers
+    /// over their leads' residency. `done` takes each machine's open
+    /// window and the step's outcome.
+    #[inline(always)]
+    fn access_all<S: Step>(&mut self, step: S, mut done: impl FnMut(&mut Ps, S::Out)) {
+        let machines = self.machines.iter_mut().zip(&mut self.dts);
+        for ((m, dt), role) in machines.zip(&self.roles) {
+            if let Role::Follow(_) = role {
+                continue;
+            }
+            let nvm = m.shares_nvm().then_some(&mut self.nvm);
+            done(dt, step.run(m, nvm, Own));
+        }
+        for &(j, i) in &self.following {
+            let (head, tail) = self.machines.split_at_mut(j);
+            let m = &mut tail[0];
+            let nvm = m.shares_nvm().then_some(&mut self.nvm);
+            done(&mut self.dts[j], step.run(m, nvm, head[i].residency()));
+        }
+    }
+
     /// Every member's settle half, in group order. A group without
-    /// followers runs the plain loop over its machines.
+    /// power failures has none; a group without followers runs the
+    /// plain loop over its machines.
     #[inline(always)]
     fn settle_all(&mut self) {
+        if !self.powered {
+            return;
+        }
         if !self.followers.is_empty() {
             self.settle_with_followers();
             return;
         }
-        for (m, &dt) in self.machines.iter_mut().zip(&self.dts) {
+        let mut from = 0;
+        while let Some(j) = self.settle_until_failure(from) {
+            self.fail(j);
+            from = j + 1;
+        }
+    }
+
+    /// The plain settle loop over the machines from index `from` on, up
+    /// to the first that sank below `Vbackup`, whose index it returns.
+    #[inline(always)]
+    fn settle_until_failure(&mut self, from: usize) -> Option<usize> {
+        let machines = self.machines.iter_mut().zip(&self.dts).enumerate();
+        for (j, (m, &dt)) in machines.skip(from) {
             if m.settle_window(dt) {
-                let nvm = m.shares_nvm().then_some(&mut self.nvm);
-                m.power_failures(nvm);
+                return Some(j);
             }
         }
+        None
     }
 
     /// [`Lockstep::settle_all`] with followers: theirs first, then every
@@ -181,20 +365,22 @@ impl Lockstep {
             let meter_total = self.machines[lead].meter().total();
             if f.machine.follow_window(self.dts[lead], meter_total) {
                 let mut f = self.followers.remove(i);
-                f.machine.fork(&self.machines[lead]);
+                self.fork_from(&mut f.machine, lead);
                 f.machine.power_failures(Some(&mut self.nvm));
-                self.lead_from_now(f.machine, f.slot);
+                self.lead_from_now(f.machine, f.slot, Role::Alone);
             } else {
                 i += 1;
             }
         }
     }
 
-    /// Machine `j`'s outage. If it leads followers, the first of them
-    /// takes over its access state first and leads the others.
+    /// Machine `j`'s outage. It leaves its residency class first. If it
+    /// leads followers, the first of them then takes over its access
+    /// state, joins its residency class and leads the others.
     #[cold]
     #[inline(never)]
     fn fail(&mut self, j: usize) {
+        self.leave(j);
         if let Some(i) = self.followers.iter().position(|f| f.lead == j) {
             let mut heir = self.followers.remove(i);
             heir.machine.fork(&self.machines[j]);
@@ -204,43 +390,80 @@ impl Lockstep {
                     f.lead = k;
                 }
             }
-            self.lead_from_now(heir.machine, heir.slot);
+            let role = self.join(heir.slot);
+            self.lead_from_now(heir.machine, heir.slot, role);
         }
         let m = &mut self.machines[j];
         let nvm = m.shares_nvm().then_some(&mut self.nvm);
         m.power_failures(nvm);
     }
 
-    /// Adds a forked machine to the leading ones. It has settled in
-    /// this op already; `settle_with_followers` stops at the machines
-    /// that were leading when it began.
-    fn lead_from_now(&mut self, machine: Machine, slot: usize) {
+    /// Adds a machine to the ones that run their own access half. A
+    /// forked one has settled in this op already; `settle_with_followers`
+    /// stops at the machines that were leading when it began.
+    fn lead_from_now(&mut self, machine: Machine, slot: usize, role: Role) {
         self.machines.push(machine);
         self.slots.push(slot);
         self.dts.push(0);
+        self.roles.push(role);
+        self.regroup();
+    }
+}
+
+/// One op's access half on one machine, over either residency.
+trait Step: Copy {
+    type Out;
+    fn run(self, m: &mut Machine, nvm: Option<&mut FunctionalMem>, via: impl Via) -> Self::Out;
+}
+
+#[derive(Clone, Copy)]
+struct Load(u32, AccessSize);
+
+impl Step for Load {
+    type Out = (u64, Ps);
+    #[inline(always)]
+    fn run(self, m: &mut Machine, nvm: Option<&mut FunctionalMem>, via: impl Via) -> (u64, Ps) {
+        m.load_access(nvm, via, self.0, self.1)
+    }
+}
+
+#[derive(Clone, Copy)]
+struct Store(u32, AccessSize, u64);
+
+impl Step for Store {
+    type Out = Ps;
+    #[inline(always)]
+    fn run(self, m: &mut Machine, nvm: Option<&mut FunctionalMem>, via: impl Via) -> Ps {
+        m.store_access(nvm, via, self.0, self.1, self.2)
+    }
+}
+
+#[derive(Clone, Copy)]
+struct Compute(u64);
+
+impl Step for Compute {
+    type Out = Ps;
+    #[inline(always)]
+    fn run(self, m: &mut Machine, nvm: Option<&mut FunctionalMem>, via: impl Via) -> Ps {
+        m.compute_access(nvm, via, self.0)
     }
 }
 
 impl Bus for Lockstep {
     fn load(&mut self, addr: u32, size: AccessSize) -> u64 {
         let mut first = None;
-        for (m, dt) in self.machines.iter_mut().zip(&mut self.dts) {
-            let nvm = m.shares_nvm().then_some(&mut self.nvm);
-            let (value, window) = m.load_access(nvm, addr, size);
+        self.access_all(Load(addr, size), |dt, (value, window)| {
             *dt = window;
             if *first.get_or_insert(value) != value {
                 std::panic::resume_unwind(Box::new(Diverged));
             }
-        }
+        });
         self.settle_all();
         first.unwrap_or(0)
     }
 
     fn store(&mut self, addr: u32, size: AccessSize, value: u64) {
-        for (m, dt) in self.machines.iter_mut().zip(&mut self.dts) {
-            let nvm = m.shares_nvm().then_some(&mut self.nvm);
-            *dt = m.store_access(nvm, addr, size, value);
-        }
+        self.access_all(Store(addr, size, value), |dt, window| *dt = window);
         self.settle_all();
     }
 
@@ -255,10 +478,7 @@ impl Bus for Lockstep {
         while remaining > 0 {
             let chunk = remaining.min(COMPUTE_CHUNK_CYCLES);
             remaining -= chunk;
-            for (m, dt) in self.machines.iter_mut().zip(&mut self.dts) {
-                let nvm = m.shares_nvm().then_some(&mut self.nvm);
-                *dt = m.compute_access(nvm, chunk);
-            }
+            self.access_all(Compute(chunk), |dt, window| *dt = window);
             self.settle_all();
         }
     }

@@ -1,9 +1,10 @@
 //! The simulated energy-harvesting machine.
 
 use crate::config::SimConfig;
-use crate::design_box::DesignBox;
+use crate::design_box::{DesignBox, Via};
 use crate::error::SimError;
 use crate::params::{COMPUTE_CHUNK_CYCLES, MAX_RECHARGE_PS};
+use ehsim_cache::designs::{Follow, Own};
 use ehsim_cache::{CacheDesign, CacheStats, MemCtx};
 use ehsim_energy::{
     Capacitor, ChargingModel, EnergyCategory, EnergyMeter, TraceCursor, TraceKind,
@@ -123,6 +124,12 @@ impl Machine {
             0
         };
         Self::build(cfg, size, ObserverBox::Noop)
+    }
+
+    /// Whether this machine simulates power failures: whether it has a
+    /// settle half at all.
+    pub(crate) fn failures_enabled(&self) -> bool {
+        self.failures_enabled
     }
 
     /// Whether a group drives this machine with the group's NVM: every
@@ -510,6 +517,24 @@ impl Machine {
         self.settles = leader.settles;
     }
 
+    /// This machine's residency, for a residency-class follower's access
+    /// half (see the `lockstep` module).
+    #[inline(always)]
+    pub(crate) fn residency(&self) -> Follow<'_> {
+        self.design.residency()
+    }
+
+    /// Ends following `lead`'s residency: the design takes `lead`'s
+    /// tags, stamps and line bytes and keeps its own dirty bits, after
+    /// writing to the group's `nvm` the lines its skipped cleanings would
+    /// have left there. Called on a residency-class follower before its
+    /// first outage, when it is copied by [`Machine::fork`], and at the
+    /// end of the run.
+    pub(crate) fn adopt(&mut self, lead: &Machine, nvm: &mut FunctionalMem) {
+        debug_assert!(self.outages == 0 && lead.outages == 0);
+        self.design.adopt(&lead.design, nvm);
+    }
+
     /// The full outage protocol (§3.2): checkpoint, verify, power off,
     /// recharge to `Von`, reboot, adapt.
     fn power_failure(&mut self, mut group_nvm: Option<&mut FunctionalMem>) {
@@ -731,14 +756,21 @@ impl Machine {
         f(&mut self.design, &mut ctx)
     }
 
+    /// The retire of one instruction.
     #[inline(always)]
-    fn retire_instruction(&mut self, group_nvm: Option<&mut FunctionalMem>) {
+    fn retire_instruction(&mut self, group_nvm: Option<&mut FunctionalMem>, via: impl Via) {
         self.instructions += 1;
         self.meter
             .add(EnergyCategory::Compute, self.cpu.compute_pj_per_cycle);
+        self.instruction_hook(group_nvm, via);
+    }
+
+    /// The design's instruction hook, for a design that has one.
+    #[inline(always)]
+    fn instruction_hook(&mut self, group_nvm: Option<&mut FunctionalMem>, via: impl Via) {
         if self.instr_hook {
             let n = self.instructions;
-            let done = self.with_ctx(group_nvm, |design, ctx| design.on_instructions(ctx, n));
+            let done = self.with_ctx(group_nvm, |design, ctx| via.on_instructions(design, ctx, n));
             self.now = self.now.max(done);
         }
     }
@@ -746,22 +778,25 @@ impl Machine {
     /// A load's access half: the entry check, the design access, the
     /// retire and the static part of settlement. Returns the loaded
     /// value and the window for [`Machine::settle_window`]. `group_nvm`
-    /// is as in [`Machine::with_ctx`].
+    /// is as in [`Machine::with_ctx`]. The design runs over its own
+    /// residency, or `via` a residency-class lead's (see the `lockstep`
+    /// module), in which case the value is the lead's.
     #[inline(always)]
     pub(crate) fn load_access(
         &mut self,
         mut group_nvm: Option<&mut FunctionalMem>,
+        via: impl Via,
         addr: u32,
         size: AccessSize,
     ) -> (u64, Ps) {
         self.enter();
         let start = self.now;
         let (done, value) = self.with_ctx(group_nvm.as_deref_mut(), |design, ctx| {
-            design.load(ctx, addr, size)
+            via.load(design, ctx, addr, size)
         });
         // In-order core: an instruction takes at least one cycle.
         self.now = done.max(start + self.cpu.ps_per_cycle);
-        self.retire_instruction(group_nvm);
+        self.retire_instruction(group_nvm, via);
         (value, self.open_window())
     }
 
@@ -770,6 +805,7 @@ impl Machine {
     pub(crate) fn store_access(
         &mut self,
         mut group_nvm: Option<&mut FunctionalMem>,
+        via: impl Via,
         addr: u32,
         size: AccessSize,
         value: u64,
@@ -777,23 +813,25 @@ impl Machine {
         self.enter();
         let start = self.now;
         let done = self.with_ctx(group_nvm.as_deref_mut(), |design, ctx| {
-            design.store(ctx, addr, size, value)
+            via.store(design, ctx, addr, size, value)
         });
         self.now = done.max(start + self.cpu.ps_per_cycle);
         if let Some(oracle) = &mut self.verify_oracle {
             oracle.write(addr, size, value);
         }
-        self.retire_instruction(group_nvm);
+        self.retire_instruction(group_nvm, via);
         self.open_window()
     }
 
     /// The access half of one compute chunk of `chunk` cycles (at most
     /// [`COMPUTE_CHUNK_CYCLES`]); the caller ran [`Machine::enter`]
-    /// once for the whole compute stretch.
+    /// once for the whole compute stretch. `via` is as in
+    /// [`Machine::load_access`].
     #[inline(always)]
     pub(crate) fn compute_access(
         &mut self,
         group_nvm: Option<&mut FunctionalMem>,
+        via: impl Via,
         chunk: u64,
     ) -> Ps {
         self.now += chunk * self.cpu.ps_per_cycle;
@@ -802,11 +840,7 @@ impl Machine {
             chunk as f64 * self.cpu.compute_pj_per_cycle,
         );
         self.instructions += chunk;
-        if self.instr_hook {
-            let n = self.instructions;
-            let done = self.with_ctx(group_nvm, |design, ctx| design.on_instructions(ctx, n));
-            self.now = self.now.max(done);
-        }
+        self.instruction_hook(group_nvm, via);
         self.open_window()
     }
 }
@@ -815,7 +849,7 @@ impl Machine {
 /// machine's own NVM.
 impl Bus for Machine {
     fn load(&mut self, addr: u32, size: AccessSize) -> u64 {
-        let (value, dt) = self.load_access(None, addr, size);
+        let (value, dt) = self.load_access(None, Own, addr, size);
         if self.settle_window(dt) {
             self.power_failures(None);
         }
@@ -823,7 +857,7 @@ impl Bus for Machine {
     }
 
     fn store(&mut self, addr: u32, size: AccessSize, value: u64) {
-        let dt = self.store_access(None, addr, size, value);
+        let dt = self.store_access(None, Own, addr, size, value);
         if self.settle_window(dt) {
             self.power_failures(None);
         }
@@ -835,7 +869,7 @@ impl Bus for Machine {
         while remaining > 0 {
             let chunk = remaining.min(COMPUTE_CHUNK_CYCLES);
             remaining -= chunk;
-            let dt = self.compute_access(None, chunk);
+            let dt = self.compute_access(None, Own, chunk);
             if self.settle_window(dt) {
                 self.power_failures(None);
             }

@@ -98,8 +98,9 @@ impl Simulator {
     /// The machines share one simulated NVM, except those of verifying
     /// configurations ([`SimConfig::verify`]), which keep their own.
     /// Configurations of one [`AccessClass`](crate::AccessClass) run
-    /// one access half between them until each one's first outage. The
-    /// `lockstep` module docs give the exactness arguments.
+    /// one access half between them until each one's first outage, and
+    /// those of one [`ResidencyClass`](crate::ResidencyClass) one tag
+    /// array. The `lockstep` module docs give the exactness arguments.
     ///
     /// If any machine aborts, the kernel panics, or a machine loads a
     /// value that differs from the first machine's, the group is
@@ -126,6 +127,7 @@ impl Simulator {
             let mut group = Lockstep::new(cfgs, workload.mem_bytes());
             let followers = group.followers();
             if let Ok(checksum) = catch_unwind(AssertUnwindSafe(|| workload.run(&mut group))) {
+                let residency_followers = group.residency_followers();
                 let outcomes = group
                     .into_machines()
                     .into_iter()
@@ -139,6 +141,7 @@ impl Simulator {
                 return LockstepRun {
                     outcomes,
                     followers,
+                    residency_followers,
                     fell_back: false,
                 };
             }
@@ -149,6 +152,7 @@ impl Simulator {
                 .map(|cfg| Simulator::new(cfg.clone()).run_with(workload, ObserverBox::Noop))
                 .collect(),
             followers: 0,
+            residency_followers: 0,
             fell_back: cfgs.len() > 1,
         }
     }
@@ -221,6 +225,10 @@ pub struct LockstepRun {
     /// start until their first outage or the end of the run. 0 when the
     /// group fell back.
     pub followers: usize,
+    /// Members that followed a residency-class lead's tag array, for
+    /// the whole run or until they left their class. 0 when the group
+    /// fell back.
+    pub residency_followers: usize,
     /// Whether the group was dropped and every member rerun solo.
     pub fell_back: bool,
 }

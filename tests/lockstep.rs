@@ -2,9 +2,10 @@
 //! machines (`Simulator::run_lockstep`) must give every member exactly
 //! the `Report` — or the `SimError` — a solo `Simulator::run` gives,
 //! whether a member runs on the group's shared NVM or, under
-//! `with_verify()`, on its own, and whether it runs its own access half
+//! `with_verify()`, on its own, whether it runs its own access half
 //! or follows that of a member of its access class until its first
-//! outage.
+//! outage, and whether it runs its own residency step or follows the
+//! tag array of a member of its residency class.
 
 use std::cell::Cell;
 use wl_cache_repro::ehsim::{SimConfig as Cfg, SimError};
@@ -41,6 +42,17 @@ fn check_group(
     w: &dyn Workload,
     falls_back: bool,
 ) -> (Vec<Result<Report, SimError>>, usize) {
+    let (solo, followers, _) = check_group_residency(cfgs, w, falls_back);
+    (solo, followers)
+}
+
+/// [`check_group`], also returning the number of members that followed
+/// a residency-class lead's tag array.
+fn check_group_residency(
+    cfgs: &[Cfg],
+    w: &dyn Workload,
+    falls_back: bool,
+) -> (Vec<Result<Report, SimError>>, usize, usize) {
     let counted = Counted {
         inner: w,
         runs: Cell::new(0),
@@ -67,7 +79,17 @@ fn check_group(
             solo
         })
         .collect();
-    (solo, group.followers)
+    (solo, group.followers, group.residency_followers)
+}
+
+/// [`assert_matches_solo`] for a group in which `followers` members
+/// follow a residency-class lead's tag array; returns the solo reports.
+fn assert_shares_tags(cfgs: &[Cfg], w: &dyn Workload, followers: usize) -> Vec<Report> {
+    let (solo, _, got) = check_group_residency(cfgs, w, false);
+    assert_eq!(got, followers, "residency followers on {}", w.name());
+    solo.into_iter()
+        .map(|r| r.unwrap_or_else(|e| panic!("a member failed: {e}")))
+        .collect()
 }
 
 /// [`check_group`] for a group whose members all complete.
@@ -158,6 +180,78 @@ fn every_design_matches_solo_on_each_trace() {
 #[test]
 fn every_design_matches_solo_on_each_trace_on_a_shared_nvm() {
     design_trace_grid(shared);
+}
+
+/// Every write-back design, WL-Cache(dyn) among them, follows
+/// NVSRAM(ideal)'s tag array on each trace: four followers per group.
+#[test]
+fn every_class_design_follows_the_lead_on_each_trace() {
+    for w in [&Qsort::small() as &dyn Workload, &AdpcmDecode::new(60_000)] {
+        for trace in [TraceKind::None, TraceKind::Rf1, TraceKind::Rf3] {
+            let cfgs: Vec<Cfg> = designs().into_iter().map(|c| c.with_trace(trace)).collect();
+            assert_shares_tags(&cfgs, w, 4);
+        }
+    }
+}
+
+/// LRU and FIFO members are two residency classes, and so are two
+/// geometries: each class has its own lead.
+#[test]
+fn policies_and_geometries_form_classes_of_their_own() {
+    let fifo = |c: Cfg| c.with_cache_policy(wl_cache_repro::ehsim_cache::ReplacementPolicy::Fifo);
+    let small = |c: Cfg| c.with_geometry(CacheGeometry::new(512, 2, 32));
+    let cfgs = [
+        Cfg::nvsram().with_trace(TraceKind::Rf3),
+        fifo(Cfg::nvcache_wb()).with_trace(TraceKind::Rf1),
+        Cfg::replay().with_trace(TraceKind::Rf1),
+        fifo(Cfg::wl_cache()),
+        small(Cfg::wl_cache_dyn()).with_trace(TraceKind::Rf3),
+        small(Cfg::nvsram())
+            .with_capacitor_uf(0.1)
+            .with_trace(TraceKind::Rf3),
+        fifo(Cfg::replay())
+            .with_capacitor_uf(0.1)
+            .with_trace(TraceKind::Rf3),
+    ];
+    for w in [&AdpcmDecode::new(60_000) as &dyn Workload, &LONG_COMPUTE] {
+        assert_shares_tags(&cfgs, w, 4);
+    }
+}
+
+/// A verifying member keeps its own NVM and tag array; the member of
+/// its would-be class after it leads.
+#[test]
+fn a_verifying_member_stays_out_of_its_class() {
+    let cfgs = [
+        Cfg::nvsram().with_trace(TraceKind::Rf3).with_verify(),
+        Cfg::nvcache_wb().with_trace(TraceKind::Rf3),
+        Cfg::wl_cache()
+            .with_capacitor_uf(0.1)
+            .with_trace(TraceKind::Rf3),
+        Cfg::replay().with_verify(),
+    ];
+    assert_shares_tags(&cfgs, &AdpcmDecode::new(60_000), 1);
+}
+
+/// The lead, on the smallest capacitor, fails first and hands its class
+/// to the next member, which fails later and hands it on; the last
+/// member never fails and follows to the end.
+#[test]
+fn a_residency_lead_failing_first_hands_its_class_on() {
+    let cfgs = [
+        Cfg::nvsram()
+            .with_capacitor_uf(0.1)
+            .with_trace(TraceKind::Rf3),
+        Cfg::replay().with_trace(TraceKind::Rf3),
+        Cfg::wl_cache()
+            .with_capacitor_uf(0.2)
+            .with_trace(TraceKind::Rf3),
+        Cfg::nvcache_wb(),
+    ];
+    let solo = assert_shares_tags(&cfgs, &AdpcmDecode::new(60_000), 3);
+    assert!(solo[0].outages > solo[1].outages, "the lead fails first");
+    assert!(solo[1].outages > 0 && solo[2].outages > 0);
+    assert_eq!(solo[3].outages, 0);
 }
 
 /// The settle half's outage protocol (checkpoint, verify, recharge,
@@ -347,6 +441,31 @@ fn access_classes_over_capacitors_match_solo() {
     for w in [&AdpcmDecode::new(60_000) as &dyn Workload, &LONG_COMPUTE] {
         let solo = assert_shares(&cfgs, w, followers);
         assert!(solo.iter().any(|r| r.outages > 0), "no outage exercised");
+    }
+}
+
+/// Fig 10(b)'s shape: each design's access class over three
+/// capacitors, and the access leaders of the write-back designs in one
+/// residency class. Access-class followers of a residency-class follower
+/// fork from it at their own first outage, and the heirs of failing
+/// access leaders join the residency class.
+#[test]
+fn access_classes_fork_inside_a_residency_class() {
+    let (cfgs, followers) = classes(&[
+        |c| c.with_capacitor_uf(0.1).with_trace(TraceKind::Rf1),
+        |c| c.with_capacitor_uf(0.344).with_trace(TraceKind::Rf1),
+        |c| c.with_capacitor_uf(10.0).with_trace(TraceKind::Rf1),
+    ]);
+    for w in [&AdpcmDecode::new(60_000) as &dyn Workload, &LONG_COMPUTE] {
+        let (solo, got, residency) = check_group_residency(&cfgs, w, false);
+        assert_eq!(got, followers);
+        // At least the three first write-back access leaders after
+        // NVSRAM(ideal)'s, plus WL-Cache(dyn)'s three members.
+        assert!(residency >= 6, "{residency} residency followers");
+        assert!(
+            solo.iter().flatten().any(|r| r.outages > 0),
+            "no outage exercised"
+        );
     }
 }
 
