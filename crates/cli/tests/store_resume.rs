@@ -1,5 +1,10 @@
-//! The result store on the real binary: crash resume, and the store's
-//! own profiler phase.
+//! The result store on the real binary: warm reruns, crash resume, and
+//! the store's own profiler phase.
+//!
+//! A reference fig04 sweep without a store, then a cold and a warm one
+//! over a fresh store: the warm process serves every job from disk, so
+//! it runs no sims and counts no misses or rejects, and all three write
+//! the same table.
 //!
 //! A Small-scale `ehsim-cli sweep` runs with `EHSIM_RESULT_STORE` set
 //! and is SIGKILLed as soon as its first `.ehres` entry lands. A fresh
@@ -37,15 +42,38 @@ fn entries(store: &Path) -> usize {
     })
 }
 
-/// A sweep over `store`, run in `workdir` so its `results/small/*.tsv`
-/// land in the test's own directory.
+/// A sweep over `store` with no other knob set, run in `workdir` so its
+/// `results/small/*.tsv` land in the test's own directory.
 fn sweep(store: &Path, workdir: &Path, args: &[&str]) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_ehsim-cli"));
+    for knob in ehsim_bench::KNOBS {
+        cmd.env_remove(knob);
+    }
     cmd.arg("sweep")
         .args(args)
         .env("EHSIM_RESULT_STORE", store)
         .current_dir(workdir);
     cmd
+}
+
+/// Runs `cmd` and returns its stdout; a non-zero exit fails the test.
+fn summary(mut cmd: Command) -> String {
+    let out = cmd.output().unwrap_or_else(|e| panic!("spawn sweep: {e}"));
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(out.status.success(), "sweep failed:\n{stdout}");
+    stdout
+}
+
+/// The executed-sim count of the summary's `sims` line.
+fn sims_run(summary: &str) -> u64 {
+    summary
+        .lines()
+        .find_map(|l| {
+            let mut words = l.strip_prefix("sims ")?.split_whitespace();
+            let n = words.next()?.parse().ok()?;
+            (words.next() == Some("run,")).then_some(n)
+        })
+        .unwrap_or_else(|| panic!("no sims line in:\n{summary}"))
 }
 
 /// The three counters of the summary's `store` line.
@@ -60,6 +88,34 @@ fn store_counters(summary: &str) -> (u64, u64, u64) {
         .collect();
     assert_eq!(n.len(), 3, "malformed store line: {line}");
     (n[0], n[1], n[2])
+}
+
+#[test]
+fn warm_sweep_runs_no_sims_and_writes_the_same_table() {
+    let root: PathBuf =
+        std::env::temp_dir().join(format!("ehsim_store_warm_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let (store, workdir) = (root.join("store"), root.join("work"));
+    std::fs::create_dir_all(&workdir).expect("create workdir");
+    let fig04 = ["--figure", "fig04", "--scale", "small"];
+    let table = || std::fs::read(workdir.join("results/small/fig04.tsv")).expect("read fig04.tsv");
+
+    let mut reference = sweep(&store, &workdir, &fig04);
+    reference.env_remove("EHSIM_RESULT_STORE");
+    summary(reference);
+    let reference = table();
+
+    let cold = summary(sweep(&store, &workdir, &fig04));
+    assert!(sims_run(&cold) >= 1, "a cold sweep ran no sims:\n{cold}");
+    assert!(table() == reference, "the cold sweep's fig04 differs");
+
+    let warm = summary(sweep(&store, &workdir, &fig04));
+    assert_eq!(sims_run(&warm), 0, "a warm sweep ran sims:\n{warm}");
+    let (hits, misses, rejects) = store_counters(&warm);
+    assert!(hits >= 1, "a warm sweep hit nothing:\n{warm}");
+    assert_eq!((misses, rejects), (0, 0), "{warm}");
+    assert!(table() == reference, "the warm sweep's fig04 differs");
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]

@@ -1,9 +1,10 @@
 //! The trace and sweep verbs on the real binary, each test in a temp
 //! directory of its own: the bytes the plot and profile verbs write,
-//! the JSONL capture verbs, and the progress stream of a real sweep.
+//! the Chrome trace and JSONL capture verbs, the bus-trace verbs, and
+//! the progress stream and timelines of a real sweep.
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Output};
 
 /// 64-bit FNV-1a.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -20,14 +21,29 @@ fn workdir(test: &str) -> PathBuf {
     dir
 }
 
-/// Runs `ehsim-cli args` in `dir` and returns its stdout; a non-zero
-/// exit fails the test.
-fn cli(dir: &Path, args: &[&str]) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_ehsim-cli"))
+/// Runs `ehsim-cli args` in `dir` with the `EHSIM_*` knobs in `env`
+/// set and every other one cleared.
+fn spawn(dir: &Path, env: &[(&str, &str)], args: &[&str]) -> Output {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_ehsim-cli"));
+    for knob in ehsim_bench::KNOBS {
+        cmd.env_remove(knob);
+    }
+    cmd.envs(env.iter().copied())
         .args(args)
         .current_dir(dir)
         .output()
-        .unwrap_or_else(|e| panic!("spawn ehsim-cli: {e}"));
+        .unwrap_or_else(|e| panic!("spawn ehsim-cli: {e}"))
+}
+
+/// Runs `ehsim-cli args` in `dir` with no knob set and returns its
+/// stdout; a non-zero exit fails the test.
+fn cli(dir: &Path, args: &[&str]) -> String {
+    cli_env(dir, &[], args)
+}
+
+/// [`cli`] with the knobs in `env` set.
+fn cli_env(dir: &Path, env: &[(&str, &str)], args: &[&str]) -> String {
+    let out = spawn(dir, env, args);
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
     assert!(
         out.status.success(),
@@ -143,6 +159,82 @@ fn stream_derived_exports_equal_in_memory_ones() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A traced run writes a non-empty Chrome trace and interval table,
+/// and `validate-trace` accepts the trace; with its last span end
+/// dropped, it rejects it.
+#[test]
+fn traced_run_exports_a_trace_that_validates() {
+    let dir = workdir("validate");
+    let mut args = vec!["run"];
+    args.extend(FFT_RF3);
+    args.extend(["--trace-out", "a.json", "--metrics-out", "a.tsv"]);
+    cli(&dir, &args);
+    for name in ["a.json", "a.tsv"] {
+        assert!(!read(&dir, name).is_empty(), "{name} is empty");
+    }
+    let out = cli(&dir, &["validate-trace", "a.json"]);
+    assert!(out.contains("a.json: valid ("), "{out}");
+
+    let json = String::from_utf8(read(&dir, "a.json")).unwrap();
+    let last_end = json.rfind("{\"ph\":\"E\"").expect("a span end");
+    let line_end = last_end + json[last_end..].find('\n').unwrap();
+    let unbalanced = format!("{}{}", &json[..last_end], &json[line_end + 1..]);
+    std::fs::write(dir.join("unbalanced.json"), unbalanced).unwrap();
+    let out = spawn(&dir, &[], &["validate-trace", "unbalanced.json"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("never closed"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The bus-trace verbs end to end: a recorded trace replays under
+/// another design to the direct run's report, an imported column trace
+/// keeps all three of its ops, and `diff-traces` tells a trace from the
+/// import but not from itself.
+#[test]
+fn record_replay_import_and_diff_round_trip() {
+    let dir = workdir("bus");
+    cli(
+        &dir,
+        &[
+            "record-bus",
+            "--workload",
+            "sha",
+            "--scale",
+            "small",
+            "--out",
+            "sha.bustrace",
+        ],
+    );
+    let out = cli(
+        &dir,
+        &[
+            "replay",
+            "--in",
+            "sha.bustrace",
+            "--design",
+            "nvsram",
+            "--trace",
+            "rf1",
+            "--scale",
+            "small",
+            "--check",
+        ],
+    );
+    assert!(out.contains("replay == direct execution"), "{out}");
+    std::fs::write(dir.join("ext.txt"), "0x100,R\n0x104,W\nc 32\n").unwrap();
+    let out = cli(&dir, &["import-trace", "ext.txt", "ext.bustrace"]);
+    assert!(
+        out.contains("1 loads, 1 stores, 1 computes (32 cycles)"),
+        "{out}"
+    );
+    let out = cli(&dir, &["diff-traces", "sha.bustrace", "sha.bustrace"]);
+    assert!(out.contains("no divergence"), "{out}");
+    let out = cli(&dir, &["diff-traces", "sha.bustrace", "ext.bustrace"]);
+    assert!(out.contains("first divergence"), "{out}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A real sweep's progress stream has its meta, sim and profile lines,
 /// and `profile-sweep` reads all of it back into its tables and chart.
 #[test]
@@ -198,5 +290,60 @@ fn small_sweep_saves_under_results_small() {
         "a Small sweep wrote a Default-scale table:\n{out}"
     );
     assert!(out.contains("regenerated under results/small/"), "{out}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `EHSIM_TRACE_WORKLOAD` and `EHSIM_TRACE_DIR` make a sweep stream one
+/// capture per fig04 design of the named kernel. The table stays what
+/// an untraced sweep writes, and WL-Cache's capture is the one
+/// `run --stream-out` writes for the same configuration.
+#[test]
+fn sweep_trace_knobs_stream_one_capture_per_design() {
+    let dir = workdir("trace_knobs");
+    let sweep = ["sweep", "--figure", "fig04", "--scale", "small"];
+    cli(&dir, &sweep);
+    let untraced = read(&dir, "results/small/fig04.tsv");
+    let knobs = [
+        ("EHSIM_TRACE_WORKLOAD", "sha"),
+        ("EHSIM_TRACE_DIR", "captures"),
+    ];
+    cli_env(&dir, &knobs, &sweep);
+    assert!(
+        read(&dir, "results/small/fig04.tsv") == untraced,
+        "tracing changed fig04"
+    );
+    let mut names: Vec<String> = std::fs::read_dir(dir.join("captures"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    assert_eq!(
+        names,
+        [
+            "sha__nvcache_wb__no_failure.events.jsonl",
+            "sha__nvsram_ideal___no_failure.events.jsonl",
+            "sha__replaycache__no_failure.events.jsonl",
+            "sha__vcache_wt__no_failure.events.jsonl",
+            "sha__wl_cache__no_failure.events.jsonl",
+        ]
+    );
+    cli(
+        &dir,
+        &[
+            "run",
+            "--workload",
+            "sha",
+            "--scale",
+            "small",
+            "--trace",
+            "none",
+            "--stream-out",
+            "wl.jsonl",
+        ],
+    );
+    assert!(
+        read(&dir, "captures/sha__wl_cache__no_failure.events.jsonl") == read(&dir, "wl.jsonl"),
+        "the sweep's WL-Cache capture differs from run --stream-out"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,7 +4,7 @@ use crate::lockstep::Lockstep;
 use crate::machine::{Abort, Machine};
 use crate::report::Report;
 use crate::{SimConfig, SimError};
-use ehsim_mem::{Bus, BusOp, BusTrace, Workload};
+use ehsim_mem::{BusTrace, Workload};
 use ehsim_obs::{ObserverBox, RunTrace};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -179,7 +179,8 @@ impl Simulator {
     }
 
     /// Replays `trace` with a caller-supplied observer; the machine is
-    /// returned for observer retrieval, as in [`Simulator::run_with`].
+    /// returned for observer retrieval. A [`BusTrace`] is a
+    /// [`Workload`], so this is [`Simulator::run_with`] on the trace.
     ///
     /// # Errors
     ///
@@ -189,29 +190,7 @@ impl Simulator {
         trace: &BusTrace,
         obs: ObserverBox,
     ) -> Result<(Report, Machine), SimError> {
-        let mut machine = Machine::with_observer(&self.cfg, trace.mem_bytes(), obs);
-        // Statically dispatched drive loop: `Machine`'s own Bus methods,
-        // no `dyn Bus` indirection on the hot path.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            for op in trace.cursor() {
-                match op {
-                    BusOp::Load { addr, size } => {
-                        machine.load(addr, size);
-                    }
-                    BusOp::Store { addr, size } => machine.store(addr, size, 0),
-                    BusOp::Compute { cycles } => machine.compute(cycles),
-                }
-            }
-        }));
-        match outcome {
-            Ok(()) => {
-                let report =
-                    Report::from_machine(&machine, &self.cfg, trace.name(), trace.checksum());
-                machine.end_observation();
-                Ok((report, machine))
-            }
-            Err(payload) => Err(abort_error(&mut machine, payload)),
-        }
+        self.run_with(trace, obs)
     }
 }
 
