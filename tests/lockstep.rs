@@ -531,3 +531,110 @@ fn verifying_and_dynamic_members_never_follow() {
     ];
     assert_shares(&cfgs, &AdpcmDecode::new(60_000), 1);
 }
+
+// The settle half runs members two at a time: the followers in pairs,
+// then the machines in pairs, each pair's outages after both settled.
+
+/// Groups of one to six members on tr.3: pairs, and pairs plus one.
+#[test]
+fn odd_and_even_groups_settle_in_pairs_and_a_remainder() {
+    let w = AdpcmDecode::new(60_000);
+    for n in 1..=designs().len() {
+        let cfgs: Vec<Cfg> = designs()
+            .into_iter()
+            .take(n)
+            .map(|c| c.with_capacitor_uf(0.1).with_trace(TraceKind::Rf3))
+            .collect();
+        let solo = assert_matches_solo(&cfgs, &w);
+        assert!(solo.iter().flatten().all(|r| r.outages > 0), "group of {n}");
+    }
+}
+
+/// Two members whose power runs are identical fail in the same op, so
+/// both members of the pair run their outages after one settle. A
+/// verifying member and WL-Cache(dyn) never follow, so each pair here
+/// is two machines; the last pair's two verifying members keep NVMs of
+/// their own.
+#[test]
+fn both_members_of_a_pair_failing_in_one_op_match_solo() {
+    let dyn_rf3 = Cfg::wl_cache_dyn()
+        .with_capacitor_uf(0.1)
+        .with_trace(TraceKind::Rf3);
+    let nvsram_rf3 = Cfg::nvsram()
+        .with_capacitor_uf(0.1)
+        .with_trace(TraceKind::Rf3);
+    let cfgs = [
+        nvsram_rf3.clone().with_verify(),
+        nvsram_rf3,
+        dyn_rf3.clone(),
+        dyn_rf3.clone(),
+        dyn_rf3.clone().with_verify(),
+        dyn_rf3.with_verify(),
+    ];
+    for w in [&AdpcmDecode::new(60_000) as &dyn Workload, &LONG_COMPUTE] {
+        let solo = assert_shares(&cfgs, w, 0);
+        for pair in solo.chunks(2) {
+            assert!(pair[0].outages > 0, "{}", pair[0].design);
+            assert_eq!(pair[0].outages, pair[1].outages, "{}", pair[0].design);
+            assert_eq!(pair[0].total_time_ps, pair[1].total_time_ps);
+        }
+    }
+}
+
+/// Two access leaders' followers settle as one pair over different
+/// windows and meter totals, and fork from different leaders; a third
+/// follower settles alone.
+#[test]
+fn followers_of_two_leaders_share_a_pair() {
+    let small = |c: Cfg| c.with_capacitor_uf(0.1).with_trace(TraceKind::Rf3);
+    let cfgs = [
+        Cfg::nvsram().with_trace(TraceKind::Rf1),
+        Cfg::replay().with_trace(TraceKind::Rf1),
+        small(Cfg::nvsram()),
+        small(Cfg::replay()),
+        Cfg::replay().with_trace(TraceKind::Solar),
+    ];
+    for w in [&AdpcmDecode::new(60_000) as &dyn Workload, &LONG_COMPUTE] {
+        let solo = assert_shares(&cfgs, w, 3);
+        assert!(solo[2].outages > 0 && solo[3].outages > 0, "no fork");
+    }
+}
+
+/// WL-Cache(dyn) raises `Vbackup` inside a store, after every reboot
+/// here, and the member beside it in each pair keeps its build-time
+/// `Vbackup`.
+#[test]
+fn a_moving_vbackup_pairs_with_fixed_ones() {
+    let small = |c: Cfg| c.with_capacitor_uf(0.1).with_trace(TraceKind::Rf3);
+    let cfgs = [
+        small(Cfg::wl_cache_dyn()),
+        small(Cfg::nvsram()),
+        small(Cfg::vcache_wt()),
+        small(Cfg::wl_cache_dyn()).with_capacitor_uf(0.2),
+        small(Cfg::write_buffer()),
+    ];
+    let solo = assert_matches_solo(&cfgs, &FftInverse::small());
+    for r in [&solo[0], &solo[3]] {
+        let r = r.as_ref().expect("WL-Cache(dyn) completes");
+        let raises = r.wl.as_ref().map_or(0, |wl| wl.dyn_raises);
+        assert!(raises > 1 && r.outages > 0, "{raises} raises");
+    }
+    assert!(solo.iter().flatten().all(|r| r.outages > 0));
+}
+
+/// A verifying member settles in a pair with a member on the group's
+/// NVM, and both run outages.
+#[test]
+fn a_verifying_member_inside_a_pair_matches_solo() {
+    let small = |c: Cfg| c.with_capacitor_uf(0.1).with_trace(TraceKind::Rf3);
+    let cfgs = [
+        small(Cfg::wl_cache()).with_verify(),
+        small(Cfg::vcache_wt()),
+        small(Cfg::nvcache_wb()),
+        small(Cfg::replay()).with_verify(),
+    ];
+    for w in [&AdpcmDecode::new(60_000) as &dyn Workload, &LONG_COMPUTE] {
+        let solo = assert_matches_solo(&cfgs, w);
+        assert!(solo.iter().flatten().all(|r| r.outages > 0));
+    }
+}
