@@ -22,7 +22,7 @@ pub mod figures;
 pub mod telemetry;
 
 /// Every environment variable the workspace reads, in the order of
-/// README's knob table (`crates/verify/tests/knob_docs.rs` keeps the
+/// README's knob table (the root `tests/knob_docs.rs` keeps the
 /// two equal). [`knob`] is the only reader.
 pub const KNOBS: [&str; 5] = [
     "EHSIM_JOBS",

@@ -183,9 +183,10 @@ impl WlCache {
         &self.controller
     }
 
-    /// Current DirtyQueue occupancy.
-    pub fn dq_len(&self) -> usize {
-        self.dq.len()
+    /// The DirtyQueue: its occupancy, entries and earliest
+    /// outstanding ACK.
+    pub fn dirty_queue(&self) -> &DirtyQueue {
+        &self.dq
     }
 
     /// Re-derives the cached [`VoltageThresholds`] mirror after the
@@ -561,10 +562,14 @@ mod tests {
         let mut h = H::new();
         let mut c = wl(6);
         dirty_n(&mut c, &mut h, 1);
-        assert_eq!(c.dq_len(), 1);
+        assert_eq!(c.dirty_queue().len(), 1);
         let mut ctx = h.ctx();
         let _ = c.store(&mut ctx, 4, AccessSize::B4, 42);
-        assert_eq!(c.dq_len(), 1, "subsequent store to dirty line coalesces");
+        assert_eq!(
+            c.dirty_queue().len(),
+            1,
+            "subsequent store to dirty line coalesces"
+        );
     }
 
     #[test]
@@ -606,7 +611,11 @@ mod tests {
         let mut c = wl(4); // waterline 3
         preload_n(&mut c, &mut h, 12);
         dirty_n(&mut c, &mut h, 12);
-        assert!(c.dq_len() <= 4, "occupancy {} > maxline", c.dq_len());
+        assert!(
+            c.dirty_queue().len() <= 4,
+            "occupancy {} > maxline",
+            c.dirty_queue().len()
+        );
         assert!(c.wl_stats().stalls > 0, "dense stores must stall");
         assert!(h.stats.stall_ps > 0);
     }
@@ -648,7 +657,7 @@ mod tests {
             assert_eq!(h.nvm.read(i * 64, AccessSize::B4), u64::from(i) + 1);
         }
         assert_eq!(h.stats.checkpoint_lines, 3);
-        assert_eq!(c.dq_len(), 0);
+        assert_eq!(c.dirty_queue().len(), 0);
     }
 
     #[test]
@@ -691,7 +700,11 @@ mod tests {
         h.now = done;
         assert_eq!(h.stats.evict_writebacks, 1);
         assert_eq!(h.nvm.read(0x00, AccessSize::B4), 0x11);
-        assert_eq!(c.dq_len(), 2, "stale entry lingers (lazy cleanup)");
+        assert_eq!(
+            c.dirty_queue().len(),
+            2,
+            "stale entry lingers (lazy cleanup)"
+        );
         // Checkpoint skips the stale entry without flushing garbage.
         let mut ctx = h.ctx();
         let _ = c.checkpoint(&mut ctx);

@@ -72,8 +72,10 @@ fn fnv1a_u64(mut h: u64, w: u64) -> u64 {
 }
 
 /// Encodes a simulation as a [`SimKey`], or `None` when it must not be
-/// keyed (custom power traces have no stable identity — a closure is
-/// not content-addressable).
+/// keyed: a custom power trace (`SimConfig::custom_trace`, an
+/// `Option<PowerTrace>`) has no stable identity among the key words
+/// yet; keying one needs a trace spec or a digest of its segments
+/// among them.
 pub fn sim_key(cfg: &SimConfig, workload: usize, scale: Scale) -> Option<SimKey> {
     // Exhaustive destructuring: adding a `SimConfig` field breaks this
     // binding until the encoding below covers it (and KEY_VERSION is

@@ -1,10 +1,11 @@
 //! Custom-observer cookbook: a runtime invariant monitor.
 //!
-//! The model checker in `crates/verify` proves the §5 protocol
-//! invariants over an *abstract* state space; this example is the
-//! dynamic twin — a custom [`Observer`] that shadows the DirtyQueue
-//! from the event stream of a *real* simulation and asserts, live at
-//! every event, that occupancy never exceeds `maxline`.
+//! The protocol check in `crates/core/tests/protocol_exhaustive.rs`
+//! proves the §5 protocol invariants over every short event sequence
+//! on a small cache; this example is the dynamic twin — a custom
+//! [`Observer`] that shadows the DirtyQueue from the event stream of a
+//! full simulation and asserts, live at every event, that occupancy
+//! never exceeds `maxline`.
 //!
 //! ```sh
 //! cargo run --release --example invariant_observer
@@ -55,7 +56,7 @@ impl Observer for DqInvariantMonitor {
         }
         stats.peak = stats.peak.max(self.occupancy);
         stats.checks += 1;
-        // The live invariant — the runtime twin of the model checker's
+        // The live invariant — the runtime twin of the protocol check's
         // I2 (`DirtyQueue occupancy ≤ maxline`).
         assert!(
             self.occupancy <= stats.maxline as i64,
