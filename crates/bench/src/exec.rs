@@ -65,7 +65,7 @@
 
 use crate::{knob, telemetry, Knob};
 use ehsim::{ObserverBox, Report, SimConfig, Simulator};
-use ehsim_obs::{Phase, StreamStatsHandle, StreamingObserver};
+use ehsim_obs::StreamingObserver;
 use ehsim_workloads::Scale;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -131,6 +131,10 @@ pub struct ExecStats {
     /// array in a lockstep group, for the whole run or until they left
     /// their class.
     pub residency_followers: u64,
+    /// Capacitor settlement windows of all executed simulations
+    /// ([`ehsim::Machine::settle_windows`]): deterministic, so a sweep
+    /// reads the same count on every run.
+    pub settle_windows: u64,
 }
 
 #[derive(Default)]
@@ -144,6 +148,7 @@ struct Counters {
     lockstep_fallbacks: AtomicU64,
     lockstep_followers: AtomicU64,
     residency_followers: AtomicU64,
+    settle_windows: AtomicU64,
 }
 
 fn counters() -> &'static Counters {
@@ -170,6 +175,7 @@ pub fn stats() -> ExecStats {
         lockstep_fallbacks: c.lockstep_fallbacks.load(Ordering::Relaxed),
         lockstep_followers: c.lockstep_followers.load(Ordering::Relaxed),
         residency_followers: c.residency_followers.load(Ordering::Relaxed),
+        settle_windows: c.settle_windows.load(Ordering::Relaxed),
     }
 }
 
@@ -261,7 +267,7 @@ fn sanitize(label: &str) -> String {
 /// a bounded buffer straight to disk (no in-RAM timeline); observation
 /// never perturbs the simulation, and open failures only warn and fall
 /// back to no observation — a sweep must not die over a timeline.
-fn stream_sink(job: &Job, workload: &str) -> (ObserverBox, Option<StreamStatsHandle>) {
+fn stream_sink(job: &Job, workload: &str) -> ObserverBox {
     let dir = std::path::PathBuf::from(knob(Knob::TraceDir).unwrap_or_else(|| "traces".into()));
     let stem = format!(
         "{}__{}__{}",
@@ -274,32 +280,10 @@ fn stream_sink(job: &Job, workload: &str) -> (ObserverBox, Option<StreamStatsHan
         StreamingObserver::to_path(&dir.join(format!("{stem}.events.jsonl")))
     };
     match open() {
-        Ok(obs) => {
-            // Keep a stats handle only when profiling: the simulator
-            // closes the stream before returning, so the handle carries
-            // the final event count for the observer-emit op tally.
-            let handle = telemetry::profiler().enabled().then(|| obs.stats_handle());
-            (ObserverBox::custom(obs), handle)
-        }
+        Ok(obs) => ObserverBox::custom(obs),
         Err(e) => {
             eprintln!("warning: failed to open event stream for {stem}: {e}");
-            (ObserverBox::Noop, None)
-        }
-    }
-}
-
-/// Feeds per-sim op counts into the profiler once a simulation
-/// returns: settle windows from the machine, streamed events from the
-/// (already closed) observer's stats handle.
-fn record_sim_ops(settles: u64, emit_stats: Option<StreamStatsHandle>) {
-    let p = telemetry::profiler();
-    if !p.enabled() {
-        return;
-    }
-    p.add_ops(Phase::Settle, settles);
-    if let Some(h) = emit_stats {
-        if let Ok(s) = h.lock() {
-            p.add_ops(Phase::ObserverEmit, s.events);
+            ObserverBox::Noop
         }
     }
 }
@@ -308,10 +292,10 @@ fn record_sim_ops(settles: u64, emit_stats: Option<StreamStatsHandle>) {
 /// solo when the kernel is `EHSIM_TRACE_WORKLOAD` (such a unit holds
 /// one job), otherwise as one lockstep group
 /// ([`Simulator::run_lockstep_with`]; a unit of one runs solo). Returns
-/// the reports in unit order. Panics with context on simulation errors
-/// — the harness treats them as fatal.
+/// the reports in unit order and adds the machines' settle windows to
+/// [`ExecStats::settle_windows`]. Panics with context on simulation
+/// errors — the harness treats them as fatal.
 fn run_direct(unit: &[&Job]) -> Vec<Report> {
-    let _t = telemetry::scope(Phase::DirectSim);
     let first = unit[0];
     let workloads = ehsim_workloads::all23(first.scale);
     let w = workloads
@@ -325,17 +309,17 @@ fn run_direct(unit: &[&Job]) -> Vec<Report> {
             job.cfg.trace_label()
         )
     };
+    let c = counters();
     if trace_workload() == Some(w.name()) {
-        let (obs, emit_stats) = stream_sink(first, w.name());
         let (report, machine) = Simulator::new(first.cfg.clone())
-            .run_with(w.as_ref(), obs)
+            .run_with(w.as_ref(), stream_sink(first, w.name()))
             .unwrap_or_else(|e| fail(first, e));
-        record_sim_ops(machine.settle_windows(), emit_stats);
+        c.settle_windows
+            .fetch_add(machine.settle_windows(), Ordering::Relaxed);
         return vec![report];
     }
     let cfgs: Vec<SimConfig> = unit.iter().map(|job| job.cfg.clone()).collect();
     let run = Simulator::run_lockstep_with(&cfgs, w.as_ref());
-    let c = counters();
     c.lockstep_fallbacks
         .fetch_add(u64::from(run.fell_back), Ordering::Relaxed);
     c.lockstep_followers
@@ -347,7 +331,8 @@ fn run_direct(unit: &[&Job]) -> Vec<Report> {
         .zip(unit)
         .map(|(outcome, job)| {
             let (report, machine) = outcome.unwrap_or_else(|e| fail(job, e));
-            record_sim_ops(machine.settle_windows(), None);
+            c.settle_windows
+                .fetch_add(machine.settle_windows(), Ordering::Relaxed);
             report
         })
         .collect()
@@ -358,7 +343,7 @@ fn run_direct(unit: &[&Job]) -> Vec<Report> {
 /// unit's wall time divided by the unit's size, so heartbeat times sum
 /// to the time the workers spent simulating.
 fn simulate(unit: &[&Job]) -> Vec<Report> {
-    let start_ns = telemetry::sim_clock_start();
+    let start_ns = telemetry::now_ns();
     let workload = workload_name(unit[0].workload);
     let reports = run_direct(unit);
     let c = counters();
@@ -384,11 +369,7 @@ fn simulate(unit: &[&Job]) -> Vec<Report> {
 /// stream carries one heartbeat per simulation actually executed.
 fn load_stored(key: Option<&MemoKey>) -> Option<Report> {
     let (store, key) = (result_store()?, key?);
-    let loaded = {
-        let _t = telemetry::scope(Phase::StoreIo);
-        store.load(key)
-    };
-    match loaded {
+    match store.load(key) {
         ehsim_farm::LoadOutcome::Hit(report) => {
             counters().store_hits.fetch_add(1, Ordering::Relaxed);
             return Some(*report);
@@ -410,11 +391,7 @@ fn save_stored(key: Option<&MemoKey>, report: &Report) {
     let (Some(store), Some(key)) = (result_store(), key) else {
         return;
     };
-    let saved = {
-        let _t = telemetry::scope(Phase::StoreIo);
-        store.save(key, report)
-    };
-    if let Err(e) = saved {
+    if let Err(e) = store.save(key, report) {
         eprintln!(
             "warning: failed to persist result for {}: {e}",
             report.workload
@@ -569,15 +546,13 @@ enum Slot {
 /// see [`lockstep_units`]) that execute on a [`std::thread::scope`]
 /// work queue of
 /// [`jobs`] workers. The progress stream is flushed before returning,
-/// so a caller that never reaches [`telemetry::finish_sweep`] still
-/// leaves every heartbeat on disk.
+/// so every heartbeat of the batch is on disk.
 pub fn run_batch(batch: &[Job]) -> Vec<Arc<Report>> {
     // Resolve against the cache and deduplicate within the batch.
     let mut slots: Vec<Slot> = Vec::with_capacity(batch.len());
     let mut misses: Vec<&Job> = Vec::new();
     let mut miss_keys: Vec<Option<MemoKey>> = Vec::new();
     {
-        let _t = telemetry::scope(Phase::MemoLookup);
         let cache = cache().lock().expect("sweep cache poisoned");
         let mut pending: HashMap<MemoKey, usize> = HashMap::new();
         for job in batch {
@@ -614,10 +589,6 @@ pub fn run_batch(batch: &[Job]) -> Vec<Arc<Report>> {
     if !units.is_empty() {
         let workers = jobs().min(units.len());
         let next = AtomicUsize::new(0);
-        // The main thread only waits here; workers profile their own
-        // phases on their own scope stacks. Worker-wait is excluded
-        // from the attribution percentage.
-        let _t = telemetry::scope(Phase::WorkerWait);
         std::thread::scope(|s| {
             for _ in 0..workers {
                 s.spawn(|| loop {
@@ -656,7 +627,6 @@ pub fn run_batch(batch: &[Job]) -> Vec<Arc<Report>> {
         })
         .collect();
     {
-        let _t = telemetry::scope(Phase::MemoLookup);
         let mut cache = cache().lock().expect("sweep cache poisoned");
         for (key, report) in miss_keys.iter().zip(&results) {
             if let Some(key) = key {

@@ -14,7 +14,6 @@ use crate::{f3, gmean, telemetry, with_gmeans, workload_labels, Table};
 use ehsim::{Report, SimConfig};
 use ehsim_cache::{CacheGeometry, ReplacementPolicy};
 use ehsim_energy::{EnergyCategory, EnergyMeter, TraceKind, VoltageThresholds};
-use ehsim_obs::{Phase, ProfileReport};
 use ehsim_workloads::Scale;
 use std::sync::Arc;
 
@@ -730,28 +729,6 @@ pub struct SweepRun {
     pub wall_ns: u64,
     /// Executor counters at the end of the sweep.
     pub stats: exec::ExecStats,
-    /// The end-of-sweep phase profile.
-    pub profile: ProfileReport,
-}
-
-impl SweepRun {
-    /// The four phases with the most self time, as `phase 1.23s`
-    /// comma-joined (empty when no phase recorded any).
-    pub fn top_phases(&self) -> String {
-        let mut top: Vec<_> = self
-            .profile
-            .phases
-            .iter()
-            .filter(|p| p.self_ns > 0)
-            .collect();
-        top.sort_by_key(|p| std::cmp::Reverse(p.self_ns));
-        let top: Vec<String> = top
-            .iter()
-            .take(4)
-            .map(|p| format!("{} {:.2}s", p.phase, p.self_ns as f64 / 1e9))
-            .collect();
-        top.join(", ")
-    }
 }
 
 /// Where [`sweep`] saves its tables at `scale`. The committed
@@ -766,12 +743,10 @@ pub fn results_dir(scale: Scale) -> &'static str {
 
 /// The sweep driver behind `all_figures`, `ehsim-cli sweep` and
 /// `farm_bench`: regenerates `figures` at `scale` into
-/// `<results_dir(scale)>/<name>.tsv` with the phase profiler on. Writes
-/// the progress stream's meta line first and the end-of-sweep profile
-/// last (when a stream is open), and prints each table to stdout under
-/// a `==== <name> ====` banner.
+/// `<results_dir(scale)>/<name>.tsv`. Writes the progress stream's meta
+/// line first (when a stream is open), and prints each table to stdout
+/// under a `==== <name> ====` banner.
 pub fn sweep(figures: &[(&str, FigureFn)], scale: Scale) -> SweepRun {
-    telemetry::enable();
     telemetry::emit_meta(match scale {
         Scale::Small => "small",
         Scale::Default => "default",
@@ -779,18 +754,12 @@ pub fn sweep(figures: &[(&str, FigureFn)], scale: Scale) -> SweepRun {
     let start_ns = telemetry::now_ns();
     for &(name, figure) in figures {
         println!("==== {name} ====");
-        // Reduce covers figure assembly; the executor's own phases
-        // (memo lookup, worker wait, TSV write) nest inside and are
-        // subtracted from its self-time.
-        let _t = telemetry::scope(Phase::Reduce);
         figure(scale).save_in(results_dir(scale), name);
         println!();
     }
-    let wall_ns = telemetry::now_ns().saturating_sub(start_ns);
     SweepRun {
-        wall_ns,
+        wall_ns: telemetry::now_ns().saturating_sub(start_ns),
         stats: exec::stats(),
-        profile: telemetry::finish_sweep(wall_ns),
     }
 }
 

@@ -118,7 +118,6 @@ impl Table {
     /// Writes the accumulated TSV under `<dir>/<name>.tsv`, creating
     /// `dir` (best-effort, as [`Table::save`]).
     pub fn save_in(&self, dir: &str, name: &str) {
-        let _t = telemetry::scope(ehsim_obs::Phase::TsvWrite);
         let dir = Path::new(dir);
         if std::fs::create_dir_all(dir).is_ok() {
             let path = dir.join(format!("{name}.tsv"));

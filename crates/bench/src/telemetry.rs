@@ -1,98 +1,39 @@
-//! Wall-clock wiring for the sweep telemetry subsystem.
+//! Wall-clock wiring for the sweep telemetry.
 //!
-//! The profiler, metrics registry and progress-stream *types* live in
-//! `ehsim-obs` (deterministic side, no `std::time` — lint L002); this
-//! module is the bench-side injection point that gives them a real
-//! clock and process-wide homes:
+//! The metrics registry and progress-stream *types* live in `ehsim-obs`
+//! (deterministic side, no `std::time` — lint L002); this module reads
+//! the wall clock and gives them process-wide homes. A sweep has one
+//! timing source, the per-sim heartbeat ([`sim_completed`]): one clock
+//! read per lockstep unit, whose time each member is charged its share
+//! of. Both outputs carry the same number.
 //!
-//! * [`profiler`] — the process-wide [`Profiler`] driven by a
-//!   monotonic [`WallClock`]. Enabled only by [`enable`], which
-//!   [`crate::figures::sweep`] (`all_figures`, `ehsim-cli sweep`) and
-//!   `sweep --progress-out` call. Disabled scopes cost one relaxed
-//!   atomic load and never read the clock, so figure regeneration in
-//!   tests pays nothing.
 //! * [`progress`] — the process-wide [`ProgressStream`], opened from
 //!   `EHSIM_PROGRESS=<path>` on first use or programmatically via
 //!   [`init_progress_path`] (`sweep --progress-out`).
 //! * [`sim_completed`] — the executor's per-sim hook: assigns the
 //!   completion ordinal, records the per-sim instr/s and elapsed
 //!   histograms, and emits one [`SimHeartbeat`] line.
-//! * [`registry`] / [`finish_sweep`] — the sweep metrics registry
-//!   assembled from [`crate::exec::stats`] and the end-of-sweep
-//!   [`ProfileReport`] written as the stream's final line.
+//! * [`registry`] — the sweep metrics registry assembled from
+//!   [`crate::exec::stats`] and the per-sim histograms.
 //! * [`sweep_meta`] / [`meta_json`] — host/run metadata (core count,
 //!   `EHSIM_JOBS`, engine, git revision) for the progress stream and
 //!   the `BENCH_*.json` stamps.
 
 use crate::{knob, Knob};
 use ehsim::Report;
-use ehsim_obs::{
-    Clock, MetricsRegistry, Phase, ProfileReport, Profiler, ProgressStream, SimHeartbeat, SweepMeta,
-};
+use ehsim_obs::{MetricsRegistry, ProgressStream, SimHeartbeat, SweepMeta};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// Monotonic wall clock over [`std::time::Instant`] — the
-/// [`Clock`] implementation the deterministic crates must not define
-/// themselves (lint L002 keeps `Instant` out of them).
-#[derive(Debug)]
-pub struct WallClock {
-    epoch: Instant,
-}
-
-impl WallClock {
-    /// A clock whose epoch is the moment of construction.
-    pub fn new() -> Self {
-        WallClock {
-            epoch: Instant::now(),
-        }
-    }
-}
-
-impl Default for WallClock {
-    fn default() -> Self {
-        WallClock::new()
-    }
-}
-
-impl Clock for WallClock {
-    fn now_ns(&self) -> u64 {
-        // ~584 years of nanoseconds fit in u64; saturate rather than
-        // wrap if a host clock ever reports something absurd.
-        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-}
-
-fn clock() -> &'static Arc<WallClock> {
-    static C: OnceLock<Arc<WallClock>> = OnceLock::new();
-    C.get_or_init(|| Arc::new(WallClock::new()))
-}
-
-/// Nanoseconds since the process-wide telemetry epoch.
+/// Nanoseconds since the process-wide telemetry epoch (the first call).
 pub fn now_ns() -> u64 {
-    clock().now_ns()
-}
-
-/// The process-wide phase profiler (disabled until [`enable`]).
-pub fn profiler() -> &'static Profiler {
-    static P: OnceLock<Profiler> = OnceLock::new();
-    P.get_or_init(|| Profiler::new(Arc::clone(clock()) as Arc<dyn Clock>))
-}
-
-/// Turns the process-wide profiler on ([`crate::figures::sweep`] calls
-/// this unconditionally).
-pub fn enable() {
-    profiler().set_enabled(true);
-}
-
-/// Whether any telemetry consumer is active (profiler enabled or a
-/// progress stream open). The executor's per-sim clock reads are gated
-/// on this.
-pub fn active() -> bool {
-    profiler().enabled() || progress().is_some()
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    // ~584 years of nanoseconds fit in u64; saturate rather than wrap
+    // if a host clock ever reports something absurd.
+    u64::try_from(EPOCH.get_or_init(Instant::now).elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 fn progress_cell() -> &'static OnceLock<Option<Mutex<ProgressStream>>> {
@@ -120,9 +61,9 @@ pub fn progress() -> Option<&'static Mutex<ProgressStream>> {
 }
 
 /// Opens the progress stream at `path` programmatically (the
-/// `sweep --progress-out` path) and enables the profiler. Returns
-/// `false` if a stream was already initialized (first writer wins; the
-/// existing stream keeps running).
+/// `sweep --progress-out` path). Returns `false` if a stream was
+/// already initialized (first writer wins; the existing stream keeps
+/// running).
 ///
 /// # Errors
 ///
@@ -134,9 +75,6 @@ pub fn init_progress_path(path: &Path) -> io::Result<bool> {
         fresh = true;
         Some(Mutex::new(stream))
     });
-    if fresh {
-        enable();
-    }
     Ok(fresh)
 }
 
@@ -222,22 +160,12 @@ fn rate_histograms() -> &'static Mutex<MetricsRegistry> {
     H.get_or_init(|| Mutex::new(MetricsRegistry::new()))
 }
 
-/// Starts the per-sim stopwatch: the current clock reading when
-/// telemetry is [`active`], 0 otherwise (so an inactive sweep never
-/// reads the clock).
-pub fn sim_clock_start() -> u64 {
-    if active() {
-        now_ns()
-    } else {
-        0
-    }
-}
-
 /// Executor hook for one *executed* simulation: assigns the completion
 /// ordinal, feeds the per-sim histograms and emits a heartbeat line.
-/// `start_ns` comes from [`sim_clock_start`]; the simulation ran in a
-/// lockstep group of `group` jobs, and is charged that share of the
-/// elapsed time.
+/// `start_ns` is the [`now_ns`] reading taken when its unit started;
+/// the simulation ran in a lockstep group of `group` jobs, and is
+/// charged that share of the elapsed time. The histogram takes the
+/// heartbeat's `elapsed_ns / 1000`, so the two outputs agree.
 pub fn sim_completed(
     design: &str,
     trace: &str,
@@ -246,9 +174,6 @@ pub fn sim_completed(
     group: usize,
     report: &Report,
 ) {
-    if !active() {
-        return;
-    }
     let ordinal = ORDINAL.fetch_add(1, Ordering::Relaxed) + 1;
     let elapsed_ns = now_ns().saturating_sub(start_ns) / group.max(1) as u64;
     let instr_per_s = if elapsed_ns == 0 {
@@ -297,6 +222,7 @@ pub fn registry() -> MetricsRegistry {
     m.set_counter("lockstep_fallbacks", st.lockstep_fallbacks);
     m.set_counter("lockstep_followers", st.lockstep_followers);
     m.set_counter("residency_followers", st.residency_followers);
+    m.set_counter("settle_windows", st.settle_windows);
     m.set_counter("jobs", crate::exec::jobs() as u64);
     m.set_counter("host_cores", host_cores() as u64);
     m.set_text("engine", crate::exec::ENGINE);
@@ -312,36 +238,18 @@ pub fn flush_progress() {
     }
 }
 
-/// Builds the end-of-sweep profile against `wall_ns` and, if a
-/// progress stream is open, writes it as the stream's final line.
-pub fn finish_sweep(wall_ns: u64) -> ProfileReport {
-    let report = profiler().report(wall_ns, registry().to_flat_pairs());
-    if let Some(p) = progress() {
-        if let Ok(mut s) = p.lock() {
-            s.profile(&report);
-        }
-    }
-    report
-}
-
-/// Convenience: a scope on the process-wide profiler.
-pub fn scope(phase: Phase) -> ehsim_obs::ScopeGuard<'static> {
-    profiler().scope(phase)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn wall_clock_is_monotonic_and_nonzero_after_work() {
-        let c = WallClock::new();
-        let a = c.now_ns();
+    fn now_ns_is_monotonic() {
+        let a = now_ns();
         let mut x = 0u64;
         for i in 0..10_000u64 {
             x = x.wrapping_add(i * i);
         }
-        let b = c.now_ns();
+        let b = now_ns();
         assert!(x > 0);
         assert!(b >= a);
     }

@@ -45,8 +45,7 @@ fn heartbeat_times_sum_to_at_most_workers_times_wall() {
     let executed = exec::stats().sims_run - before.sims_run;
     assert_eq!(executed, batch.len() as u64);
 
-    // `run_batch` flushed the stream: every heartbeat is on disk
-    // without an end-of-sweep profile.
+    // `run_batch` flushed the stream: every heartbeat is on disk.
     let text = std::fs::read_to_string(&path).expect("read stream back");
     let elapsed: Vec<u64> = text
         .lines()

@@ -52,10 +52,9 @@ pub enum Command {
     /// native Bus-trace format.
     ImportTrace(ImportOptions),
     /// Regenerate paper figures through the shared sweep executor, with
-    /// the phase profiler on and an optional per-sim progress stream.
+    /// an optional per-sim progress stream.
     Sweep(SweepOptions),
-    /// Load a progress stream (JSONL) and render the per-phase
-    /// attribution table, the per-design table, and an optional SVG.
+    /// Load a progress stream (JSONL) and render the per-design table.
     ProfileSweep(ProfileSweepOptions),
     /// Run one workload with full recording and export the DirtyQueue
     /// occupancy over time as TSV and/or SVG.
@@ -74,8 +73,8 @@ pub struct SweepOptions {
     pub figures: Vec<String>,
     /// Workload scale for the sweep.
     pub scale: Scale,
-    /// Stream one JSONL heartbeat per completed simulation (plus the
-    /// sweep metadata and end-of-sweep profile lines) to this path.
+    /// Stream one JSONL heartbeat per completed simulation (after the
+    /// sweep metadata line) to this path.
     pub progress_out: Option<String>,
 }
 
@@ -85,12 +84,8 @@ pub struct ProfileSweepOptions {
     /// Input progress-stream path (JSONL; `sweep --progress-out` or
     /// `EHSIM_PROGRESS`).
     pub input: String,
-    /// Write the per-phase attribution table as TSV here.
-    pub tsv_out: Option<String>,
     /// Write the per-design heartbeat aggregation as TSV here.
     pub design_out: Option<String>,
-    /// Write the phase profile as a self-contained SVG bar chart here.
-    pub svg_out: Option<String>,
 }
 
 /// Options for `record-bus`.
@@ -229,7 +224,7 @@ USAGE:
   ehsim-cli convert-trace <in.jsonl> <out.json> [--name <s>]
   ehsim-cli validate-trace <path>
   ehsim-cli sweep [--figure <f>]... [--scale <s>] [--progress-out <p.jsonl>]
-  ehsim-cli profile-sweep <progress.jsonl> [--tsv-out <p>] [--design-out <p>] [--svg-out <p>]
+  ehsim-cli profile-sweep <progress.jsonl> [--design-out <p>]
   ehsim-cli dq-plot --workload <name> [--tsv-out <p>] [--svg-out <p>] [options]
   ehsim-cli energy-plot --workload <name> [--tsv-out <p>] [--svg-out <p>] [options]
   ehsim-cli list
@@ -259,7 +254,6 @@ OPTIONS:
                         series as TSV
   --svg-out <path>      voltage-plot/dq-plot/energy-plot: write the
                         series as a self-contained SVG chart
-                        (profile-sweep: the phase profile bar chart)
   --out <path>          record-bus: output trace path
   --in <path>           replay: input trace path
   --check               replay: also run the recorded workload directly
@@ -267,7 +261,7 @@ OPTIONS:
   --figure <f>          sweep: one figure/table name (repeatable;
                         default: all of them — see DESIGN.md §3)
   --progress-out <path> sweep: stream one JSONL heartbeat per completed
-                        simulation, plus metadata and profile lines
+                        simulation, after a metadata line
   --design-out <path>   profile-sweep: write the per-design table as TSV
 
 `record-bus` captures a workload's Bus access stream once (one kernel
@@ -280,9 +274,9 @@ interval. Chrome JSON (`--trace-out`) and the metrics TSV
 (`--metrics-out`) are write-only exports.
 
 `sweep` regenerates `results/*.tsv` (`results/small/*.tsv` at
-`--scale small`) through the shared executor with the phase profiler
-enabled; `profile-sweep` turns the progress stream back into the
-per-phase attribution and per-design tables. Telemetry only observes:
+`--scale small`) through the shared executor; `profile-sweep` turns
+the progress stream back into the per-design table of heartbeat
+times. Telemetry only observes:
 the TSVs are byte-identical with or without it. With
 `EHSIM_RESULT_STORE=<dir>` set, every executed simulation's report
 persists to a content-addressed on-disk store, so a later sweep — even
@@ -434,9 +428,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             };
             let mut opt = ProfileSweepOptions {
                 input: input.clone(),
-                tsv_out: None,
                 design_out: None,
-                svg_out: None,
             };
             let mut it = args[2..].iter();
             while let Some(flag) = it.next() {
@@ -446,9 +438,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                         .ok_or_else(|| format!("{name} needs a value"))
                 };
                 match flag.as_str() {
-                    "--tsv-out" => opt.tsv_out = Some(value("--tsv-out")?),
                     "--design-out" => opt.design_out = Some(value("--design-out")?),
-                    "--svg-out" => opt.svg_out = Some(value("--svg-out")?),
                     other => return Err(format!("unknown flag '{other}'")),
                 }
             }
@@ -1029,15 +1019,6 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             if exec::result_store_enabled() {
                 s.push_str(&store_summary(&run.stats));
             }
-            let _ = writeln!(
-                s,
-                "attributed    {:.1} % of wall in named phases",
-                run.profile.attributed_pct
-            );
-            let top = run.top_phases();
-            if !top.is_empty() {
-                let _ = writeln!(s, "top phases    {top}");
-            }
             if let Some(path) = &opt.progress_out {
                 let _ = writeln!(s, "progress      {path} (read back with `profile-sweep`)");
             }
@@ -1060,24 +1041,11 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 log.skipped
             );
             s.push('\n');
-            s.push_str(&profile::profile_phase_tsv(&log));
-            s.push('\n');
             s.push_str(&profile::design_table_tsv(&log));
-            if let Some(path) = &ps.tsv_out {
-                std::fs::write(path, profile::profile_phase_tsv(&log))
-                    .map_err(|e| format!("--tsv-out {path}: {e}"))?;
-                let _ = writeln!(s, "phase tsv     {path}");
-            }
             if let Some(path) = &ps.design_out {
                 std::fs::write(path, profile::design_table_tsv(&log))
                     .map_err(|e| format!("--design-out {path}: {e}"))?;
                 let _ = writeln!(s, "design tsv    {path}");
-            }
-            if let Some(path) = &ps.svg_out {
-                let title = format!("{} — sweep phase profile", ps.input);
-                std::fs::write(path, profile::profile_svg(&log, &title))
-                    .map_err(|e| format!("--svg-out {path}: {e}"))?;
-                let _ = writeln!(s, "profile svg   {path}");
             }
             Ok(s)
         }
@@ -1602,23 +1570,25 @@ mod tests {
             lockstep_fallbacks: 0,
             lockstep_followers: 0,
             residency_followers: 0,
+            settle_windows: 0,
         };
         assert_eq!(
             store_summary(&st),
             "store         12 hits / 3 misses / 1 rejects\n"
         );
 
-        let Command::ProfileSweep(ps) = parse(&argv(
-            "profile-sweep p.jsonl --tsv-out a.tsv --design-out d.tsv --svg-out s.svg",
-        ))
-        .unwrap() else {
+        let Command::ProfileSweep(ps) =
+            parse(&argv("profile-sweep p.jsonl --design-out d.tsv")).unwrap()
+        else {
             panic!("expected profile-sweep");
         };
         assert_eq!(ps.input, "p.jsonl");
-        assert_eq!(ps.tsv_out.as_deref(), Some("a.tsv"));
         assert_eq!(ps.design_out.as_deref(), Some("d.tsv"));
-        assert_eq!(ps.svg_out.as_deref(), Some("s.svg"));
         assert!(parse(&argv("profile-sweep")).is_err());
+        for retired in ["--tsv-out", "--svg-out"] {
+            let line = format!("profile-sweep p.jsonl {retired} x");
+            assert!(parse(&argv(&line)).is_err(), "{retired}");
+        }
 
         let Command::DqPlot(plot) = parse(&argv(
             "dq-plot --workload sha --trace rf1 --tsv-out d.tsv --svg-out d.svg",
@@ -1648,8 +1618,7 @@ mod tests {
     fn profile_sweep_renders_progress_stream() {
         let dir = std::env::temp_dir();
         let jsonl = dir.join("ehsim_cli_test_progress.jsonl");
-        let tsv = dir.join("ehsim_cli_test_profile.tsv");
-        let svg = dir.join("ehsim_cli_test_profile.svg");
+        let tsv = dir.join("ehsim_cli_test_designs.tsv");
         let stream = "{\"kind\":\"meta\",\"host_cores\":4,\"jobs\":2,\"engine\":\"replay\",\
                       \"git_rev\":\"abc123\",\"scale\":\"small\"}\n\
                       {\"kind\":\"sim\",\"ordinal\":1,\"design\":\"WL-Cache\",\
@@ -1661,24 +1630,22 @@ mod tests {
                       \"self_ns\":7000000,\"count\":2,\"ops\":0}],\"metrics\":{}}\n";
         std::fs::write(&jsonl, stream).unwrap();
         let cmd = parse(&argv(&format!(
-            "profile-sweep {} --tsv-out {} --svg-out {}",
+            "profile-sweep {} --design-out {}",
             jsonl.display(),
-            tsv.display(),
-            svg.display()
+            tsv.display()
         )))
         .unwrap();
         let out = execute(&cmd).unwrap();
         assert!(out.contains("engine replay"), "{out}");
-        assert!(out.contains("1 sims"), "{out}");
-        assert!(out.contains("phase\ttotal_s"), "{out}");
+        assert!(
+            out.contains("1 sims (1 unparseable lines skipped)"),
+            "{out}"
+        );
         assert!(out.contains("WL-Cache\t1"), "{out}");
         let tsv_text = std::fs::read_to_string(&tsv).unwrap();
-        assert!(tsv_text.contains("replay\t"), "{tsv_text}");
-        let svg_text = std::fs::read_to_string(&svg).unwrap();
-        assert!(svg_text.starts_with("<svg "), "{svg_text}");
-        assert!(svg_text.contains("96.5% attributed"), "{svg_text}");
+        assert!(tsv_text.starts_with("design\t"), "{tsv_text}");
         assert!(execute(&parse(&argv("profile-sweep /nonexistent.jsonl")).unwrap()).is_err());
-        for p in [&jsonl, &tsv, &svg] {
+        for p in [&jsonl, &tsv] {
             let _ = std::fs::remove_file(p);
         }
     }

@@ -1,5 +1,4 @@
-//! The result store on the real binary: warm reruns, crash resume, and
-//! the store's own profiler phase.
+//! The result store on the real binary: warm reruns and crash resume.
 //!
 //! A reference fig04 sweep without a store, then a cold and a warm one
 //! over a fresh store: the warm process serves every job from disk, so
@@ -12,11 +11,7 @@
 //! killed process persisted (more than zero store hits, zero rejects:
 //! temp-file + rename never publishes a torn entry) and still write a
 //! fig04 TSV that hashes to the pinned golden.
-//!
-//! A sweep with `--progress-out` against a fresh store must attribute
-//! every store load and save to the `store-io` phase of its profile.
 
-use ehsim_obs::{parse_progress_line, Phase, ProgressLine};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -165,50 +160,5 @@ fn killed_sweep_resumes_warm_from_the_store() {
         FIG04_SMALL_FNV,
         "store-served fig04 drifted off the pinned golden"
     );
-    let _ = std::fs::remove_dir_all(&root);
-}
-
-#[test]
-fn store_loads_and_saves_are_profiled_as_store_io() {
-    let root: PathBuf = std::env::temp_dir().join(format!("ehsim_store_io_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    let (store, workdir) = (root.join("store"), root.join("work"));
-    std::fs::create_dir_all(&workdir).expect("create workdir");
-    let progress = root.join("progress.jsonl");
-
-    let out = sweep(&store, &workdir, &["--figure", "fig05", "--scale", "small"])
-        .arg("--progress-out")
-        .arg(&progress)
-        .output()
-        .expect("run fig05");
-    let summary = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "sweep failed:\n{summary}");
-    let (hits, misses, rejects) = store_counters(&summary);
-    assert!(misses > 0, "a fresh store must miss:\n{summary}");
-    // Every memo miss loads once; every load that finds nothing saves.
-    let loads = hits + misses + rejects;
-    let saves = misses + rejects;
-
-    let log = std::fs::read_to_string(&progress).expect("read progress stream");
-    let profile = log
-        .lines()
-        .find_map(|l| match parse_progress_line(l) {
-            Ok(ProgressLine::Profile(p)) => Some(p),
-            _ => None,
-        })
-        .unwrap_or_else(|| panic!("no profile line in:\n{log}"));
-    let row = profile
-        .phases
-        .iter()
-        .find(|r| r.phase == "store-io")
-        .unwrap_or_else(|| panic!("no store-io phase in {:?}", profile.phases));
-    assert_eq!(Phase::from_name(&row.phase), Some(Phase::StoreIo));
-    assert_eq!(
-        row.count,
-        loads + saves,
-        "{loads} loads + {saves} saves, but store-io counted {}",
-        row.count
-    );
-    assert!(row.self_ns > 0, "store-io measured no time: {row:?}");
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -61,13 +61,12 @@ fn read(dir: &Path, name: &str) -> Vec<u8> {
 /// design, unless a test adds `--design`).
 const FFT_RF3: [&str; 6] = ["--workload", "FFT_i", "--trace", "rf3", "--scale", "small"];
 
-/// A fixed progress stream, so the profile tables and chart have no
-/// wall-clock bytes in them.
+/// A fixed progress stream, so the per-design table has no wall-clock
+/// bytes in it.
 const PROGRESS: &str = "\
 {\"kind\":\"meta\",\"host_cores\":2,\"jobs\":2,\"engine\":\"replay\",\"git_rev\":\"abc123\",\"scale\":\"small\"}
 {\"kind\":\"sim\",\"ordinal\":1,\"design\":\"WL-Cache\",\"trace\":\"tr.3(RF)\",\"workload\":\"FFT_i\",\"engine\":\"replay\",\"elapsed_ns\":3000000,\"outages\":14,\"instructions\":120000,\"instr_per_s\":40000000}
 {\"kind\":\"sim\",\"ordinal\":2,\"design\":\"NVSRAM\",\"trace\":\"tr.3(RF)\",\"workload\":\"FFT_i\",\"engine\":\"replay\",\"elapsed_ns\":2500000,\"outages\":16,\"instructions\":120000,\"instr_per_s\":48000000}
-{\"kind\":\"profile\",\"wall_ns\":8000000,\"attributed_pct\":93.75,\"phases\":[{\"phase\":\"replay\",\"total_ns\":6000000,\"self_ns\":5500000,\"count\":2,\"ops\":0},{\"phase\":\"tsv-write\",\"total_ns\":2000000,\"self_ns\":2000000,\"count\":1,\"ops\":0}],\"metrics\":{}}
 ";
 
 /// Pins every TSV and SVG that `voltage-plot`, `dq-plot`,
@@ -85,28 +84,17 @@ fn plot_and_profile_outputs_are_pinned() {
     std::fs::write(dir.join("p.jsonl"), PROGRESS).unwrap();
     let out = cli(
         &dir,
-        &[
-            "profile-sweep",
-            "p.jsonl",
-            "--tsv-out",
-            "phase.tsv",
-            "--design-out",
-            "design.tsv",
-            "--svg-out",
-            "profile.svg",
-        ],
+        &["profile-sweep", "p.jsonl", "--design-out", "design.tsv"],
     );
     assert!(out.contains("(0 unparseable lines skipped)"), "{out}");
-    let pinned: [(&str, usize, u64); 9] = [
+    let pinned: [(&str, usize, u64); 7] = [
         ("voltage-plot.tsv", 790_971, 0x799c_934d_e7d5_4ac1),
         ("voltage-plot.svg", 291_322, 0x81db_7c35_7415_3e57),
         ("dq-plot.tsv", 158_307, 0x6250_b319_b688_a0b2),
         ("dq-plot.svg", 258_581, 0x71d2_e881_13e4_da9a),
         ("energy-plot.tsv", 194, 0x5cbf_b132_2fc9_df98),
         ("energy-plot.svg", 1_778, 0xa974_3174_8ffe_4254),
-        ("phase.tsv", 146, 0xf249_8993_6bf7_2a95),
         ("design.tsv", 132, 0xb839_6987_e4f9_9db6),
-        ("profile.svg", 719, 0x480d_ab8c_db4a_839d),
     ];
     let got = pinned.map(|(name, _, _)| {
         let bytes = read(&dir, name);
@@ -235,8 +223,9 @@ fn record_replay_import_and_diff_round_trip() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A real sweep's progress stream has its meta, sim and profile lines,
-/// and `profile-sweep` reads all of it back into its tables and chart.
+/// A real sweep's progress stream has its meta and sim lines and no
+/// other kind, and `profile-sweep` reads all of it back into its
+/// per-design table.
 #[test]
 fn sweep_progress_stream_reads_back_through_profile_sweep() {
     let dir = workdir("progress");
@@ -253,28 +242,28 @@ fn sweep_progress_stream_reads_back_through_profile_sweep() {
         ],
     );
     let log = String::from_utf8_lossy(&read(&dir, "progress.jsonl")).into_owned();
-    for kind in ["meta", "sim", "profile"] {
+    for kind in ["meta", "sim"] {
         let line = format!("\"kind\":\"{kind}\"");
         assert!(log.contains(&line), "no {kind} line in:\n{log}");
+    }
+    for line in log.lines() {
+        let known = ["meta", "sim"].map(|kind| format!("{{\"kind\":\"{kind}\","));
+        assert!(
+            known.iter().any(|k| line.starts_with(k.as_str())),
+            "a line of another kind: {line}"
+        );
     }
     let out = cli(
         &dir,
         &[
             "profile-sweep",
             "progress.jsonl",
-            "--tsv-out",
-            "phases.tsv",
             "--design-out",
             "designs.tsv",
-            "--svg-out",
-            "profile.svg",
         ],
     );
     assert!(out.contains("(0 unparseable lines skipped)"), "{out}");
-    assert!(read(&dir, "phases.tsv").starts_with(b"phase\t"));
     assert!(read(&dir, "designs.tsv").starts_with(b"design\t"));
-    let svg = String::from_utf8_lossy(&read(&dir, "profile.svg")).into_owned();
-    assert!(svg.contains("<svg "), "{svg}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -51,10 +51,15 @@ const SIGNIFICANT_CHANGE: f64 = 0.15;
 pub struct AdaptiveController {
     mode: AdaptationMode,
     thresholds: Thresholds,
-    /// Adaptive raises never exceed the configured (boot) maxline: the
-    /// energy reserve provisioned at configuration time is the hard
-    /// ceiling. Lowers bottom out at 2 lines, below which the cache
-    /// degenerates to near write-through for no reserve benefit.
+    /// The configured (boot) maxline, the ceiling of the boot policy's
+    /// raises. It does not bound WL-Cache(dyn): a
+    /// [`Self::try_dynamic_raise`] may take maxline above it (up to the
+    /// DirtyQueue capacity), and the boot policy keeps that maxline
+    /// into the next interval while on-times stay within ±15 %. A +1
+    /// boot decision taken above the ceiling sets maxline back to it,
+    /// which counts as a lower (a reconfiguration and a −1 prediction).
+    /// Lowers bottom out at 2 lines, below which the cache degenerates
+    /// to near write-through for no reserve benefit.
     max_maxline: usize,
     min_maxline: usize,
     t_prev: Option<Ps>,
@@ -300,5 +305,31 @@ mod tests {
         assert_eq!(d.thresholds().maxline(), 8);
         assert_eq!(d.try_dynamic_raise(true), None);
         assert_eq!(d.maxline_range().1, 8);
+    }
+
+    /// The configured maxline is no hard ceiling for WL-Cache(dyn): a
+    /// dynamic raise outlives the interval that took it while on-times
+    /// are stable, and a later +1 boot decision clamps it back to the
+    /// ceiling, scored as a lower.
+    #[test]
+    fn dynamic_raise_survives_stable_boots_and_a_raise_above_the_ceiling_lowers() {
+        let mut d = ctl(AdaptationMode::Dynamic);
+        assert_eq!(d.try_dynamic_raise(true).map(|t| t.maxline()), Some(7));
+        for _ in 0..3 {
+            assert_eq!(
+                d.on_interval_end(1_000).maxline(),
+                7,
+                "stable boots keep it"
+            );
+        }
+        assert_eq!(d.reconfigurations(), 1);
+        let th = d.on_interval_end(2_000); // 2× growth: a +1 decision
+        assert_eq!(th.maxline(), 6, "clamped back to the configured 6");
+        assert_eq!(d.reconfigurations(), 2);
+        assert_eq!(d.maxline_range(), (6, 7));
+        // Scored as a lower: the next interval grows again, which a
+        // raise would have predicted and a lower did not.
+        d.on_interval_end(4_000);
+        assert_eq!(d.prediction_accuracy(), Some(0.0));
     }
 }

@@ -37,7 +37,6 @@ mod observer;
 mod progress;
 mod recorder;
 mod stream;
-mod telemetry;
 
 pub use analysis::{
     diff_runs, dq_occupancy, energy_series, render_diff, DiffReport, Divergence, EnergyPoint,
@@ -57,6 +56,5 @@ pub use stream::{
     event_to_jsonl, parse_jsonl_line, StreamStats, StreamStatsHandle, StreamingObserver,
     DEFAULT_STREAM_CAPACITY,
 };
-pub use telemetry::{Clock, NullClock, Phase, PhaseRow, ProfileReport, Profiler, ScopeGuard};
 
 pub use ehsim_energy::Rail;

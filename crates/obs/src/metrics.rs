@@ -4,10 +4,9 @@
 //! `BENCH_sweep.json` used to be assembled from loose counters
 //! (sims run, memo hits, store hits, …) with the engine
 //! label and throughput formatted inline at the call site. The
-//! [`MetricsRegistry`] gives those one home: named counters, flags,
-//! labels and [`Histogram`]s with deterministic iteration order
-//! (`BTreeMap`), a JSON exporter for benchmark artifacts, and a
-//! flattened `(name, value)` view for the end-of-sweep profile line.
+//! [`MetricsRegistry`] gives those one home: named counters, labels
+//! and [`Histogram`]s with deterministic iteration order (`BTreeMap`)
+//! and a JSON exporter for benchmark artifacts.
 
 use crate::histogram::Histogram;
 use std::collections::BTreeMap;
@@ -24,9 +23,6 @@ pub enum MetricValue {
     Counter(u64),
     /// Label-valued metadata (engine name, git revision, …).
     Text(String),
-    /// Boolean outcome (budget truncated, invariants hold, …), rendered
-    /// as a JSON `true`/`false` rather than a 0/1 counter.
-    Flag(bool),
     /// Log₂-bucketed value distribution.
     Histogram(Histogram),
 }
@@ -53,11 +49,6 @@ impl MetricsRegistry {
     pub fn set_text(&mut self, name: &str, v: &str) {
         self.entries
             .insert(name.to_string(), MetricValue::Text(v.to_string()));
-    }
-
-    /// Sets flag `name` to `v`.
-    pub fn set_flag(&mut self, name: &str, v: bool) {
-        self.entries.insert(name.to_string(), MetricValue::Flag(v));
     }
 
     /// The histogram registered under `name`, created empty on first
@@ -111,9 +102,6 @@ impl MetricsRegistry {
                 MetricValue::Text(t) => {
                     let _ = write!(s, "\"{}\"", crate::progress::sanitize_field(t));
                 }
-                MetricValue::Flag(b) => {
-                    let _ = write!(s, "{b}");
-                }
                 MetricValue::Histogram(h) => {
                     let _ = write!(
                         s,
@@ -134,26 +122,6 @@ impl MetricsRegistry {
         }
         let _ = write!(s, "{indent}}}");
         s
-    }
-
-    /// Flattens the registry into `(name, rendered value)` pairs for
-    /// the profile line: counters/text/flags render directly,
-    /// histograms expand to exact `<name>_count`/`<name>_mean`
-    /// scalars (no quantiles, as in [`Self::to_json`]).
-    pub fn to_flat_pairs(&self) -> Vec<(String, String)> {
-        let mut out = Vec::with_capacity(self.entries.len());
-        for (name, value) in &self.entries {
-            match value {
-                MetricValue::Counter(c) => out.push((name.clone(), c.to_string())),
-                MetricValue::Text(t) => out.push((name.clone(), t.clone())),
-                MetricValue::Flag(b) => out.push((name.clone(), b.to_string())),
-                MetricValue::Histogram(h) => {
-                    out.push((format!("{name}_count"), h.count().to_string()));
-                    out.push((format!("{name}_mean"), h.mean().to_string()));
-                }
-            }
-        }
-        out
     }
 }
 
@@ -180,19 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn flags_render_as_json_booleans() {
-        let mut m = MetricsRegistry::new();
-        m.set_flag("truncated", false);
-        m.set_flag("holds", true);
-        let json = m.to_json("");
-        assert!(json.contains("\"truncated\": false"), "{json}");
-        assert!(json.contains("\"holds\": true"), "{json}");
-        let pairs = m.to_flat_pairs();
-        assert_eq!(pairs[0], ("holds".to_string(), "true".to_string()));
-        assert_eq!(pairs[1], ("truncated".to_string(), "false".to_string()));
-    }
-
-    #[test]
     fn json_is_deterministic_and_name_ordered() {
         let mut m = MetricsRegistry::new();
         m.set_text("zeta", "z");
@@ -206,7 +161,7 @@ mod tests {
 
     /// A skewed distribution (98 samples of 10, 2 of 1e6): its true
     /// median is 10, but a log₂ bucket can only say "somewhere in
-    /// [8, 15]". Both exports carry the exact fields and no quantile
+    /// [8, 15]". The export carries the exact fields and no quantile
     /// key, so no bucket bound is ever printed as a sample value.
     #[test]
     fn histograms_export_exact_fields_and_no_quantiles() {
@@ -228,24 +183,5 @@ mod tests {
             !json.contains("\"p50\"") && !json.contains("\"p99\""),
             "{json}"
         );
-        let pairs = m.to_flat_pairs();
-        assert_eq!(
-            pairs,
-            [
-                ("sim_elapsed_us_count", "100"),
-                ("sim_elapsed_us_mean", "20009.8"),
-            ]
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-        );
-    }
-
-    #[test]
-    fn flat_pairs_expand_histograms() {
-        let mut m = MetricsRegistry::new();
-        m.histogram_mut("rate").record(8);
-        m.set_counter("n", 2);
-        let pairs = m.to_flat_pairs();
-        let names: Vec<&str> = pairs.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, ["n", "rate_count", "rate_mean"]);
     }
 }

@@ -1,17 +1,20 @@
 //! The sweep progress stream: one JSONL heartbeat per completed
-//! simulation, plus sweep metadata and the end-of-sweep profile line.
+//! simulation, after one sweep metadata line.
 //!
 //! `ehsim-cli sweep --progress-out` and `EHSIM_PROGRESS` write it, and
-//! `ehsim-cli profile-sweep` reads it back. Three line kinds share one
+//! `ehsim-cli profile-sweep` reads it back. Two line kinds share one
 //! file:
 //!
 //! * `{"kind":"meta",...}` — once at stream open: host core count,
 //!   worker count, engine, git revision, scale.
 //! * `{"kind":"sim",...}` — one [`SimHeartbeat`] per *executed*
 //!   simulation (memo hits are not re-announced).
-//! * `{"kind":"profile",...}` — once at end of sweep: the
-//!   [`crate::ProfileReport`] with per-phase attribution and the
-//!   flattened metrics registry.
+//!
+//! The heartbeats are the sweep's one timing source: the same
+//! `elapsed_ns` feeds the bench-side metrics registry's
+//! `sim_elapsed_us` histogram. Streams written before the phase
+//! profiler was retired end in a `{"kind":"profile",...}` line, which
+//! [`parse_progress_line`] rejects as an unknown kind.
 //!
 //! Heartbeats flow through the same bounded-buffer machinery as the
 //! [`crate::StreamingObserver`] (`BoundedSink`), so the stream's
@@ -24,7 +27,6 @@
 //! workload and engine labels never contain them today.
 
 use crate::stream::{field_num, field_str, quoted, BoundedSink};
-use crate::telemetry::ProfileReport;
 use std::fmt::Write as _;
 use std::io;
 
@@ -173,8 +175,6 @@ pub enum ProgressLine {
     Meta(SweepMeta),
     /// Per-simulation heartbeat (`"kind":"sim"`).
     Sim(SimHeartbeat),
-    /// End-of-sweep profile (`"kind":"profile"`).
-    Profile(ProfileReport),
 }
 
 /// Parses any progress-stream line by its `kind` discriminator.
@@ -186,7 +186,6 @@ pub fn parse_progress_line(line: &str) -> Result<ProgressLine, String> {
     match field_str(line, "kind")? {
         "meta" => SweepMeta::parse(line).map(ProgressLine::Meta),
         "sim" => SimHeartbeat::parse(line).map(ProgressLine::Sim),
-        "profile" => ProfileReport::parse(line).map(ProgressLine::Profile),
         other => Err(format!("unknown progress line kind {}", quoted(other))),
     }
 }
@@ -208,8 +207,8 @@ pub struct ProgressStats {
     pub io_error: Option<String>,
 }
 
-/// The bounded per-sim progress stream: heartbeats (and the meta /
-/// profile lines bracketing them) written as JSONL through the same
+/// The bounded per-sim progress stream: heartbeats (after the meta
+/// line) written as JSONL through the same
 /// bounded-buffer machinery as [`crate::StreamingObserver`].
 pub struct ProgressStream {
     sink: BoundedSink<String>,
@@ -265,13 +264,6 @@ impl ProgressStream {
     pub fn heartbeat(&mut self, hb: &SimHeartbeat) {
         self.heartbeats += 1;
         self.sink.push(hb.to_jsonl());
-    }
-
-    /// Writes the end-of-sweep profile line and flushes everything
-    /// through to the sink.
-    pub fn profile(&mut self, report: &ProfileReport) {
-        self.sink.push(report.to_jsonl());
-        self.sink.finish();
     }
 
     /// Flushes buffered lines through to the sink.
@@ -364,7 +356,6 @@ mod tests {
         match line {
             ProgressLine::Meta(m) => m.to_jsonl(),
             ProgressLine::Sim(h) => h.to_jsonl(),
-            ProgressLine::Profile(p) => p.to_jsonl(),
         }
     }
 
@@ -382,30 +373,6 @@ mod tests {
                 scale: "small".into(),
             }),
             ProgressLine::Sim(hb(7)),
-            ProgressLine::Profile(ProfileReport {
-                wall_ns: 12_345,
-                attributed_pct: 97.5,
-                phases: vec![
-                    crate::telemetry::PhaseRow {
-                        phase: "direct-sim".into(),
-                        total_ns: 900,
-                        self_ns: 800,
-                        count: 3,
-                        ops: 0,
-                    },
-                    crate::telemetry::PhaseRow {
-                        phase: "settle".into(),
-                        total_ns: 0,
-                        self_ns: 0,
-                        count: 0,
-                        ops: 42,
-                    },
-                ],
-                metrics: vec![
-                    ("engine".into(), "direct".into()),
-                    ("sims_run".into(), "552".into()),
-                ],
-            }),
         ];
         let (mut rejected, mut accepted) = (0, 0);
         for line in &lines {
@@ -441,6 +408,10 @@ mod tests {
             Ok(ProgressLine::Sim(hb(7)))
         );
         assert!(parse_progress_line("{\"kind\":\"nope\"}").is_err());
+        assert!(
+            parse_progress_line("{\"kind\":\"profile\",\"wall_ns\":1}").is_err(),
+            "the retired profile line is an unknown kind"
+        );
         assert!(parse_progress_line("{}").is_err());
     }
 

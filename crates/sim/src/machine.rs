@@ -240,8 +240,9 @@ impl Machine {
     }
 
     /// Settlement windows resolved so far: one per bus op plus one per
-    /// `COMPUTE_CHUNK_CYCLES` chunk of each compute stretch (telemetry
-    /// op count for the sweep profiler's `settle` phase).
+    /// `COMPUTE_CHUNK_CYCLES` chunk of each compute stretch. The sweep
+    /// executor sums it over executed sims into
+    /// `ExecStats::settle_windows` (`ehsim-bench`).
     pub fn settle_windows(&self) -> u64 {
         self.settles
     }
