@@ -1,6 +1,6 @@
 //! The pinned Small-scale figure goldens (`goldens/mod.rs`) with the
-//! progress stream and the profiler on. Telemetry only observes, so the
-//! figures must hash to the same goldens as with it off. A test binary
+//! progress stream on. Telemetry only observes, so the figures must
+//! hash to the same goldens as with it off. A test binary
 //! of its own: the stream is process-wide and cannot be closed again.
 
 use ehsim_obs::{parse_progress_line, ProgressLine};
