@@ -19,7 +19,7 @@ fn all_workloads_replay_exactly() {
     for w in ehsim_workloads::all23(Scale::Small) {
         let trace = BusTrace::record(w.as_ref());
         let direct = Simulator::new(cfg.clone()).run(w.as_ref()).unwrap();
-        let replay = Simulator::new(cfg.clone()).replay(&trace).unwrap();
+        let replay = Simulator::new(cfg.clone()).run(&trace).unwrap();
         assert_eq!(direct, replay, "replay diverged for {}", w.name());
     }
 }
@@ -40,7 +40,7 @@ fn design_grid_replays_exactly() {
             for cfg in cfgs {
                 let cfg = cfg.with_trace(kind);
                 let direct = Simulator::new(cfg.clone()).run(w.as_ref()).unwrap();
-                let replay = Simulator::new(cfg.clone()).replay(&trace).unwrap();
+                let replay = Simulator::new(cfg.clone()).run(&trace).unwrap();
                 assert_eq!(
                     direct,
                     replay,
@@ -67,26 +67,6 @@ fn verified_replay_matches_direct() {
         .with_trace(TraceKind::Rf2)
         .with_verify();
     let direct = Simulator::new(cfg.clone()).run(w.as_ref()).unwrap();
-    let replay = Simulator::new(cfg).replay(&trace).unwrap();
+    let replay = Simulator::new(cfg).run(&trace).unwrap();
     assert_eq!(direct, replay);
-}
-
-/// A trace round-tripped through the on-disk format replays to the
-/// same report as the in-memory original.
-#[test]
-fn disk_round_trip_replays_exactly() {
-    let w = ehsim_workloads::all23(Scale::Small)
-        .into_iter()
-        .find(|w| w.name() == "patricia")
-        .unwrap();
-    let trace = BusTrace::record(w.as_ref());
-    let path = std::env::temp_dir().join("ehsim_replay_equiv_patricia.bustrace");
-    trace.save(&path).unwrap();
-    let loaded = BusTrace::load(&path).unwrap();
-    let _ = std::fs::remove_file(&path);
-    assert_eq!(trace, loaded);
-    let cfg = SimConfig::wl_cache().with_trace(TraceKind::Rf1);
-    let a = Simulator::new(cfg.clone()).replay(&trace).unwrap();
-    let b = Simulator::new(cfg).replay(&loaded).unwrap();
-    assert_eq!(a, b);
 }

@@ -18,29 +18,42 @@ impl CacheGeometry {
     ///
     /// # Panics
     ///
-    /// Panics unless `line_bytes` and the set count are powers of two,
-    /// `ways >= 1`, and `size_bytes` is an exact multiple of
-    /// `ways * line_bytes`.
+    /// Panics where [`CacheGeometry::try_new`] returns an error.
     pub fn new(size_bytes: u32, ways: u32, line_bytes: u32) -> Self {
-        assert!(ways >= 1, "need at least one way");
-        assert!(
-            line_bytes.is_power_of_two(),
-            "line size must be a power of two"
-        );
-        assert!(
-            size_bytes.is_multiple_of(ways * line_bytes),
-            "size must be a multiple of ways * line_bytes"
-        );
-        let n_sets = size_bytes / (ways * line_bytes);
-        assert!(
-            n_sets.is_power_of_two(),
-            "set count must be a power of two (got {n_sets})"
-        );
-        Self {
+        Self::try_new(size_bytes, ways, line_bytes).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`CacheGeometry::new`] for layouts that come from user input.
+    ///
+    /// # Errors
+    ///
+    /// Names the broken rule unless `line_bytes` and the set count are
+    /// powers of two, `ways >= 1`, and `size_bytes` is an exact multiple
+    /// of `ways * line_bytes`.
+    pub fn try_new(size_bytes: u32, ways: u32, line_bytes: u32) -> Result<Self, String> {
+        if ways == 0 {
+            return Err("need at least one way".into());
+        }
+        if !line_bytes.is_power_of_two() {
+            return Err("line size must be a power of two".into());
+        }
+        let way_bytes = ways
+            .checked_mul(line_bytes)
+            .ok_or_else(|| format!("{ways} ways of {line_bytes} B lines overflow 32 bits"))?;
+        if !size_bytes.is_multiple_of(way_bytes) {
+            return Err(format!(
+                "size must be a multiple of ways * line_bytes ({way_bytes})"
+            ));
+        }
+        let n_sets = size_bytes / way_bytes;
+        if !n_sets.is_power_of_two() {
+            return Err(format!("set count must be a power of two (got {n_sets})"));
+        }
+        Ok(Self {
             size_bytes,
             ways,
             line_bytes,
-        }
+        })
     }
 
     /// The paper's default data-cache layout: 8 kB, 2-way, 64 B blocks.

@@ -135,18 +135,13 @@ impl TagArray {
     ///
     /// # Panics
     ///
-    /// Panics on more than 64 ways, or on a single-set array of
-    /// one-byte lines (whose tags would span all 32 address bits and so
-    /// could collide with the invalid-slot sentinel).
+    /// Panics where [`TagArray::check`] returns an error.
     pub fn new(geom: CacheGeometry, policy: ReplacementPolicy) -> Self {
+        if let Err(e) = Self::check(geom) {
+            panic!("{e}");
+        }
         let n = geom.n_lines() as usize;
         let line_bytes = geom.line_bytes();
-        // `lookup` packs one hit bit per way into a u64 mask.
-        assert!(geom.ways() <= 64, "lookup's hit mask holds at most 64 ways");
-        assert!(
-            line_bytes > 1 || geom.n_sets() > 1,
-            "tags need at least one offset or set bit"
-        );
         Self {
             lines: Lines {
                 geom,
@@ -165,6 +160,27 @@ impl TagArray {
             dirty: vec![false; n],
             dirty_count: 0,
         }
+    }
+
+    /// Checks that a tag array can hold `geom`.
+    ///
+    /// # Errors
+    ///
+    /// Names the broken rule on more than 64 ways (`lookup` packs one
+    /// hit bit per way into a u64 mask), or on a single-set array of
+    /// one-byte lines (whose tags would span all 32 address bits and so
+    /// could collide with the invalid-slot sentinel).
+    pub fn check(geom: CacheGeometry) -> Result<(), String> {
+        if geom.ways() > 64 {
+            return Err(format!(
+                "lookup's hit mask holds at most 64 ways (got {})",
+                geom.ways()
+            ));
+        }
+        if geom.line_bytes() == 1 && geom.n_sets() == 1 {
+            return Err("tags need at least one offset or set bit".into());
+        }
+        Ok(())
     }
 
     /// The array's geometry.

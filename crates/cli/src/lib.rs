@@ -13,11 +13,11 @@
 mod plot;
 mod profile;
 
-use ehsim::{BusTrace, DesignKind, Report, SimConfig, Simulator};
+use ehsim::{DesignKind, Report, SimConfig, Simulator};
 use ehsim_bench::{exec, figures, telemetry};
-use ehsim_cache::{CacheGeometry, ReplacementPolicy};
-use ehsim_energy::TraceKind;
-use ehsim_mem::{import_column_trace, BusOp, Workload};
+use ehsim_cache::{CacheGeometry, ReplacementPolicy, TagArray};
+use ehsim_energy::{Capacitor, TraceKind};
+use ehsim_mem::Workload;
 use ehsim_obs::RunTrace;
 use ehsim_workloads::{all23, Scale};
 use std::fmt::Write as _;
@@ -36,21 +36,14 @@ pub enum Command {
     /// Structurally validate a Chrome trace JSON written by
     /// `--trace-out`.
     ValidateTrace(String),
-    /// Diff two `.bustrace` files (first diverging Bus operation) or two
-    /// JSONL event captures (first diverging power-on interval).
+    /// Diff two JSONL event captures (first diverging power-on
+    /// interval).
     DiffTraces(String, String),
     /// Run one workload with voltage sampling and export the capacitor
     /// trajectory as TSV and/or SVG.
     VoltagePlot(PlotOptions),
     /// Convert a JSONL event capture into Chrome trace JSON.
     ConvertTrace(ConvertOptions),
-    /// Record a workload's Bus access stream to a `.bustrace` file.
-    RecordBus(RecordOptions),
-    /// Replay a recorded Bus trace under one configuration.
-    ReplayTrace(ReplayOptions),
-    /// Import an external column trace (`addr,op` lines) into the
-    /// native Bus-trace format.
-    ImportTrace(ImportOptions),
     /// Regenerate paper figures through the shared sweep executor, with
     /// an optional per-sim progress stream.
     Sweep(SweepOptions),
@@ -86,43 +79,6 @@ pub struct ProfileSweepOptions {
     pub input: String,
     /// Write the per-design heartbeat aggregation as TSV here.
     pub design_out: Option<String>,
-}
-
-/// Options for `record-bus`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecordOptions {
-    /// Workload label to record.
-    pub workload: String,
-    /// Workload scale.
-    pub scale: Scale,
-    /// Output trace path.
-    pub output: String,
-}
-
-/// Options for `replay`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReplayOptions {
-    /// Machine configuration (design/trace/cache flags as for `run`;
-    /// the workload/scale fields are ignored — the trace supplies the
-    /// access stream).
-    pub run: RunOptions,
-    /// Input trace path (`record-bus` or `import-trace` output).
-    pub input: String,
-    /// Cross-check the replay against a direct execution of the
-    /// recorded workload (native workloads only).
-    pub check: bool,
-}
-
-/// Options for `import-trace`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ImportOptions {
-    /// Input column-trace path (`addr,op` lines; see EXPERIMENTS.md).
-    pub input: String,
-    /// Output `.bustrace` path.
-    pub output: String,
-    /// Trace name embedded in the file (defaults to the input's file
-    /// stem).
-    pub name: Option<String>,
 }
 
 /// Options for `voltage-plot`: a normal run plus export destinations.
@@ -217,10 +173,7 @@ USAGE:
   ehsim-cli run     --workload <name> [--design <d>] [--trace <t>] [options]
   ehsim-cli compare --workload <name> [--trace <t>] [options]
   ehsim-cli voltage-plot --workload <name> [--tsv-out <p>] [--svg-out <p>] [options]
-  ehsim-cli record-bus --workload <name> --out <p.bustrace> [--scale <s>]
-  ehsim-cli replay --in <p.bustrace> [--design <d>] [--trace <t>] [--check] [options]
-  ehsim-cli import-trace <in.txt> <out.bustrace> [--name <s>]
-  ehsim-cli diff-traces <a> <b>      (two .bustrace files or two JSONL captures)
+  ehsim-cli diff-traces <a.jsonl> <b.jsonl>
   ehsim-cli convert-trace <in.jsonl> <out.json> [--name <s>]
   ehsim-cli validate-trace <path>
   ehsim-cli sweep [--figure <f>]... [--scale <s>] [--progress-out <p.jsonl>]
@@ -254,21 +207,13 @@ OPTIONS:
                         series as TSV
   --svg-out <path>      voltage-plot/dq-plot/energy-plot: write the
                         series as a self-contained SVG chart
-  --out <path>          record-bus: output trace path
-  --in <path>           replay: input trace path
-  --check               replay: also run the recorded workload directly
-                        and fail unless both reports are identical
   --figure <f>          sweep: one figure/table name (repeatable;
                         default: all of them — see DESIGN.md §3)
   --progress-out <path> sweep: stream one JSONL heartbeat per completed
                         simulation, after a metadata line
   --design-out <path>   profile-sweep: write the per-design table as TSV
 
-`record-bus` captures a workload's Bus access stream once (one kernel
-execution over flat memory); `replay` drives the full machine from the
-recorded stream, reproducing a direct run's report bit-for-bit.
-`diff-traces` accepts two `.bustrace` files and reports the first
-diverging Bus operation, or two JSONL event captures (`--stream-out`,
+`diff-traces` takes two JSONL event captures (`--stream-out`,
 `EHSIM_TRACE_WORKLOAD`) and reports the first diverging power-on
 interval. Chrome JSON (`--trace-out`) and the metrics TSV
 (`--metrics-out`) are write-only exports.
@@ -339,60 +284,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 name,
             }))
         }
-        "record-bus" => {
-            let mut workload = None;
-            let mut scale = Scale::Default;
-            let mut output = None;
-            let mut it = args[1..].iter();
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{name} needs a value"))
-                };
-                match flag.as_str() {
-                    "--workload" => workload = Some(value("--workload")?),
-                    "--out" => output = Some(value("--out")?),
-                    "--scale" => {
-                        scale = match value("--scale")?.as_str() {
-                            "small" => Scale::Small,
-                            "default" => Scale::Default,
-                            other => return Err(format!("unknown scale '{other}'")),
-                        }
-                    }
-                    other => return Err(format!("unknown flag '{other}'")),
-                }
-            }
-            Ok(Command::RecordBus(RecordOptions {
-                workload: workload.ok_or("record-bus needs --workload")?,
-                scale,
-                output: output.ok_or("record-bus needs --out")?,
-            }))
-        }
-        "import-trace" => {
-            let (Some(input), Some(output)) = (args.get(1), args.get(2)) else {
-                return Err("import-trace needs an input and an output path".into());
-            };
-            let mut name = None;
-            let mut it = args[3..].iter();
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--name" => {
-                        name = Some(
-                            it.next()
-                                .cloned()
-                                .ok_or_else(|| "--name needs a value".to_string())?,
-                        )
-                    }
-                    other => return Err(format!("unknown flag '{other}'")),
-                }
-            }
-            Ok(Command::ImportTrace(ImportOptions {
-                input: input.clone(),
-                output: output.clone(),
-                name,
-            }))
-        }
         "sweep" => {
             let mut opt = SweepOptions {
                 figures: Vec::new(),
@@ -444,13 +335,11 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             }
             Ok(Command::ProfileSweep(opt))
         }
-        "run" | "compare" | "voltage-plot" | "replay" | "dq-plot" | "energy-plot" => {
+        "run" | "compare" | "voltage-plot" | "dq-plot" | "energy-plot" => {
             let mut opt = RunOptions::default();
             let is_plot = matches!(cmd.as_str(), "voltage-plot" | "dq-plot" | "energy-plot");
             let mut tsv_out = None;
             let mut svg_out = None;
-            let mut replay_in = None;
-            let mut replay_check = false;
             let mut it = args[1..].iter();
             while let Some(flag) = it.next() {
                 let mut value = |name: &str| {
@@ -524,19 +413,12 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     "--svg-out" if is_plot => {
                         svg_out = Some(value("--svg-out")?);
                     }
-                    "--in" if cmd == "replay" => replay_in = Some(value("--in")?),
-                    "--check" if cmd == "replay" => replay_check = true,
                     other => return Err(format!("unknown flag '{other}'")),
                 }
             }
             match cmd.as_str() {
                 "run" => Ok(Command::Run(opt)),
                 "compare" => Ok(Command::Compare(opt)),
-                "replay" => Ok(Command::ReplayTrace(ReplayOptions {
-                    run: opt,
-                    input: replay_in.ok_or("replay needs --in <trace>")?,
-                    check: replay_check,
-                })),
                 plot => {
                     let p = PlotOptions {
                         run: opt,
@@ -580,7 +462,9 @@ pub fn trace_of(name: &str) -> Result<TraceKind, String> {
 ///
 /// # Errors
 ///
-/// Returns a message for unknown designs/traces or invalid thresholds.
+/// Returns a message for unknown designs/traces, invalid thresholds,
+/// a cache layout the tag array cannot hold, or a capacitance that is
+/// not positive and finite.
 pub fn config_of(opt: &RunOptions) -> Result<SimConfig, String> {
     let design = match opt.design.as_str() {
         "wl" => {
@@ -611,9 +495,14 @@ pub fn config_of(opt: &RunOptions) -> Result<SimConfig, String> {
         "wbuf" => DesignKind::WBuf { capacity: 6 },
         other => return Err(format!("unknown design '{other}'")),
     };
+    let geometry = CacheGeometry::try_new(opt.cache_bytes, opt.ways, 64)
+        .and_then(|g| TagArray::check(g).map(|()| g))
+        .map_err(|e| format!("--cache {} --ways {}: {e}", opt.cache_bytes, opt.ways))?;
+    Capacitor::check_capacitance(opt.capacitor_uf * 1e-6)
+        .map_err(|e| format!("--capacitor-uf {}: {e}", opt.capacitor_uf))?;
     let mut cfg = SimConfig::wl_cache();
     cfg.design = design;
-    cfg.geometry = CacheGeometry::new(opt.cache_bytes, opt.ways, 64);
+    cfg.geometry = geometry;
     cfg.cache_policy = opt.cache_policy;
     cfg = cfg
         .with_trace(trace_of(&opt.trace)?)
@@ -678,63 +567,6 @@ pub fn render_report(r: &Report) -> String {
             wl.stall_fraction * 100.0,
             wl.stall_fraction_on * 100.0
         );
-    }
-    s
-}
-
-/// True when the file at `path` starts with the Bus-trace magic.
-///
-/// # Errors
-///
-/// Returns a message when the file cannot be read.
-fn sniff_bus_trace(path: &str) -> Result<bool, String> {
-    let mut head = [0u8; 8];
-    let mut f = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
-    let n = std::io::Read::read(&mut f, &mut head).map_err(|e| format!("{path}: {e}"))?;
-    Ok(BusTrace::sniff(&head[..n]))
-}
-
-/// Renders one recorded/imported Bus trace as a summary block.
-fn render_bus_summary(trace: &BusTrace, path: &str) -> String {
-    let c = trace.counts();
-    let mut s = String::new();
-    let _ = writeln!(s, "trace         {path}");
-    let _ = writeln!(s, "name          {}", trace.name());
-    let _ = writeln!(s, "mem           {} B", trace.mem_bytes());
-    let _ = writeln!(
-        s,
-        "ops           {} loads, {} stores, {} computes ({} cycles)",
-        c.loads, c.stores, c.computes, c.compute_cycles
-    );
-    let _ = writeln!(s, "encoded       {} B", trace.encoded_len());
-    let _ = writeln!(s, "checksum      {:#018x}", trace.checksum());
-    s
-}
-
-/// Renders one side of a Bus-trace divergence.
-fn render_bus_op(op: Option<BusOp>) -> String {
-    match op {
-        None => "<end of stream>".into(),
-        Some(BusOp::Load { addr, size }) => format!("load  {addr:#010x} x{}", size.bytes()),
-        Some(BusOp::Store { addr, size }) => format!("store {addr:#010x} x{}", size.bytes()),
-        Some(BusOp::Compute { cycles }) => format!("compute {cycles} cycles"),
-    }
-}
-
-/// Renders an event-level comparison of two Bus traces.
-fn render_bus_diff(a: &BusTrace, a_path: &str, b: &BusTrace, b_path: &str) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "a             {a_path} ({} ops)", a.ops());
-    let _ = writeln!(s, "b             {b_path} ({} ops)", b.ops());
-    match a.first_divergence(b) {
-        None => {
-            let _ = writeln!(s, "streams identical: no divergence ({} ops)", a.ops());
-        }
-        Some(d) => {
-            let _ = writeln!(s, "first divergence at op ordinal {}", d.ordinal);
-            let _ = writeln!(s, "  a: {}", render_bus_op(d.a));
-            let _ = writeln!(s, "  b: {}", render_bus_op(d.b));
-        }
     }
     s
 }
@@ -841,100 +673,10 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             Ok(s)
         }
         Command::DiffTraces(a_path, b_path) => {
-            let a_bus = sniff_bus_trace(a_path)?;
-            let b_bus = sniff_bus_trace(b_path)?;
-            match (a_bus, b_bus) {
-                (true, true) => {
-                    let a =
-                        BusTrace::load(Path::new(a_path)).map_err(|e| format!("{a_path}: {e}"))?;
-                    let b =
-                        BusTrace::load(Path::new(b_path)).map_err(|e| format!("{b_path}: {e}"))?;
-                    Ok(render_bus_diff(&a, a_path, &b, b_path))
-                }
-                (false, false) => {
-                    let a = RunTrace::load(a_path)?;
-                    let b = RunTrace::load(b_path)?;
-                    let report = ehsim_obs::diff_runs(&a, a_path, &b, b_path);
-                    Ok(ehsim_obs::render_diff(&report, &a, &b))
-                }
-                _ => Err(format!(
-                    "cannot diff a Bus trace against an event capture \
-                     ({} is {}, {} is {})",
-                    a_path,
-                    if a_bus {
-                        "a Bus trace"
-                    } else {
-                        "an event capture"
-                    },
-                    b_path,
-                    if b_bus {
-                        "a Bus trace"
-                    } else {
-                        "an event capture"
-                    },
-                )),
-            }
-        }
-        Command::RecordBus(rec) => {
-            let w = workload_of(&rec.workload, rec.scale)?;
-            let trace = BusTrace::record(w.as_ref());
-            trace
-                .save(Path::new(&rec.output))
-                .map_err(|e| format!("--out {}: {e}", rec.output))?;
-            Ok(render_bus_summary(&trace, &rec.output))
-        }
-        Command::ImportTrace(imp) => {
-            let text =
-                std::fs::read_to_string(&imp.input).map_err(|e| format!("{}: {e}", imp.input))?;
-            let name = imp.name.clone().unwrap_or_else(|| {
-                Path::new(&imp.input)
-                    .file_stem()
-                    .map(|s| s.to_string_lossy().into_owned())
-                    .unwrap_or_else(|| imp.input.clone())
-            });
-            let trace =
-                import_column_trace(&text, &name).map_err(|e| format!("{}: {e}", imp.input))?;
-            trace
-                .save(Path::new(&imp.output))
-                .map_err(|e| format!("{}: {e}", imp.output))?;
-            Ok(render_bus_summary(&trace, &imp.output))
-        }
-        Command::ReplayTrace(rep) => {
-            let trace = BusTrace::load(Path::new(&rep.input))
-                .map_err(|e| format!("--in {}: {e}", rep.input))?;
-            let cfg = config_of(&rep.run)?;
-            let r = Simulator::new(cfg.clone())
-                .replay(&trace)
-                .map_err(|e| e.to_string())?;
-            let mut s = render_report(&r);
-            let _ = writeln!(
-                s,
-                "replayed      {} ({} ops, {} B encoded)",
-                rep.input,
-                trace.ops(),
-                trace.encoded_len()
-            );
-            if rep.check {
-                let w = workload_of(trace.name(), rep.run.scale).map_err(|e| {
-                    format!(
-                        "--check: trace '{}' has no native workload: {e}",
-                        trace.name()
-                    )
-                })?;
-                let direct = Simulator::new(cfg)
-                    .run(w.as_ref())
-                    .map_err(|e| e.to_string())?;
-                if direct != r {
-                    return Err(format!(
-                        "--check: replay diverged from direct execution\n\
-                         direct:\n{}\nreplay:\n{}",
-                        render_report(&direct),
-                        render_report(&r)
-                    ));
-                }
-                let _ = writeln!(s, "check         replay == direct execution");
-            }
-            Ok(s)
+            let a = RunTrace::load(a_path)?;
+            let b = RunTrace::load(b_path)?;
+            let report = ehsim_obs::diff_runs(&a, a_path, &b, b_path);
+            Ok(ehsim_obs::render_diff(&report, &a, &b))
         }
         Command::VoltagePlot(plot) => {
             let opt = &plot.run;
@@ -1207,6 +949,37 @@ mod tests {
         assert!(config_of(&opt).is_err());
     }
 
+    /// Cache and capacitor flags no machine can be built from are
+    /// errors that name the flag, not panics. Only `config_of` runs, so
+    /// no cache is allocated.
+    #[test]
+    fn invalid_cache_and_capacitor_flags_are_errors() {
+        for (flags, needle) in [
+            ("--ways 3", "multiple of ways * line_bytes"),
+            ("--cache 1000", "multiple of ways * line_bytes"),
+            (
+                "--cache 4294967232 --ways 1",
+                "set count must be a power of two",
+            ),
+            ("--ways 128 --cache 8192", "at most 64 ways"),
+            ("--ways 0", "at least one way"),
+            ("--ways 4294967295", "overflow 32 bits"),
+            ("--capacitor-uf 0", "positive and finite"),
+            ("--capacitor-uf -1", "positive and finite"),
+            ("--capacitor-uf nan", "positive and finite"),
+            ("--capacitor-uf inf", "positive and finite"),
+        ] {
+            let line = format!("run --workload sha --scale small {flags}");
+            let Command::Run(opt) = parse(&argv(&line)).unwrap() else {
+                panic!("expected run");
+            };
+            let err = config_of(&opt).expect_err(flags);
+            let flag = flags.split_whitespace().next().unwrap();
+            assert!(err.contains(flag), "{flags}: {err}");
+            assert!(err.contains(needle), "{flags}: {err}");
+        }
+    }
+
     #[test]
     fn workload_lookup_by_figure_label() {
         assert!(workload_of("FFT_i", Scale::Small).is_ok());
@@ -1397,148 +1170,6 @@ mod tests {
         assert!(svg_text.contains("Vbackup"), "rails overlaid");
         let _ = std::fs::remove_file(&tsv);
         let _ = std::fs::remove_file(&svg);
-    }
-
-    #[test]
-    fn parses_bus_trace_subcommands() {
-        let Command::RecordBus(rec) = parse(&argv(
-            "record-bus --workload sha --scale small --out t.bustrace",
-        ))
-        .unwrap() else {
-            panic!("expected record-bus");
-        };
-        assert_eq!(rec.workload, "sha");
-        assert_eq!(rec.scale, Scale::Small);
-        assert_eq!(rec.output, "t.bustrace");
-        assert!(parse(&argv("record-bus --workload sha")).is_err());
-        assert!(parse(&argv("record-bus --out t.bustrace")).is_err());
-
-        let Command::ReplayTrace(rep) = parse(&argv(
-            "replay --in t.bustrace --design nvsram --trace rf2 --check",
-        ))
-        .unwrap() else {
-            panic!("expected replay");
-        };
-        assert_eq!(rep.input, "t.bustrace");
-        assert_eq!(rep.run.design, "nvsram");
-        assert!(rep.check);
-        assert!(parse(&argv("replay --design wl")).is_err());
-        // --in/--check are replay-only.
-        assert!(parse(&argv("run --in t.bustrace")).is_err());
-        assert!(parse(&argv("run --check")).is_err());
-
-        let Command::ImportTrace(imp) = parse(&argv(
-            "import-trace mem.txt out.bustrace --name lachesis/fft",
-        ))
-        .unwrap() else {
-            panic!("expected import-trace");
-        };
-        assert_eq!(imp.input, "mem.txt");
-        assert_eq!(imp.output, "out.bustrace");
-        assert_eq!(imp.name.as_deref(), Some("lachesis/fft"));
-        assert!(parse(&argv("import-trace only-one")).is_err());
-    }
-
-    #[test]
-    fn record_replay_check_round_trip() {
-        let dir = std::env::temp_dir();
-        let path = dir.join("ehsim_cli_test_sha.bustrace");
-        let out = execute(
-            &parse(&argv(&format!(
-                "record-bus --workload sha --scale small --out {}",
-                path.display()
-            )))
-            .unwrap(),
-        )
-        .unwrap();
-        assert!(out.contains("loads"), "{out}");
-        // Replay under a non-default design, cross-checked against the
-        // direct execution of the same configuration.
-        let out = execute(
-            &parse(&argv(&format!(
-                "replay --in {} --design nvsram --trace rf1 --scale small --check",
-                path.display()
-            )))
-            .unwrap(),
-        )
-        .unwrap();
-        assert!(
-            out.contains("check         replay == direct execution"),
-            "{out}"
-        );
-        assert!(out.contains("NVSRAM"), "{out}");
-        // Self-diff of the trace file reports identity.
-        let diff = execute(&Command::DiffTraces(
-            path.display().to_string(),
-            path.display().to_string(),
-        ))
-        .unwrap();
-        assert!(diff.contains("no divergence"), "{diff}");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn import_trace_round_trip_and_diff() {
-        let dir = std::env::temp_dir();
-        let txt = dir.join("ehsim_cli_test_import.txt");
-        let bus_a = dir.join("ehsim_cli_test_import_a.bustrace");
-        let bus_b = dir.join("ehsim_cli_test_import_b.bustrace");
-        std::fs::write(&txt, "# comment\n0x100,R\n0x104,W\nc 32\n").unwrap();
-        let out = execute(&Command::ImportTrace(ImportOptions {
-            input: txt.display().to_string(),
-            output: bus_a.display().to_string(),
-            name: None,
-        }))
-        .unwrap();
-        assert!(
-            out.contains("1 loads, 1 stores, 1 computes (32 cycles)"),
-            "{out}"
-        );
-        // Default name is the input file stem.
-        assert!(out.contains("ehsim_cli_test_import"), "{out}");
-        // An imported trace replays end-to-end.
-        let rep = execute(
-            &parse(&argv(&format!(
-                "replay --in {} --trace rf1",
-                bus_a.display()
-            )))
-            .unwrap(),
-        )
-        .unwrap();
-        assert!(rep.contains("instructions"), "{rep}");
-        // --check on an imported trace fails: no native kernel.
-        let err =
-            execute(&parse(&argv(&format!("replay --in {} --check", bus_a.display()))).unwrap())
-                .unwrap_err();
-        assert!(err.contains("no native workload"), "{err}");
-        // diff-traces pinpoints the first diverging op.
-        std::fs::write(&txt, "0x100,R\n0x108,W\nc 32\n").unwrap();
-        execute(&Command::ImportTrace(ImportOptions {
-            input: txt.display().to_string(),
-            output: bus_b.display().to_string(),
-            name: None,
-        }))
-        .unwrap();
-        let diff = execute(&Command::DiffTraces(
-            bus_a.display().to_string(),
-            bus_b.display().to_string(),
-        ))
-        .unwrap();
-        assert!(diff.contains("first divergence at op ordinal 1"), "{diff}");
-        assert!(diff.contains("store 0x00000104"), "{diff}");
-        assert!(diff.contains("store 0x00000108"), "{diff}");
-        // Mixed kinds are rejected with a clear message.
-        let jsonl = dir.join("ehsim_cli_test_import.jsonl");
-        std::fs::write(&jsonl, "{}\n").unwrap();
-        let err = execute(&Command::DiffTraces(
-            bus_a.display().to_string(),
-            jsonl.display().to_string(),
-        ))
-        .unwrap_err();
-        assert!(err.contains("cannot diff a Bus trace"), "{err}");
-        for p in [&txt, &bus_a, &bus_b, &jsonl] {
-            let _ = std::fs::remove_file(p);
-        }
     }
 
     #[test]

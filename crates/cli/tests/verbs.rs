@@ -1,7 +1,7 @@
 //! The trace and sweep verbs on the real binary, each test in a temp
 //! directory of its own: the bytes the plot and profile verbs write,
-//! the Chrome trace and JSONL capture verbs, the bus-trace verbs, and
-//! the progress stream and timelines of a real sweep.
+//! the Chrome trace and JSONL capture verbs, the retired bus-trace
+//! verbs, and the progress stream and timelines of a real sweep.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -175,51 +175,20 @@ fn traced_run_exports_a_trace_that_validates() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The bus-trace verbs end to end: a recorded trace replays under
-/// another design to the direct run's report, an imported column trace
-/// keeps all three of its ops, and `diff-traces` tells a trace from the
-/// import but not from itself.
+/// `record-bus`, `replay` and `import-trace` are retired with the
+/// `.bustrace` file format: each is an unknown command, exit 2.
 #[test]
-fn record_replay_import_and_diff_round_trip() {
-    let dir = workdir("bus");
-    cli(
-        &dir,
-        &[
-            "record-bus",
-            "--workload",
-            "sha",
-            "--scale",
-            "small",
-            "--out",
-            "sha.bustrace",
-        ],
-    );
-    let out = cli(
-        &dir,
-        &[
-            "replay",
-            "--in",
-            "sha.bustrace",
-            "--design",
-            "nvsram",
-            "--trace",
-            "rf1",
-            "--scale",
-            "small",
-            "--check",
-        ],
-    );
-    assert!(out.contains("replay == direct execution"), "{out}");
-    std::fs::write(dir.join("ext.txt"), "0x100,R\n0x104,W\nc 32\n").unwrap();
-    let out = cli(&dir, &["import-trace", "ext.txt", "ext.bustrace"]);
-    assert!(
-        out.contains("1 loads, 1 stores, 1 computes (32 cycles)"),
-        "{out}"
-    );
-    let out = cli(&dir, &["diff-traces", "sha.bustrace", "sha.bustrace"]);
-    assert!(out.contains("no divergence"), "{out}");
-    let out = cli(&dir, &["diff-traces", "sha.bustrace", "ext.bustrace"]);
-    assert!(out.contains("first divergence"), "{out}");
+fn retired_bus_trace_verbs_are_unknown_commands() {
+    let dir = workdir("retired");
+    for verb in ["record-bus", "replay", "import-trace"] {
+        let out = spawn(&dir, &[], &[verb, "--workload", "sha"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{verb}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("error: unknown command '{verb}'")),
+            "{verb}: {stderr}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

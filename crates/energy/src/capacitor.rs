@@ -40,9 +40,12 @@ impl Capacitor {
     ///
     /// # Panics
     ///
-    /// Panics if `capacitance_f <= 0` or `v_min >= v_max` or `v_min < 0`.
+    /// Panics where [`Capacitor::check_capacitance`] returns an error,
+    /// or if `v_min >= v_max` or `v_min < 0`.
     pub fn new(capacitance_f: f64, v_min: f64, v_max: f64) -> Self {
-        assert!(capacitance_f > 0.0, "capacitance must be positive");
+        if let Err(e) = Self::check_capacitance(capacitance_f) {
+            panic!("{e}");
+        }
         assert!(v_min >= 0.0 && v_min < v_max, "need 0 <= v_min < v_max");
         Self {
             capacitance_f,
@@ -51,6 +54,19 @@ impl Capacitor {
             v_min,
             v_max,
             e_at_v_min_pj: 0.5 * capacitance_f * v_min * v_min * J_TO_PJ,
+        }
+    }
+
+    /// Checks that `capacitance_f` farads can size a capacitor.
+    ///
+    /// # Errors
+    ///
+    /// Says so unless `capacitance_f` is positive and finite.
+    pub fn check_capacitance(capacitance_f: f64) -> Result<(), String> {
+        if capacitance_f > 0.0 && capacitance_f.is_finite() {
+            Ok(())
+        } else {
+            Err("capacitance must be positive and finite".into())
         }
     }
 

@@ -57,7 +57,7 @@ impl SimKey {
     }
 }
 
-/// FNV-1a offset basis (the same constants as the `.bustrace` format).
+/// 64-bit FNV-1a offset basis.
 fn fnv1a_seed() -> u64 {
     0xcbf2_9ce4_8422_2325
 }

@@ -8,8 +8,8 @@
 //!
 //! ## File format (`.ehres`, version 1)
 //!
-//! Mirrors the `.bustrace` discipline (magic, version byte, decode
-//! walk, trailing FNV-1a checksum), little-endian throughout:
+//! Magic, version byte, decode walk and a trailing FNV-1a checksum,
+//! little-endian throughout:
 //!
 //! ```text
 //! [0..8)   magic  b"EHRESLT" + version byte 0x01
@@ -216,7 +216,7 @@ fn validate(bytes: &[u8], key: &SimKey) -> Result<Report, String> {
     decode_report(&body[payload_start..payload_end])
 }
 
-/// 64-bit FNV-1a (same constants as the `.bustrace` store).
+/// 64-bit FNV-1a.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

@@ -14,10 +14,10 @@
 //!   (Table 2 of the paper) and energy parameters.
 //! - [`NvmPort`] — a single memory port with busy-time tracking, which is
 //!   how asynchronous write-backs contend with demand fills.
-//! - [`BusTrace`] / [`TraceRecorder`] — record/replay of the Bus access
-//!   stream: capture a workload's design-independent op stream once and
-//!   replay it against any machine (see the `record` module docs for the
-//!   exactness argument).
+//! - [`BusTrace`] — record/replay of the Bus access stream: capture a
+//!   workload's design-independent op stream once, in memory, and
+//!   replay it against any machine (see the `record` module docs for
+//!   the exactness argument).
 //!
 //! # Examples
 //!
@@ -43,10 +43,7 @@ pub use bus::{AccessSize, Bus, Workload};
 pub use functional::FunctionalMem;
 pub use nvm::{NvmEnergy, NvmTiming};
 pub use port::NvmPort;
-pub use record::{
-    import_column_trace, BusOp, BusTrace, BusTraceBuilder, Divergence, OpCounts, ReplayCursor,
-    TraceFileError, TraceRecorder,
-};
+pub use record::{BusOp, BusTrace, OpCounts, ReplayCursor};
 
 /// Picoseconds — the simulator's base time unit.
 ///

@@ -54,7 +54,7 @@ mod report;
 mod simulator;
 
 pub use config::{AccessClass, DesignKind, ResidencyClass, SimConfig};
-pub use ehsim_mem::{BusOp, BusTrace, TraceRecorder};
+pub use ehsim_mem::{BusOp, BusTrace};
 pub use ehsim_obs::{Event, ObserverBox, Recorder, RunTrace};
 pub use error::SimError;
 pub use machine::Machine;

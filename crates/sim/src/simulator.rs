@@ -157,9 +157,13 @@ impl Simulator {
         }
     }
 
-    /// Replays a recorded [`BusTrace`] on a fresh machine.
+    /// Replays a recorded [`BusTrace`] on a fresh machine, with a
+    /// caller-supplied observer; the machine is returned for observer
+    /// retrieval. A [`BusTrace`] is a [`Workload`], so this is
+    /// [`Simulator::run_with`] on the trace, and [`Simulator::run`]
+    /// replays one too.
     ///
-    /// This is the trace-driven twin of [`Simulator::run`]: the machine
+    /// This is the trace-driven twin of direct execution: the machine
     /// is driven from the captured op stream instead of re-executing the
     /// kernel, issuing each load/store/compute in recorded program order
     /// so the capacitor settles after every operation exactly as it does
@@ -169,18 +173,6 @@ impl Simulator {
     /// recorded kernel checksum is reported — see the
     /// `ehsim_mem::record` module docs for the full exactness argument,
     /// and the replay-equivalence suite for the pin).
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Simulator::run`].
-    pub fn replay(&self, trace: &BusTrace) -> Result<Report, SimError> {
-        self.replay_with(trace, ObserverBox::Noop)
-            .map(|(report, _)| report)
-    }
-
-    /// Replays `trace` with a caller-supplied observer; the machine is
-    /// returned for observer retrieval. A [`BusTrace`] is a
-    /// [`Workload`], so this is [`Simulator::run_with`] on the trace.
     ///
     /// # Errors
     ///
@@ -331,13 +323,9 @@ mod tests {
                     .run(&w)
                     .unwrap_or_else(|e| panic!("{label} direct on {kind:?}: {e}"));
                 let replayed = sim
-                    .replay(&trace)
+                    .run(&trace)
                     .unwrap_or_else(|e| panic!("{label} replay on {kind:?}: {e}"));
                 assert_eq!(direct, replayed, "{label} on {kind:?}");
-                // The Workload impl on BusTrace goes through dyn
-                // dispatch but must land in the same place.
-                let via_workload = sim.run(&trace).unwrap();
-                assert_eq!(direct, via_workload, "{label} on {kind:?} (dyn)");
             }
         }
     }
