@@ -22,8 +22,7 @@
 //! write-back designs of one geometry and policy, which share one tag
 //! array in a group — in one unit where the caps allow. A group's
 //! members share one simulated NVM, so a sweep's footprint is at most
-//! one group per worker plus the memo. Jobs whose kernel is
-//! `EHSIM_TRACE_WORKLOAD` run solo.
+//! one group per worker plus the memo.
 //!
 //! **Persistent result store.** `EHSIM_RESULT_STORE=<dir>` persists
 //! completed *reports* across processes in
@@ -51,21 +50,9 @@
 //!   `SimConfig` is a compile error here until the key learns about
 //!   it, and floats are keyed by their exact bit patterns. Jobs
 //!   carrying a custom power trace are never memoized.
-//!
-//! Setting `EHSIM_TRACE_WORKLOAD=<name>` additionally streams an event
-//! timeline for every simulation of that workload: each one writes a
-//! JSON-lines event stream (loadable by `RunTrace::load` /
-//! `ehsim-cli diff-traces`, convertible to Chrome/interval exports
-//! with `ehsim-cli convert-trace`) into `EHSIM_TRACE_DIR` (default
-//! `traces/`), named `<workload>__<design>__<trace>.events.jsonl`.
-//! Events flow through a bounded-buffer [`StreamingObserver`] straight
-//! to disk, so tracing adds no per-event memory footprint, and
-//! observation does not change any simulated value, so figures
-//! regenerated with tracing on are byte-identical.
 
 use crate::{knob, telemetry, Knob};
-use ehsim::{ObserverBox, Report, SimConfig, Simulator};
-use ehsim_obs::StreamingObserver;
+use ehsim::{Report, SimConfig, Simulator};
 use ehsim_workloads::Scale;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -239,62 +226,12 @@ pub fn result_store_enabled() -> bool {
     result_store().is_some()
 }
 
-/// The workload name whose simulations should also dump event
-/// timelines (`EHSIM_TRACE_WORKLOAD`), if any.
-fn trace_workload() -> Option<&'static str> {
-    static W: OnceLock<Option<String>> = OnceLock::new();
-    W.get_or_init(|| knob(Knob::TraceWorkload)?.into_string().ok())
-        .as_deref()
-}
-
-/// Turns a design/trace label into a filename fragment.
-fn sanitize(label: &str) -> String {
-    label
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() {
-                c.to_ascii_lowercase()
-            } else {
-                '_'
-            }
-        })
-        .collect()
-}
-
-/// Opens the JSONL event-stream sink for one traced simulation:
-/// `EHSIM_TRACE_DIR` (default `traces/`) /
-/// `<workload>__<design>__<trace>.events.jsonl`. Events stream through
-/// a bounded buffer straight to disk (no in-RAM timeline); observation
-/// never perturbs the simulation, and open failures only warn and fall
-/// back to no observation — a sweep must not die over a timeline.
-fn stream_sink(job: &Job, workload: &str) -> ObserverBox {
-    let dir = std::path::PathBuf::from(knob(Knob::TraceDir).unwrap_or_else(|| "traces".into()));
-    let stem = format!(
-        "{}__{}__{}",
-        sanitize(workload),
-        sanitize(job.cfg.design.label()),
-        sanitize(job.cfg.trace_label())
-    );
-    let open = || -> std::io::Result<StreamingObserver> {
-        std::fs::create_dir_all(&dir)?;
-        StreamingObserver::to_path(&dir.join(format!("{stem}.events.jsonl")))
-    };
-    match open() {
-        Ok(obs) => ObserverBox::custom(obs),
-        Err(e) => {
-            eprintln!("warning: failed to open event stream for {stem}: {e}");
-            ObserverBox::Noop
-        }
-    }
-}
-
-/// Runs one unit of jobs that share a kernel and a scale: streamed
-/// solo when the kernel is `EHSIM_TRACE_WORKLOAD` (such a unit holds
-/// one job), otherwise as one lockstep group
-/// ([`Simulator::run_lockstep_with`]; a unit of one runs solo). Returns
-/// the reports in unit order and adds the machines' settle windows to
-/// [`ExecStats::settle_windows`]. Panics with context on simulation
-/// errors — the harness treats them as fatal.
+/// Runs one unit of jobs that share a kernel and a scale as one
+/// lockstep group ([`Simulator::run_lockstep_with`]; a unit of one
+/// runs solo). Returns the reports in unit order and adds the
+/// machines' settle windows to [`ExecStats::settle_windows`]. Panics
+/// with context on simulation errors — the harness treats them as
+/// fatal.
 fn run_direct(unit: &[&Job]) -> Vec<Report> {
     let first = unit[0];
     let workloads = ehsim_workloads::all23(first.scale);
@@ -310,14 +247,6 @@ fn run_direct(unit: &[&Job]) -> Vec<Report> {
         )
     };
     let c = counters();
-    if trace_workload() == Some(w.name()) {
-        let (report, machine) = Simulator::new(first.cfg.clone())
-            .run_with(w.as_ref(), stream_sink(first, w.name()))
-            .unwrap_or_else(|e| fail(first, e));
-        c.settle_windows
-            .fetch_add(machine.settle_windows(), Ordering::Relaxed);
-        return vec![report];
-    }
     let cfgs: Vec<SimConfig> = unit.iter().map(|job| job.cfg.clone()).collect();
     let run = Simulator::run_lockstep_with(&cfgs, w.as_ref());
     c.lockstep_fallbacks
@@ -416,19 +345,12 @@ const GROUP_MAX_JOBS: usize = 16;
 /// residency class ([`ehsim::SimConfig::residency_class`]) share a unit
 /// where the caps allow ([`pack_parts`]). Each unit lists its jobs in
 /// submission order, and the units are ordered by their first job.
-/// Every job of the `traced` kernel (`EHSIM_TRACE_WORKLOAD`), which
-/// streams its own timeline, runs alone.
-fn lockstep_units(misses: &[&Job], traced: Option<&str>) -> Vec<Vec<usize>> {
-    let mut units: Vec<Vec<usize>> = Vec::new();
+fn lockstep_units(misses: &[&Job]) -> Vec<Vec<usize>> {
     // Each (workload, scale)'s access classes, in first-appearance
     // order.
     let mut kernels: Vec<Vec<Vec<usize>>> = Vec::new();
     let mut kernel_of: HashMap<(usize, Scale), usize> = HashMap::new();
     for (i, job) in misses.iter().enumerate() {
-        if traced == Some(workload_name(job.workload)) {
-            units.push(vec![i]);
-            continue;
-        }
         let k = *kernel_of
             .entry((job.workload, job.scale))
             .or_insert_with(|| {
@@ -444,6 +366,7 @@ fn lockstep_units(misses: &[&Job], traced: Option<&str>) -> Vec<Vec<usize>> {
             None => classes.push(vec![i]),
         }
     }
+    let mut units: Vec<Vec<usize>> = Vec::new();
     for classes in kernels {
         // The kernel's residency groups: parts of one residency class
         // together, in first-appearance order; a part outside every
@@ -542,10 +465,9 @@ enum Slot {
 ///
 /// Jobs already in the memo cache are returned without simulating;
 /// duplicate keys within the batch simulate once. The remaining misses
-/// are split into lockstep units (whole access classes of one kernel,
-/// see [`lockstep_units`]) that execute on a [`std::thread::scope`]
-/// work queue of
-/// [`jobs`] workers. The progress stream is flushed before returning,
+/// are split into lockstep units (whole access classes of one kernel;
+/// see `lockstep_units`) that execute on a [`std::thread::scope`] work
+/// queue of [`jobs`] workers. The progress stream is flushed before returning,
 /// so every heartbeat of the batch is on disk.
 pub fn run_batch(batch: &[Job]) -> Vec<Arc<Report>> {
     // Resolve against the cache and deduplicate within the batch.
@@ -585,7 +507,7 @@ pub fn run_batch(batch: &[Job]) -> Vec<Arc<Report>> {
     // Execute the misses on the worker pool, one lockstep unit per
     // claim. Store hits drop out of a unit before it runs.
     let results: Vec<OnceLock<Arc<Report>>> = (0..misses.len()).map(|_| OnceLock::new()).collect();
-    let units = lockstep_units(&misses, trace_workload());
+    let units = lockstep_units(&misses);
     if !units.is_empty() {
         let workers = jobs().min(units.len());
         let next = AtomicUsize::new(0);
@@ -696,8 +618,7 @@ mod tests {
     /// Units keep to one kernel and scale and take whole access
     /// classes, up to the class and job caps, in the fewest units of
     /// balanced size that keep residency classes together; each lists
-    /// its jobs in submission order. Every job of the traced kernel
-    /// runs alone.
+    /// its jobs in submission order.
     #[test]
     fn lockstep_units_take_whole_access_classes() {
         let caps = [0.1, 1.0, 100.0];
@@ -736,7 +657,7 @@ mod tests {
             Scale::Default,
         ));
         let refs: Vec<&Job> = jobs.iter().collect();
-        let units = lockstep_units(&refs, None);
+        let units = lockstep_units(&refs);
         let sha_small: Vec<usize> = (0..16).filter(|&i| i != 3).collect();
         assert_eq!(units[0], sha_small);
         assert_eq!(units[1], [3]);
@@ -745,11 +666,6 @@ mod tests {
         assert_eq!(units[4], (25..41).collect::<Vec<_>>());
         assert_eq!(units[5], [41, 42, 43]);
         assert_eq!(units.len(), 6);
-        // Traced, every qsort job runs alone, in place.
-        let traced = lockstep_units(&refs, Some(workload_name(16)));
-        assert_eq!(traced[1], [3]);
-        assert_eq!(traced.len(), 4 + 19);
-        assert!(traced[4..].iter().all(|u| u.len() == 1));
     }
 
     /// Fig 12's misses on one kernel — static WL-Cache at four maxlines
@@ -775,7 +691,7 @@ mod tests {
             .collect();
         let refs: Vec<&Job> = jobs.iter().collect();
         assert_eq!(
-            lockstep_units(&refs, None),
+            lockstep_units(&refs),
             [vec![0, 1, 2, 3], vec![4, 5, 6, 7, 8]]
         );
     }
@@ -787,7 +703,7 @@ mod tests {
             .map(|_| Job::new(SimConfig::vcache_wt().with_verify(), 5, Scale::Small))
             .collect();
         let refs: Vec<&Job> = jobs.iter().collect();
-        let sizes: Vec<usize> = lockstep_units(&refs, None).iter().map(Vec::len).collect();
+        let sizes: Vec<usize> = lockstep_units(&refs).iter().map(Vec::len).collect();
         assert_eq!(sizes, [6, 6, 5]);
     }
 
@@ -800,7 +716,7 @@ mod tests {
             .flat_map(|cfg| (0..23).map(move |w| Job::new(cfg.clone(), w, Scale::Default)))
             .collect();
         let refs: Vec<&Job> = jobs.iter().collect();
-        let units = lockstep_units(&refs, None);
+        let units = lockstep_units(&refs);
         let expected: Vec<Vec<usize>> = (0..23)
             .map(|w| (0..5).map(|d| d * 23 + w).collect())
             .collect();

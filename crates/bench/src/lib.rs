@@ -24,13 +24,7 @@ pub mod telemetry;
 /// Every environment variable the workspace reads, in the order of
 /// README's knob table (the root `tests/knob_docs.rs` keeps the
 /// two equal). [`knob`] is the only reader.
-pub const KNOBS: [&str; 5] = [
-    "EHSIM_JOBS",
-    "EHSIM_RESULT_STORE",
-    "EHSIM_PROGRESS",
-    "EHSIM_TRACE_WORKLOAD",
-    "EHSIM_TRACE_DIR",
-];
+pub const KNOBS: [&str; 3] = ["EHSIM_JOBS", "EHSIM_RESULT_STORE", "EHSIM_PROGRESS"];
 
 /// One of the [`KNOBS`], by its index there.
 #[derive(Debug, Clone, Copy)]
@@ -41,10 +35,6 @@ pub enum Knob {
     ResultStore,
     /// `EHSIM_PROGRESS`: the progress stream's path.
     Progress,
-    /// `EHSIM_TRACE_WORKLOAD`: the workload whose sims stream timelines.
-    TraceWorkload,
-    /// `EHSIM_TRACE_DIR`: where those timelines go.
-    TraceDir,
 }
 
 /// The value of `knob`, or `None` when it is unset or empty.

@@ -369,7 +369,7 @@ impl WbCore {
     /// The hit path is forced inline into the designs' access methods
     /// (left to itself, LLVM keeps this out of line: the vectorized tag
     /// scan makes it too big); the miss path stays out of line in
-    /// [`WbCore::miss`].
+    /// `WbCore::miss`.
     #[inline(always)]
     pub fn ensure_resident<'l, R: Residency<'l>>(
         &mut self,

@@ -34,7 +34,7 @@ pub struct SetWay {
 /// chasing a boxed allocation per line, and filling a line is a copy
 /// into (or an NVM read directly targeting) a slice of the flat block.
 /// The valid bit is folded into the tag: an invalid slot holds
-/// [`INVALID_TAG`], which no address can produce (see
+/// `INVALID_TAG`, which no address can produce (see
 /// [`TagArray::new`]), so a lookup compares one vector, not two.
 /// Set/tag extraction uses shift/mask forms precomputed from the
 /// geometry's power-of-two invariants; they are exact integer

@@ -1,7 +1,7 @@
 //! The trace and sweep verbs on the real binary, each test in a temp
 //! directory of its own: the bytes the plot and profile verbs write,
-//! the Chrome trace and JSONL capture verbs, the retired bus-trace
-//! verbs, and the progress stream and timelines of a real sweep.
+//! the Chrome trace and JSONL capture verbs, the verbs `USAGE` names
+//! and the retired ones, and the progress stream of a real sweep.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -175,12 +175,17 @@ fn traced_run_exports_a_trace_that_validates() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `record-bus`, `replay` and `import-trace` are retired with the
-/// `.bustrace` file format: each is an unknown command, exit 2.
+/// Verbs retired with what they drove: `record-bus`, `replay` and
+/// `import-trace` with the `.bustrace` file format, `convert-trace` with
+/// the second way to make Chrome JSON (`run --stream-out … --trace-out`
+/// writes it).
+const RETIRED: [&str; 4] = ["record-bus", "replay", "import-trace", "convert-trace"];
+
+/// Each retired verb is an unknown command, exit 2.
 #[test]
-fn retired_bus_trace_verbs_are_unknown_commands() {
+fn retired_verbs_are_unknown_commands() {
     let dir = workdir("retired");
-    for verb in ["record-bus", "replay", "import-trace"] {
+    for verb in RETIRED {
         let out = spawn(&dir, &[], &[verb, "--workload", "sha"]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{verb}: {stderr}");
@@ -190,6 +195,32 @@ fn retired_bus_trace_verbs_are_unknown_commands() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `USAGE` names exactly the verbs `parse` knows: every indented
+/// `ehsim-cli <verb>` line parses as a known command (bare, it may
+/// still lack an argument), and no retired verb is named or known.
+#[test]
+fn usage_names_exactly_the_verbs_parse_accepts() {
+    let verbs: Vec<&str> = ehsim_cli::USAGE
+        .lines()
+        .filter_map(|l| l.strip_prefix("  ehsim-cli "))
+        .filter_map(|rest| rest.split_whitespace().next())
+        .collect();
+    assert!(verbs.len() >= 10, "too few verbs in USAGE: {verbs:?}");
+    for verb in &verbs {
+        if let Err(e) = ehsim_cli::parse(&[verb.to_string()]) {
+            assert!(!e.starts_with("unknown command"), "{verb}: {e}");
+        }
+    }
+    for verb in RETIRED {
+        assert!(!verbs.contains(&verb), "USAGE still names {verb}");
+        let e = ehsim_cli::parse(&[verb.to_string()]).unwrap_err();
+        assert!(
+            e.starts_with(&format!("unknown command '{verb}'")),
+            "{verb}: {e}"
+        );
+    }
 }
 
 /// A real sweep's progress stream has its meta and sim lines and no
@@ -251,57 +282,29 @@ fn small_sweep_saves_under_results_small() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `EHSIM_TRACE_WORKLOAD` and `EHSIM_TRACE_DIR` make a sweep stream one
-/// capture per fig04 design of the named kernel. The table stays what
-/// an untraced sweep writes, and WL-Cache's capture is the one
-/// `run --stream-out` writes for the same configuration.
+/// `EHSIM_TRACE_WORKLOAD` and `EHSIM_TRACE_DIR` are retired: a sweep
+/// with both set writes no capture and the table an unset sweep writes.
+/// `run --stream-out` is the one capture producer.
 #[test]
-fn sweep_trace_knobs_stream_one_capture_per_design() {
+fn retired_trace_knobs_leave_a_sweep_alone() {
     let dir = workdir("trace_knobs");
     let sweep = ["sweep", "--figure", "fig04", "--scale", "small"];
     cli(&dir, &sweep);
-    let untraced = read(&dir, "results/small/fig04.tsv");
+    let plain = read(&dir, "results/small/fig04.tsv");
     let knobs = [
         ("EHSIM_TRACE_WORKLOAD", "sha"),
         ("EHSIM_TRACE_DIR", "captures"),
     ];
     cli_env(&dir, &knobs, &sweep);
     assert!(
-        read(&dir, "results/small/fig04.tsv") == untraced,
-        "tracing changed fig04"
+        read(&dir, "results/small/fig04.tsv") == plain,
+        "the retired knobs changed fig04"
     );
-    let mut names: Vec<String> = std::fs::read_dir(dir.join("captures"))
-        .unwrap()
-        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-        .collect();
-    names.sort();
-    assert_eq!(
-        names,
-        [
-            "sha__nvcache_wb__no_failure.events.jsonl",
-            "sha__nvsram_ideal___no_failure.events.jsonl",
-            "sha__replaycache__no_failure.events.jsonl",
-            "sha__vcache_wt__no_failure.events.jsonl",
-            "sha__wl_cache__no_failure.events.jsonl",
-        ]
-    );
-    cli(
-        &dir,
-        &[
-            "run",
-            "--workload",
-            "sha",
-            "--scale",
-            "small",
-            "--trace",
-            "none",
-            "--stream-out",
-            "wl.jsonl",
-        ],
-    );
-    assert!(
-        read(&dir, "captures/sha__wl_cache__no_failure.events.jsonl") == read(&dir, "wl.jsonl"),
-        "the sweep's WL-Cache capture differs from run --stream-out"
-    );
+    for capture_dir in ["captures", "traces"] {
+        assert!(
+            !dir.join(capture_dir).exists(),
+            "a sweep wrote {capture_dir}/"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -12,18 +12,23 @@ use std::error::Error;
 use std::fmt;
 use std::path::Path;
 
-/// A parse failure, with its 1-based line number.
+/// A parse failure, with its 1-based line number when one line is at
+/// fault.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceParseError {
-    /// 1-based line number.
-    pub line: usize,
+    /// 1-based line number, or `None` for an error about the whole
+    /// input.
+    pub line: Option<usize>,
     /// What went wrong.
     pub message: String,
 }
 
 impl fmt::Display for TraceParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "trace line {}: {}", self.line, self.message)
+        match self.line {
+            Some(line) => write!(f, "trace line {line}: {}", self.message),
+            None => f.write_str(&self.message),
+        }
     }
 }
 
@@ -59,7 +64,10 @@ pub fn parse_trace(text: &str) -> Result<PowerTrace, TraceParseError> {
             continue;
         }
         let mut parts = content.split([' ', '\t', ',']).filter(|p| !p.is_empty());
-        let err = |message: String| TraceParseError { line, message };
+        let err = |message: String| TraceParseError {
+            line: Some(line),
+            message,
+        };
         let dur_us: f64 = parts
             .next()
             .ok_or_else(|| err("missing duration".into()))?
@@ -102,7 +110,7 @@ pub fn parse_trace(text: &str) -> Result<PowerTrace, TraceParseError> {
     }
     if segments.is_empty() {
         return Err(TraceParseError {
-            line: 0,
+            line: None,
             message: "trace has no segments".into(),
         });
     }
@@ -167,10 +175,10 @@ mod tests {
     #[test]
     fn sub_picosecond_duration_is_an_error_not_a_panic() {
         let e = parse_trace("1e-7 100").unwrap_err();
-        assert_eq!(e.line, 1);
+        assert_eq!(e.line, Some(1));
         assert!(e.message.contains("rounds to 0 ps"), "{e}");
         let e = parse_trace("100 5\n0.0000004 1\n").unwrap_err();
-        assert_eq!(e.line, 2);
+        assert_eq!(e.line, Some(2));
         // Half a picosecond rounds up to one.
         assert_eq!(parse_trace("5e-7 1").unwrap().total_ps(), 1);
     }
@@ -178,10 +186,10 @@ mod tests {
     #[test]
     fn overflowing_durations_are_errors_not_wraps() {
         let e = parse_trace("1e13 5\n1e13 5").unwrap_err();
-        assert_eq!(e.line, 2);
+        assert_eq!(e.line, Some(2));
         assert!(e.message.contains("total trace length overflows"), "{e}");
         let e = parse_trace("1e20 5").unwrap_err();
-        assert_eq!(e.line, 1);
+        assert_eq!(e.line, Some(1));
         assert!(e.message.contains("overflows u64"), "{e}");
         // The longest representable single segment still parses.
         let t = parse_trace("1.8e13 5").unwrap();
@@ -271,14 +279,15 @@ mod tests {
     #[test]
     fn parse_errors_carry_line_numbers() {
         let e = parse_trace("100 5\nbogus 7\n").unwrap_err();
-        assert_eq!(e.line, 2);
+        assert_eq!(e.line, Some(2));
         assert!(e.to_string().contains("line 2"));
         let e = parse_trace("100 5 9\n").unwrap_err();
         assert!(e.message.contains("trailing"));
         let e = parse_trace("-5 100\n").unwrap_err();
         assert!(e.message.contains("positive"));
         let e = parse_trace("# only comments\n").unwrap_err();
-        assert!(e.message.contains("no segments"));
+        assert_eq!(e.line, None);
+        assert_eq!(e.to_string(), "trace has no segments");
     }
 
     #[test]

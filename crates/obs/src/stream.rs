@@ -249,9 +249,8 @@ pub fn parse_jsonl_line(line: &str) -> Result<(Ps, Event), String> {
 /// Appended to a first-line parse error: the input is not an event
 /// capture at all, most likely one of the write-only exports.
 const NOT_A_CAPTURE: &str = "not a JSONL event capture; only JSONL captures load \
-     (write one with `ehsim-cli run --stream-out <p.jsonl>` or \
-     `EHSIM_TRACE_WORKLOAD=<kernel>`); Chrome JSON and the interval-metrics \
-     TSV are export-only";
+     (write one with `ehsim-cli run --stream-out <p.jsonl>`); Chrome JSON and \
+     the interval-metrics TSV are export-only";
 
 impl RunTrace {
     /// Loads a JSON-lines event capture (see [`RunTrace::from_jsonl`]).
@@ -265,7 +264,7 @@ impl RunTrace {
     }
 
     /// Parses a JSON-lines event capture (`ehsim-cli run --stream-out`,
-    /// `EHSIM_TRACE_WORKLOAD`, [`RunTrace::jsonl`]). Lossless: the
+    /// [`RunTrace::jsonl`]). Lossless: the
     /// events are replayed through a live [`Recorder`], so counters,
     /// histograms and interval rows reconcile exactly with the
     /// recording that wrote them.
@@ -445,9 +444,8 @@ pub type StreamStatsHandle = Arc<Mutex<StreamStats>>;
 /// (at most `capacity` buffered events) regardless of run length, so
 /// Default-scale multi-minute runs can be recorded without holding the
 /// ~million-event timeline in RAM. The emitted file loads back as the
-/// full [`RunTrace`] with [`RunTrace::load`] (or converts with
-/// `ehsim-cli convert-trace`), so streamed traces diff exactly like
-/// in-memory ones.
+/// full [`RunTrace`] with [`RunTrace::load`], so streamed traces diff
+/// and export exactly like in-memory ones.
 ///
 /// Sink errors never panic and never reach the simulation: the first
 /// error is recorded in [`StreamStats::io_error`], writing stops, and
