@@ -5,8 +5,8 @@
 //! batch up front — so independent configurations run concurrently and
 //! repeated ones (the `NVSRAM(ideal)` baselines) hit the memo cache —
 //! and then reduces the reports into a [`Table`]. Functions return the
-//! table *without* saving it; the binaries and [`sweep`] call
-//! [`Table::save`]. Everything is parameterized by [`Scale`] so the
+//! table *without* saving it; [`sweep`] saves it (`ablation_wbuf` calls
+//! [`Table::save`]). Everything is parameterized by [`Scale`] so the
 //! pinned-golden tests can run the same code at `Small`.
 
 use crate::exec::{self, Job};

@@ -1,9 +1,9 @@
-//! Harness utilities shared by the figure-regeneration binaries.
+//! Harness utilities behind the figure regeneration.
 //!
-//! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md §3 for the index) by sweeping the relevant
-//! configurations with [`ehsim::Simulator`] and printing a TSV both to
-//! stdout and to `results/<name>.tsv`.
+//! [`figures`] renders each table or figure of the paper (see DESIGN.md
+//! §3 for the index) by sweeping its configurations through [`exec`];
+//! [`figures::sweep`], behind `ehsim-cli sweep` and `all_figures`,
+//! prints each TSV and saves it as `results/<name>.tsv`.
 
 #![allow(
     clippy::unwrap_used,

@@ -1,7 +1,8 @@
-//! A single-figure binary never reaches the end-of-sweep profile, so
-//! its progress stream is complete only if the executor flushes it.
-//! `fig07` at Default scale must leave one `"kind":"sim"` heartbeat
-//! per executed simulation in `EHSIM_PROGRESS`.
+//! A binary that saves one table outside `figures::sweep` writes no
+//! meta line and has no end-of-sweep step, so its progress stream is
+//! complete only if the executor flushes it. `ablation_wbuf` at Default
+//! scale must leave one `"kind":"sim"` heartbeat per executed
+//! simulation in `EHSIM_PROGRESS`.
 
 use ehsim_obs::{parse_progress_line, ProgressLine};
 use std::collections::BTreeSet;
@@ -9,11 +10,12 @@ use std::process::Command;
 
 #[test]
 fn a_figure_binary_leaves_one_heartbeat_per_executed_sim() {
-    // The binary writes results/fig07.tsv under its working directory.
+    // The binary writes results/ablation_wbuf.tsv under its working
+    // directory.
     let dir = std::env::temp_dir().join(format!("ehsim_progress_tail_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     let progress = dir.join("p.jsonl");
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_fig07"));
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_ablation_wbuf"));
     cmd.current_dir(&dir).env("EHSIM_PROGRESS", &progress);
     // No result store (its hits would not be executed sims) and no
     // timelines.
@@ -22,10 +24,10 @@ fn a_figure_binary_leaves_one_heartbeat_per_executed_sim() {
             cmd.env_remove(knob);
         }
     }
-    let out = cmd.output().expect("spawn fig07");
+    let out = cmd.output().expect("spawn ablation_wbuf");
     assert!(
         out.status.success(),
-        "fig07 failed: {}",
+        "ablation_wbuf failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
 
@@ -42,8 +44,9 @@ fn a_figure_binary_leaves_one_heartbeat_per_executed_sim() {
             other => panic!("a figure binary writes only heartbeats, got {other:?}"),
         }
     }
-    // Fig 7 simulates NVSRAM(ideal) and WL-Cache on tr.1 over the 23
-    // kernels, with no job twice.
-    assert_eq!(sims.len(), 2 * 23, "{} heartbeats on disk", sims.len());
+    // The ablation simulates NVSRAM(ideal), WL-Cache and WBuf-Cache
+    // with no outages and on tr.1 over the 23 kernels, with no job
+    // twice.
+    assert_eq!(sims.len(), 6 * 23, "{} heartbeats on disk", sims.len());
     let _ = std::fs::remove_dir_all(&dir);
 }

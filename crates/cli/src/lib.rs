@@ -6,9 +6,11 @@
 //! ehsim-cli list
 //! ```
 //!
-//! The argument parser is hand-rolled (the workspace keeps its
-//! dependency set to the offline-approved crates) and exposed from this
-//! library so it can be unit-tested; `src/main.rs` is a thin shell.
+//! [`VERBS`] and [`OPTIONS`] say which arguments each verb takes;
+//! [`parse`] walks the command line against them, and [`usage`] is
+//! rendered from them. The parser is hand-rolled (the workspace keeps
+//! its dependency set to the offline-approved crates) and exposed from
+//! this library so it can be tested; `src/main.rs` is a thin shell.
 
 mod plot;
 mod profile;
@@ -95,7 +97,7 @@ pub struct PlotOptions {
 pub struct RunOptions {
     /// Workload label (paper figure name, e.g. `sha`).
     pub workload: String,
-    /// Design selector (ignored by `compare`).
+    /// Design selector (`run` and the plot verbs).
     pub design: String,
     /// Trace selector.
     pub trace: String,
@@ -151,76 +153,133 @@ impl Default for RunOptions {
     }
 }
 
-/// Usage text.
-pub const USAGE: &str = "\
-ehsim-cli — WL-Cache energy-harvesting simulator
+/// Every verb with its positional arguments, in usage order.
+pub const VERBS: &[(&str, &[&str])] = &[
+    ("run", &[]),
+    ("compare", &[]),
+    ("voltage-plot", &[]),
+    ("dq-plot", &[]),
+    ("energy-plot", &[]),
+    ("diff-traces", &["<a.jsonl>", "<b.jsonl>"]),
+    ("validate-trace", &["<path>"]),
+    ("sweep", &[]),
+    ("profile-sweep", &["<progress.jsonl>"]),
+    ("list", &[]),
+    ("help", &[]),
+];
 
-USAGE:
-  ehsim-cli run     --workload <name> [--design <d>] [--trace <t>] [options]
-  ehsim-cli compare --workload <name> [--trace <t>] [options]
-  ehsim-cli voltage-plot --workload <name> [--tsv-out <p>] [--svg-out <p>] [options]
-  ehsim-cli diff-traces <a.jsonl> <b.jsonl>
-  ehsim-cli validate-trace <path>
-  ehsim-cli sweep [--figure <f>]... [--scale <s>] [--progress-out <p.jsonl>]
-  ehsim-cli profile-sweep <progress.jsonl> [--design-out <p>]
-  ehsim-cli dq-plot --workload <name> [--tsv-out <p>] [--svg-out <p>] [options]
-  ehsim-cli energy-plot --workload <name> [--tsv-out <p>] [--svg-out <p>] [options]
-  ehsim-cli list
-  ehsim-cli help
+/// The verbs that simulate one workload.
+const SIM: &[&str] = &["run", "compare", "voltage-plot", "dq-plot", "energy-plot"];
 
-OPTIONS:
-  --workload <name>     one of the 23 paper kernels (see `list`)
-  --design <d>          wl | wl-dyn | nvsram | wt | nvcache | replay | wbuf
-  --trace <t>           none | rf1 | rf2 | rf3 | solar | thermal
-  --trace-file <path>   recorded trace file (duration_us power_uw lines)
-  --scale <s>           small | default          (default: default)
-  --cache <bytes>       cache size               (default: 1024)
-  --ways <n>            associativity            (default: 2)
-  --maxline <n>         static WL maxline 1..8   (default: adaptive)
-  --dq-policy <p>       fifo | lru               (default: fifo)
-  --adaptation <a>      static | adaptive | dynamic
-  --cache-policy <p>    lru | fifo               (default: lru)
-  --capacitor-uf <f>    capacitor size in uF     (default: 1.0)
-  --verify              oracle-check every checkpoint
-  --trace-out <path>    write a Chrome trace_event JSON timeline
-                        (open in chrome://tracing or ui.perfetto.dev)
-  --metrics-out <path>  write per-power-interval metrics as TSV
-  --stream-out <path>   stream events as JSON-lines while running
-                        (constant memory; the one capture format that
-                        diff-traces loads; --trace-out and
-                        --metrics-out are then derived from it)
-  --tsv-out <path>      voltage-plot/dq-plot/energy-plot: write the
-                        series as TSV
-  --svg-out <path>      voltage-plot/dq-plot/energy-plot: write the
-                        series as a self-contained SVG chart
-  --figure <f>          sweep: one figure/table name (repeatable;
-                        default: all of them — see DESIGN.md §3)
-  --progress-out <path> sweep: stream one JSONL heartbeat per completed
-                        simulation, after a metadata line
-  --design-out <path>   profile-sweep: write the per-design table as TSV
+/// One option: its name, its value placeholder (empty for a switch)
+/// and its help.
+pub type Opt = (&'static str, &'static str, &'static str);
 
-`--maxline`, `--adaptation` and `--dq-policy` configure WL-Cache:
-`wl` takes all three (a maxline makes it static, so `--adaptation`
-may then only be `static`), `wl-dyn` takes `--dq-policy`, and the
-other designs take none. `run` and the plot verbs reject a flag their
-design does not take; `compare` applies each to the rows that take it.
+/// Every option, grouped by the verbs that take it. [`parse`] accepts
+/// an option on its group's verbs and rejects it on every other, and
+/// [`usage`] prints the groups in this order.
+pub const OPTIONS: &[(&[&str], &[Opt])] = &[
+    (
+        &[
+            "run",
+            "compare",
+            "voltage-plot",
+            "dq-plot",
+            "energy-plot",
+            "sweep",
+        ],
+        &[("--scale", "<s>", "small | default (default: default)")],
+    ),
+    (
+        SIM,
+        &[
+            ("--workload", "<name>", "one of the 23 kernels (see `list`)"),
+            ("--trace", "<t>", "power trace (see `list`; default: none)"),
+            ("--trace-file", "<path>", "`duration_us power_uw` lines"),
+            ("--cache", "<bytes>", "cache size (default: 1024)"),
+            ("--ways", "<n>", "associativity (default: 2)"),
+            ("--maxline", "<n>", "static WL maxline, 1..8"),
+            ("--dq-policy", "<p>", "fifo | lru (default: fifo)"),
+            ("--adaptation", "<a>", "static | adaptive | dynamic"),
+            ("--cache-policy", "<p>", "lru | fifo (default: lru)"),
+            ("--capacitor-uf", "<f>", "capacitance in uF (default: 1.0)"),
+            ("--verify", "", "oracle-check every checkpoint"),
+        ],
+    ),
+    (
+        &["run", "voltage-plot", "dq-plot", "energy-plot"],
+        &[("--design", "<d>", "cache design (see `list`; default: wl)")],
+    ),
+    (
+        &["run"],
+        &[
+            ("--trace-out", "<path>", "Chrome trace_event JSON timeline"),
+            ("--metrics-out", "<path>", "per-power-interval metrics TSV"),
+            ("--stream-out", "<path>", "JSONL capture (constant memory)"),
+        ],
+    ),
+    (
+        &["voltage-plot", "dq-plot", "energy-plot"],
+        &[
+            ("--tsv-out", "<path>", "the series as TSV"),
+            ("--svg-out", "<path>", "the series as an SVG chart"),
+        ],
+    ),
+    (
+        &["sweep"],
+        &[
+            ("--figure", "<f>", "one table, repeatable (default: all)"),
+            ("--progress-out", "<path>", "JSONL heartbeat per simulation"),
+        ],
+    ),
+    (
+        &["profile-sweep"],
+        &[("--design-out", "<path>", "the per-design table as TSV")],
+    ),
+];
 
-`diff-traces` takes two JSONL event captures (`run --stream-out`) and
-reports the first diverging power-on interval. Chrome JSON
-(`--trace-out`) and the metrics TSV (`--metrics-out`) are write-only
-exports.
+/// Usage text after the verbs and options.
+const NOTES: &str = "
+`diff-traces` reports the first diverging power-on interval of two
+`--stream-out` captures. `--trace-out` (for chrome://tracing or
+ui.perfetto.dev) and `--metrics-out` are write-only exports.
 
 `sweep` regenerates `results/*.tsv` (`results/small/*.tsv` at
-`--scale small`) through the shared executor; `profile-sweep` turns
-the progress stream back into the per-design table of heartbeat
-times. Telemetry only observes:
-the TSVs are byte-identical with or without it. With
-`EHSIM_RESULT_STORE=<dir>` set, every executed simulation's report
-persists to a content-addressed on-disk store, so a later sweep — even
-after `kill -9` — loads it instead of re-simulating, and the summary
-gains a `store` hits/misses/rejects line. Stored results are
-byte-identical to direct execution.
+`--scale small`), one table per `--figure` (see DESIGN.md §3), and
+`profile-sweep` turns its progress stream into a per-design table of
+heartbeat times. Telemetry only observes. With
+`EHSIM_RESULT_STORE=<dir>` set, each simulated report persists in a
+content-addressed store, so a later sweep, even after `kill -9`, loads
+it instead of re-simulating, and the summary gains a `store`
+hits/misses/rejects line.
 ";
+
+/// Usage text: every verb, then every option under the verbs that
+/// take it.
+pub fn usage() -> String {
+    let mut s = String::from("ehsim-cli — WL-Cache energy-harvesting simulator\n\nUSAGE:\n");
+    for &(verb, args) in VERBS {
+        let options = OPTIONS.iter().any(|(verbs, _)| verbs.contains(&verb));
+        let tail = if options { " [options]" } else { "" };
+        let _ = writeln!(
+            s,
+            "  ehsim-cli {}{tail}",
+            [&[verb], args].concat().join(" ")
+        );
+    }
+    for &(verbs, rows) in OPTIONS {
+        let _ = writeln!(s, "\nOPTIONS of {}:", verbs.join(", "));
+        for &(name, value, help) in rows {
+            let _ = writeln!(s, "  {:<22}{help}", format!("{name} {value}"));
+        }
+    }
+    s.push_str("\nWL-Cache options by design (the others take none; `compare` gives\n");
+    s.push_str("each row those it takes, and a maxline makes `wl` static):\n");
+    for &(name, (_, takes)) in DESIGNS.iter().filter(|(_, (_, takes))| !takes.is_empty()) {
+        let _ = writeln!(s, "  --design {name:<12}{}", takes.join(" "));
+    }
+    s + NOTES
+}
 
 /// The `sweep` summary's result-store line (printed only when
 /// `EHSIM_RESULT_STORE` is set).
@@ -231,212 +290,192 @@ fn store_summary(st: &exec::ExecStats) -> String {
     )
 }
 
-/// Parses a command line (without the binary name).
-///
-/// # Errors
-///
-/// Returns a human-readable message for unknown commands, flags or
-/// values.
-pub fn parse(args: &[String]) -> Result<Command, String> {
-    let Some(cmd) = args.first() else {
-        return Ok(Command::Help);
-    };
-    match cmd.as_str() {
-        "list" => Ok(Command::List),
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "validate-trace" => match args.get(1) {
-            Some(path) => Ok(Command::ValidateTrace(path.clone())),
-            None => Err("validate-trace needs a file path".into()),
-        },
-        "diff-traces" => match (args.get(1), args.get(2)) {
-            (Some(a), Some(b)) => Ok(Command::DiffTraces(a.clone(), b.clone())),
-            _ => Err("diff-traces needs two trace paths".into()),
-        },
-        "sweep" => {
-            let mut opt = SweepOptions {
-                figures: Vec::new(),
-                scale: Scale::Default,
-                progress_out: None,
-            };
-            let mut it = args[1..].iter();
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{name} needs a value"))
-                };
-                match flag.as_str() {
-                    "--figure" => opt.figures.push(value("--figure")?),
-                    "--all" => opt.figures.clear(),
-                    "--scale" => {
-                        opt.scale = match value("--scale")?.as_str() {
-                            "small" => Scale::Small,
-                            "default" => Scale::Default,
-                            other => return Err(format!("unknown scale '{other}'")),
-                        }
-                    }
-                    "--progress-out" => opt.progress_out = Some(value("--progress-out")?),
-                    other => return Err(format!("unknown flag '{other}'")),
-                }
-            }
-            Ok(Command::Sweep(opt))
-        }
-        "profile-sweep" => {
-            let Some(input) = args.get(1) else {
-                return Err("profile-sweep needs a progress-stream path (JSONL)".into());
-            };
-            let mut opt = ProfileSweepOptions {
-                input: input.clone(),
-                design_out: None,
-            };
-            let mut it = args[2..].iter();
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{name} needs a value"))
-                };
-                match flag.as_str() {
-                    "--design-out" => opt.design_out = Some(value("--design-out")?),
-                    other => return Err(format!("unknown flag '{other}'")),
-                }
-            }
-            Ok(Command::ProfileSweep(opt))
-        }
-        "run" | "compare" | "voltage-plot" | "dq-plot" | "energy-plot" => {
-            let mut opt = RunOptions::default();
-            let is_plot = matches!(cmd.as_str(), "voltage-plot" | "dq-plot" | "energy-plot");
-            let mut tsv_out = None;
-            let mut svg_out = None;
-            let mut it = args[1..].iter();
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{name} needs a value"))
-                };
-                match flag.as_str() {
-                    "--workload" => opt.workload = value("--workload")?,
-                    "--design" => opt.design = value("--design")?,
-                    "--trace" => opt.trace = value("--trace")?,
-                    "--trace-file" => opt.trace_file = Some(value("--trace-file")?),
-                    "--scale" => {
-                        opt.scale = match value("--scale")?.as_str() {
-                            "small" => Scale::Small,
-                            "default" => Scale::Default,
-                            other => return Err(format!("unknown scale '{other}'")),
-                        }
-                    }
-                    "--cache" => {
-                        opt.cache_bytes = value("--cache")?
-                            .parse()
-                            .map_err(|e| format!("--cache: {e}"))?
-                    }
-                    "--ways" => {
-                        opt.ways = value("--ways")?
-                            .parse()
-                            .map_err(|e| format!("--ways: {e}"))?
-                    }
-                    "--maxline" => {
-                        opt.maxline = Some(
-                            value("--maxline")?
-                                .parse()
-                                .map_err(|e| format!("--maxline: {e}"))?,
-                        )
-                    }
-                    "--dq-policy" => {
-                        opt.dq_policy = Some(match value("--dq-policy")?.as_str() {
-                            "fifo" => DqPolicy::Fifo,
-                            "lru" => DqPolicy::Lru,
-                            other => return Err(format!("unknown DQ policy '{other}'")),
-                        })
-                    }
-                    "--adaptation" => {
-                        opt.adaptation = Some(match value("--adaptation")?.as_str() {
-                            "static" => AdaptationMode::Static,
-                            "adaptive" => AdaptationMode::Adaptive,
-                            "dynamic" => AdaptationMode::Dynamic,
-                            other => return Err(format!("unknown adaptation '{other}'")),
-                        })
-                    }
-                    "--cache-policy" => {
-                        opt.cache_policy = match value("--cache-policy")?.as_str() {
-                            "lru" => ReplacementPolicy::Lru,
-                            "fifo" => ReplacementPolicy::Fifo,
-                            other => return Err(format!("unknown cache policy '{other}'")),
-                        }
-                    }
-                    "--capacitor-uf" => {
-                        opt.capacitor_uf = value("--capacitor-uf")?
-                            .parse()
-                            .map_err(|e| format!("--capacitor-uf: {e}"))?
-                    }
-                    "--verify" => opt.verify = true,
-                    "--trace-out" => opt.trace_out = Some(value("--trace-out")?),
-                    "--metrics-out" => opt.metrics_out = Some(value("--metrics-out")?),
-                    "--stream-out" => opt.stream_out = Some(value("--stream-out")?),
-                    "--tsv-out" if is_plot => {
-                        tsv_out = Some(value("--tsv-out")?);
-                    }
-                    "--svg-out" if is_plot => {
-                        svg_out = Some(value("--svg-out")?);
-                    }
-                    other => return Err(format!("unknown flag '{other}'")),
-                }
-            }
-            match cmd.as_str() {
-                "run" => Ok(Command::Run(opt)),
-                "compare" => Ok(Command::Compare(opt)),
-                plot => {
-                    let p = PlotOptions {
-                        run: opt,
-                        tsv_out,
-                        svg_out,
-                    };
-                    Ok(match plot {
-                        "dq-plot" => Command::DqPlot(p),
-                        "energy-plot" => Command::EnergyPlot(p),
-                        _ => Command::VoltagePlot(p),
-                    })
-                }
-            }
-        }
-        other => Err(format!("unknown command '{other}' (try `help`)")),
+/// Where [`parse`] stores each option; the verb's command takes its
+/// part at the end.
+#[derive(Default)]
+struct Parsed {
+    run: RunOptions,
+    tsv_out: Option<String>,
+    svg_out: Option<String>,
+    figures: Vec<String>,
+    progress_out: Option<String>,
+    design_out: Option<String>,
+}
+
+/// Stores `value` of the option `name` in `p`.
+fn set(p: &mut Parsed, name: &str, value: &str) -> Result<(), String> {
+    let (run, v) = (&mut p.run, value.to_string());
+    match name {
+        "--scale" => run.scale = *pick(name, value, SCALES)?,
+        "--workload" => run.workload = v,
+        "--trace" => run.trace = v,
+        "--trace-file" => run.trace_file = Some(v),
+        "--cache" => run.cache_bytes = number(name, value)?,
+        "--ways" => run.ways = number(name, value)?,
+        "--maxline" => run.maxline = Some(number(name, value)?),
+        "--dq-policy" => run.dq_policy = Some(*pick(name, value, DQ_POLICIES)?),
+        "--adaptation" => run.adaptation = Some(*pick(name, value, ADAPTATIONS)?),
+        "--cache-policy" => run.cache_policy = *pick(name, value, CACHE_POLICIES)?,
+        "--capacitor-uf" => run.capacitor_uf = number(name, value)?,
+        "--verify" => run.verify = true,
+        "--design" => run.design = v,
+        "--trace-out" => run.trace_out = Some(v),
+        "--metrics-out" => run.metrics_out = Some(v),
+        "--stream-out" => run.stream_out = Some(v),
+        "--tsv-out" => p.tsv_out = Some(v),
+        "--svg-out" => p.svg_out = Some(v),
+        "--figure" => p.figures.push(v),
+        "--progress-out" => p.progress_out = Some(v),
+        "--design-out" => p.design_out = Some(v),
+        other => return Err(format!("unknown flag '{other}'")),
     }
+    Ok(())
 }
 
-/// Resolves a trace selector.
+/// Parses a numeric option value.
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
+/// The value named `name` in `table`.
 ///
 /// # Errors
 ///
-/// Returns a message listing the valid selectors.
-pub fn trace_of(name: &str) -> Result<TraceKind, String> {
-    Ok(match name {
-        "none" => TraceKind::None,
-        "rf1" => TraceKind::Rf1,
-        "rf2" => TraceKind::Rf2,
-        "rf3" => TraceKind::Rf3,
-        "solar" => TraceKind::Solar,
-        "thermal" => TraceKind::Thermal,
-        other => {
-            return Err(format!(
-                "unknown trace '{other}' (none|rf1|rf2|rf3|solar|thermal)"
-            ))
-        }
-    })
+/// Returns a message naming `flag` and every valid name.
+fn pick<'a, T>(flag: &str, name: &str, table: &'a [(&str, T)]) -> Result<&'a T, String> {
+    table
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, value)| value)
+        .ok_or_else(|| {
+            format!(
+                "{flag}: unknown value '{name}'; one of: {}",
+                names(table, ", ")
+            )
+        })
 }
 
-/// Which of the WL-Cache flags `--maxline`, `--adaptation` and
-/// `--dq-policy` `design` takes, in that order: `wl` takes all three,
-/// `wl-dyn` the DQ policy only, every other design none. [`config_of`]
-/// rejects a flag its design does not take, and `compare` drops it from
+/// The names of `table`, joined by `sep`.
+fn names<T>(table: &[(&str, T)], sep: &str) -> String {
+    let names: Vec<&str> = table.iter().map(|&(name, _)| name).collect();
+    names.join(sep)
+}
+
+const SCALES: &[(&str, Scale)] = &[("small", Scale::Small), ("default", Scale::Default)];
+const DQ_POLICIES: &[(&str, DqPolicy)] = &[("fifo", DqPolicy::Fifo), ("lru", DqPolicy::Lru)];
+const ADAPTATIONS: &[(&str, AdaptationMode)] = &[
+    ("static", AdaptationMode::Static),
+    ("adaptive", AdaptationMode::Adaptive),
+    ("dynamic", AdaptationMode::Dynamic),
+];
+const CACHE_POLICIES: &[(&str, ReplacementPolicy)] = &[
+    ("lru", ReplacementPolicy::Lru),
+    ("fifo", ReplacementPolicy::Fifo),
+];
+const TRACES: &[(&str, TraceKind)] = &[
+    ("none", TraceKind::None),
+    ("rf1", TraceKind::Rf1),
+    ("rf2", TraceKind::Rf2),
+    ("rf3", TraceKind::Rf3),
+    ("solar", TraceKind::Solar),
+    ("thermal", TraceKind::Thermal),
+];
+
+/// The WL-Cache options, in the order `config_of` checks them.
+const WL_FLAGS: [&str; 3] = ["--maxline", "--adaptation", "--dq-policy"];
+
+/// A design's constructor and the [`WL_FLAGS`] it takes.
+type Design = (fn() -> SimConfig, &'static [&'static str]);
+
+/// Every `--design`, in `compare`'s row order. `config_of` rejects a
+/// WL-Cache flag its design does not take, and `compare` drops it from
 /// the rows that do not.
-fn wl_flags(design: &str) -> [bool; 3] {
-    match design {
-        "wl" => [true; 3],
-        "wl-dyn" => [false, false, true],
-        _ => [false; 3],
+const DESIGNS: &[(&str, Design)] = &[
+    ("nvsram", (SimConfig::nvsram, &[])),
+    ("nvcache", (SimConfig::nvcache_wb, &[])),
+    ("wt", (SimConfig::vcache_wt, &[])),
+    ("replay", (SimConfig::replay, &[])),
+    ("wl", (SimConfig::wl_cache, &WL_FLAGS)),
+    ("wl-dyn", (SimConfig::wl_cache_dyn, &["--dq-policy"])),
+    ("wbuf", (SimConfig::write_buffer, &[])),
+];
+
+/// Parses a command line (without the binary name) against [`VERBS`]
+/// and [`OPTIONS`].
+///
+/// # Errors
+///
+/// Returns a human-readable message for an unknown command or flag, an
+/// option the verb does not take, a missing or extra positional
+/// argument, or a value the option cannot hold.
+pub fn parse(args: &[String]) -> Result<Command, String> {
+    let verb = match args.first().map(String::as_str) {
+        None | Some("--help" | "-h") => "help",
+        Some(verb) => verb,
+    };
+    let Some(&(_, wants)) = VERBS.iter().find(|&&(name, _)| name == verb) else {
+        return Err(format!("unknown command '{verb}' (try `help`)"));
+    };
+    let mut p = Parsed::default();
+    let mut positional = Vec::new();
+    let mut it = args.iter().skip(1);
+    while let Some(arg) = it.next() {
+        if !arg.starts_with("--") {
+            positional.push(arg.clone());
+            continue;
+        }
+        let Some((verbs, placeholder)) = OPTIONS.iter().find_map(|&(verbs, rows)| {
+            let row = rows.iter().find(|&&(name, ..)| name == arg);
+            row.map(|&(_, placeholder, _)| (verbs, placeholder))
+        }) else {
+            return Err(format!("unknown flag '{arg}'"));
+        };
+        if !verbs.contains(&verb) {
+            return Err(format!("{verb} does not take {arg}"));
+        }
+        let value = if placeholder.is_empty() {
+            ""
+        } else {
+            it.next().ok_or_else(|| format!("{arg} needs a value"))?
+        };
+        set(&mut p, arg, value)?;
     }
+    if let Some(extra) = positional.get(wants.len()) {
+        return Err(format!("unexpected argument '{extra}' to {verb}"));
+    }
+    if let Some(missing) = wants.get(positional.len()) {
+        return Err(format!("{verb} needs {missing}"));
+    }
+    let mut positional = positional.into_iter();
+    let mut next = || positional.next().unwrap_or_default();
+    let plot = |p: Parsed| PlotOptions {
+        run: p.run,
+        tsv_out: p.tsv_out,
+        svg_out: p.svg_out,
+    };
+    Ok(match verb {
+        "run" => Command::Run(p.run),
+        "compare" => Command::Compare(p.run),
+        "voltage-plot" => Command::VoltagePlot(plot(p)),
+        "dq-plot" => Command::DqPlot(plot(p)),
+        "energy-plot" => Command::EnergyPlot(plot(p)),
+        "diff-traces" => Command::DiffTraces(next(), next()),
+        "validate-trace" => Command::ValidateTrace(next()),
+        "sweep" => Command::Sweep(SweepOptions {
+            figures: p.figures,
+            scale: p.run.scale,
+            progress_out: p.progress_out,
+        }),
+        "profile-sweep" => Command::ProfileSweep(ProfileSweepOptions {
+            input: next(),
+            design_out: p.design_out,
+        }),
+        "list" => Command::List,
+        _ => Command::Help,
+    })
 }
 
 /// Builds the [`SimConfig`] described by `opt`.
@@ -444,65 +483,49 @@ fn wl_flags(design: &str) -> [bool; 3] {
 /// # Errors
 ///
 /// Returns a message for unknown designs/traces, a WL-Cache flag the
-/// design would ignore (see `wl_flags`; a maxline also fixes a static
+/// design would ignore (see `DESIGNS`; a maxline also fixes a static
 /// WL-Cache), invalid thresholds, a cache layout the tag array cannot
 /// hold, or a capacitance that is not positive and finite.
 pub fn config_of(opt: &RunOptions) -> Result<SimConfig, String> {
-    let dq_policy = opt.dq_policy.unwrap_or_default();
-    let design = match opt.design.as_str() {
-        "wl" => {
-            let (thresholds, adaptation) = match (opt.maxline, opt.adaptation) {
-                (None, adaptation) => (Thresholds::paper_default(), adaptation.unwrap_or_default()),
-                (Some(m), None | Some(AdaptationMode::Static)) => (
-                    Thresholds::with_maxline(8, m).map_err(|e| e.to_string())?,
-                    AdaptationMode::Static,
-                ),
-                (Some(_), Some(a)) => {
-                    return Err(format!(
-                        "--adaptation {}: --maxline fixes a static WL-Cache",
-                        a.label()
-                    ))
-                }
-            };
-            DesignKind::Wl {
-                thresholds,
-                dq_policy,
-                adaptation,
-            }
-        }
-        "wl-dyn" => DesignKind::Wl {
-            thresholds: Thresholds::paper_default(),
-            dq_policy,
-            adaptation: AdaptationMode::Dynamic,
-        },
-        "nvsram" => DesignKind::NvSram,
-        "wt" => DesignKind::VCacheWt,
-        "nvcache" => DesignKind::NvCacheWb,
-        "replay" => DesignKind::Replay { region_instrs: 64 },
-        "wbuf" => DesignKind::WBuf { capacity: 6 },
-        other => return Err(format!("unknown design '{other}'")),
-    };
+    let &(base, takes) = pick("--design", &opt.design, DESIGNS)?;
     let given = [
-        ("--maxline", opt.maxline.is_some()),
-        ("--adaptation", opt.adaptation.is_some()),
-        ("--dq-policy", opt.dq_policy.is_some()),
+        opt.maxline.is_some(),
+        opt.adaptation.is_some(),
+        opt.dq_policy.is_some(),
     ];
-    for ((flag, given), takes) in given.into_iter().zip(wl_flags(&opt.design)) {
-        if given && !takes {
+    for (flag, given) in WL_FLAGS.into_iter().zip(given) {
+        if given && !takes.contains(&flag) {
             return Err(format!("{flag} does not apply to --design {}", opt.design));
         }
     }
-    let geometry = CacheGeometry::try_new(opt.cache_bytes, opt.ways, 64)
+    let mut cfg = base();
+    if let DesignKind::Wl {
+        thresholds,
+        dq_policy,
+        adaptation,
+    } = &mut cfg.design
+    {
+        *dq_policy = opt.dq_policy.unwrap_or(*dq_policy);
+        *adaptation = opt.adaptation.unwrap_or(*adaptation);
+        if let Some(m) = opt.maxline {
+            if let Some(a) = opt.adaptation.filter(|&a| a != AdaptationMode::Static) {
+                return Err(format!(
+                    "--adaptation {}: --maxline fixes a static WL-Cache",
+                    a.label()
+                ));
+            }
+            *thresholds = Thresholds::with_maxline(8, m).map_err(|e| e.to_string())?;
+            *adaptation = AdaptationMode::Static;
+        }
+    }
+    cfg.geometry = CacheGeometry::try_new(opt.cache_bytes, opt.ways, 64)
         .and_then(|g| TagArray::check(g).map(|()| g))
         .map_err(|e| format!("--cache {} --ways {}: {e}", opt.cache_bytes, opt.ways))?;
     Capacitor::check_capacitance(opt.capacitor_uf * 1e-6)
         .map_err(|e| format!("--capacitor-uf {}: {e}", opt.capacitor_uf))?;
-    let mut cfg = SimConfig::wl_cache();
-    cfg.design = design;
-    cfg.geometry = geometry;
     cfg.cache_policy = opt.cache_policy;
     cfg = cfg
-        .with_trace(trace_of(&opt.trace)?)
+        .with_trace(*pick("--trace", &opt.trace, TRACES)?)
         .with_capacitor_uf(opt.capacitor_uf);
     if let Some(path) = &opt.trace_file {
         let trace =
@@ -516,19 +539,18 @@ pub fn config_of(opt: &RunOptions) -> Result<SimConfig, String> {
 }
 
 /// `compare`'s rows: every design, each with the WL-Cache flags of
-/// `opt` that it takes (`wl_flags`).
+/// `opt` that it takes.
 ///
 /// # Errors
 ///
 /// Returns [`config_of`]'s message for the first row it rejects.
 fn compare_configs(opt: &RunOptions) -> Result<Vec<SimConfig>, String> {
-    let designs = ["nvsram", "nvcache", "wt", "replay", "wl", "wl-dyn", "wbuf"];
-    designs
-        .into_iter()
-        .map(|d| {
-            let [maxline, adaptation, dq_policy] = wl_flags(d);
+    DESIGNS
+        .iter()
+        .map(|&(design, (_, takes))| {
+            let [maxline, adaptation, dq_policy] = WL_FLAGS.map(|f| takes.contains(&f));
             config_of(&RunOptions {
-                design: d.into(),
+                design: design.into(),
                 maxline: opt.maxline.filter(|_| maxline),
                 adaptation: opt.adaptation.filter(|_| adaptation),
                 dq_policy: opt.dq_policy.filter(|_| dq_policy),
@@ -624,6 +646,29 @@ fn write_exports(
     Ok(())
 }
 
+/// Writes a plot verb's series to its `--tsv-out` and `--svg-out`, as
+/// `tsv` and `svg` render it (the chart titled with the run and
+/// `what`), and notes each file under `label` in `s`.
+fn write_plot(
+    plot: &PlotOptions,
+    r: &Report,
+    (label, what): (&str, &str),
+    tsv: impl FnOnce() -> String,
+    svg: impl FnOnce(&str) -> String,
+    s: &mut String,
+) -> Result<(), String> {
+    if let Some(path) = &plot.tsv_out {
+        std::fs::write(path, tsv()).map_err(|e| format!("--tsv-out {path}: {e}"))?;
+        let _ = writeln!(s, "{:<14}{path}", format!("{label} tsv"));
+    }
+    if let Some(path) = &plot.svg_out {
+        let title = format!("{} / {} / {} — {what}", r.workload, r.design, r.trace);
+        std::fs::write(path, svg(&title)).map_err(|e| format!("--svg-out {path}: {e}"))?;
+        let _ = writeln!(s, "{:<14}{path}", format!("{label} svg"));
+    }
+    Ok(())
+}
+
 /// Executes a parsed command, returning the text to print.
 ///
 /// # Errors
@@ -631,14 +676,14 @@ fn write_exports(
 /// Returns a message for configuration or simulation failures.
 pub fn execute(cmd: &Command) -> Result<String, String> {
     match cmd {
-        Command::Help => Ok(USAGE.to_string()),
+        Command::Help => Ok(usage()),
         Command::List => {
             let mut s = String::from("workloads:\n");
             for w in all23(Scale::Small) {
                 let _ = writeln!(s, "  {}", w.name());
             }
-            s.push_str("designs:\n  wl wl-dyn nvsram wt nvcache replay wbuf\n");
-            s.push_str("traces:\n  none rf1 rf2 rf3 solar thermal\n");
+            let _ = writeln!(s, "designs:\n  {}", names(DESIGNS, " "));
+            let _ = writeln!(s, "traces:\n  {}", names(TRACES, " "));
             Ok(s)
         }
         Command::ValidateTrace(path) => {
@@ -716,37 +761,23 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             let series = trace.voltage_series();
             let mut s = render_report(&r);
             let _ = writeln!(s, "samples       {} voltage points", series.len());
-            if let Some(path) = &plot.tsv_out {
-                std::fs::write(path, plot::voltage_tsv(&series))
-                    .map_err(|e| format!("--tsv-out {path}: {e}"))?;
-                let _ = writeln!(s, "voltage tsv   {path}");
-            }
-            if let Some(path) = &plot.svg_out {
-                let title = format!(
-                    "{} / {} / {} — capacitor voltage",
-                    r.workload, r.design, r.trace
-                );
-                std::fs::write(path, plot::voltage_svg(&series, &title, &rails))
-                    .map_err(|e| format!("--svg-out {path}: {e}"))?;
-                let _ = writeln!(s, "voltage svg   {path}");
-            }
+            write_plot(
+                plot,
+                &r,
+                ("voltage", "capacitor voltage"),
+                || plot::voltage_tsv(&series),
+                |title| plot::voltage_svg(&series, title, &rails),
+                &mut s,
+            )?;
             Ok(s)
         }
         Command::Sweep(opt) => {
-            let mut chosen: Vec<(&str, figures::FigureFn)> = Vec::new();
-            if opt.figures.is_empty() {
-                chosen.extend(figures::ALL.iter().copied());
-            } else {
-                for name in &opt.figures {
-                    let Some(&entry) = figures::ALL.iter().find(|(n, _)| n == name) else {
-                        let names: Vec<&str> = figures::ALL.iter().map(|&(n, _)| n).collect();
-                        return Err(format!(
-                            "unknown figure '{name}'; one of: {}",
-                            names.join(", ")
-                        ));
-                    };
-                    chosen.push(entry);
-                }
+            let mut chosen = Vec::new();
+            for name in &opt.figures {
+                chosen.push((name.as_str(), *pick("--figure", name, figures::ALL)?));
+            }
+            if chosen.is_empty() {
+                chosen = figures::ALL.to_vec();
             }
             if let Some(path) = &opt.progress_out {
                 telemetry::init_progress_path(Path::new(path))
@@ -818,20 +849,14 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                  (reconciled with recorder counters)",
                 series.len()
             );
-            if let Some(path) = &plot.tsv_out {
-                std::fs::write(path, plot::dq_occupancy_tsv(&series))
-                    .map_err(|e| format!("--tsv-out {path}: {e}"))?;
-                let _ = writeln!(s, "dq tsv        {path}");
-            }
-            if let Some(path) = &plot.svg_out {
-                let title = format!(
-                    "{} / {} / {} — DirtyQueue occupancy",
-                    r.workload, r.design, r.trace
-                );
-                std::fs::write(path, plot::dq_occupancy_svg(&series, &title))
-                    .map_err(|e| format!("--svg-out {path}: {e}"))?;
-                let _ = writeln!(s, "dq svg        {path}");
-            }
+            write_plot(
+                plot,
+                &r,
+                ("dq", "DirtyQueue occupancy"),
+                || plot::dq_occupancy_tsv(&series),
+                |title| plot::dq_occupancy_svg(&series, title),
+                &mut s,
+            )?;
             Ok(s)
         }
         Command::EnergyPlot(plot) => {
@@ -843,20 +868,14 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 "energy series {} power-on intervals with exact pJ deltas",
                 series.len()
             );
-            if let Some(path) = &plot.tsv_out {
-                std::fs::write(path, plot::energy_tsv(&series))
-                    .map_err(|e| format!("--tsv-out {path}: {e}"))?;
-                let _ = writeln!(s, "energy tsv    {path}");
-            }
-            if let Some(path) = &plot.svg_out {
-                let title = format!(
-                    "{} / {} / {} — per-interval energy",
-                    r.workload, r.design, r.trace
-                );
-                std::fs::write(path, plot::energy_svg(&series, &title))
-                    .map_err(|e| format!("--svg-out {path}: {e}"))?;
-                let _ = writeln!(s, "energy svg    {path}");
-            }
+            write_plot(
+                plot,
+                &r,
+                ("energy", "per-interval energy"),
+                || plot::energy_tsv(&series),
+                |title| plot::energy_svg(&series, title),
+                &mut s,
+            )?;
             Ok(s)
         }
         Command::Compare(opt) => {
@@ -1228,11 +1247,12 @@ mod tests {
         assert_eq!(opt.figures, vec!["fig04".to_string(), "table1".to_string()]);
         assert_eq!(opt.scale, Scale::Small);
         assert_eq!(opt.progress_out.as_deref(), Some("p.jsonl"));
-        // Bare `sweep` (or `sweep --all`) selects every figure.
-        let Command::Sweep(opt) = parse(&argv("sweep --all")).unwrap() else {
+        // Bare `sweep` selects every figure; `--all` is no flag.
+        let Command::Sweep(opt) = parse(&argv("sweep")).unwrap() else {
             panic!("expected sweep");
         };
         assert!(opt.figures.is_empty());
+        assert!(parse(&argv("sweep --all")).is_err());
         assert!(parse(&argv("sweep --progress-out")).is_err());
         // The summary's result-store line.
         let st = exec::ExecStats {
@@ -1286,7 +1306,7 @@ mod tests {
     fn sweep_rejects_unknown_figures() {
         let cmd = parse(&argv("sweep --figure nonesuch")).unwrap();
         let err = execute(&cmd).unwrap_err();
-        assert!(err.contains("unknown figure 'nonesuch'"), "{err}");
+        assert!(err.contains("--figure: unknown value 'nonesuch'"), "{err}");
         assert!(err.contains("fig04"), "error lists valid names: {err}");
     }
 

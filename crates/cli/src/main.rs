@@ -5,7 +5,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = ehsim_cli::parse(&args).unwrap_or_else(|msg| {
         eprintln!("error: {msg}\n");
-        eprint!("{}", ehsim_cli::USAGE);
+        eprint!("{}", ehsim_cli::usage());
         std::process::exit(2);
     });
     match ehsim_cli::execute(&cmd) {

@@ -31,5 +31,5 @@ fn parse_error_is_followed_by_usage() {
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.starts_with("error: "), "stderr:\n{stderr}");
-    assert!(stderr.contains(ehsim_cli::USAGE), "stderr:\n{stderr}");
+    assert!(stderr.contains(&ehsim_cli::usage()), "stderr:\n{stderr}");
 }

@@ -1,7 +1,8 @@
 //! The trace and sweep verbs on the real binary, each test in a temp
 //! directory of its own: the bytes the plot and profile verbs write,
-//! the Chrome trace and JSONL capture verbs, the verbs `USAGE` names
-//! and the retired ones, and the progress stream of a real sweep.
+//! the Chrome trace and JSONL capture verbs, the verbs and options
+//! `usage()` names and the retired ones, the arguments a verb rejects,
+//! and the progress stream of a real sweep.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -197,30 +198,114 @@ fn retired_verbs_are_unknown_commands() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `USAGE` names exactly the verbs `parse` knows: every indented
+/// `usage()` names exactly the verbs `parse` knows: every indented
 /// `ehsim-cli <verb>` line parses as a known command (bare, it may
 /// still lack an argument), and no retired verb is named or known.
+/// Every `--flag` it names is an option row, and every row is named.
 #[test]
 fn usage_names_exactly_the_verbs_parse_accepts() {
-    let verbs: Vec<&str> = ehsim_cli::USAGE
+    let usage = ehsim_cli::usage();
+    let verbs: Vec<&str> = usage
         .lines()
         .filter_map(|l| l.strip_prefix("  ehsim-cli "))
         .filter_map(|rest| rest.split_whitespace().next())
         .collect();
-    assert!(verbs.len() >= 10, "too few verbs in USAGE: {verbs:?}");
+    assert!(verbs.len() >= 10, "too few verbs in usage: {verbs:?}");
     for verb in &verbs {
         if let Err(e) = ehsim_cli::parse(&[verb.to_string()]) {
             assert!(!e.starts_with("unknown command"), "{verb}: {e}");
         }
     }
     for verb in RETIRED {
-        assert!(!verbs.contains(&verb), "USAGE still names {verb}");
+        assert!(!verbs.contains(&verb), "usage still names {verb}");
         let e = ehsim_cli::parse(&[verb.to_string()]).unwrap_err();
         assert!(
             e.starts_with(&format!("unknown command '{verb}'")),
             "{verb}: {e}"
         );
     }
+    let rows: Vec<&str> = ehsim_cli::OPTIONS
+        .iter()
+        .flat_map(|&(_, rows)| rows.iter().map(|&(name, ..)| name))
+        .collect();
+    let named: Vec<&str> = usage
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .filter(|word| word.starts_with("--"))
+        .collect();
+    for flag in &named {
+        assert!(
+            rows.contains(flag),
+            "usage names {flag}, which is no option"
+        );
+    }
+    for row in &rows {
+        assert!(named.contains(row), "usage does not name {row}");
+    }
+}
+
+/// Every option row against every verb, in process: `parse` accepts
+/// the option exactly on the verbs its row lists, and otherwise names
+/// both the option and the verb. Nothing is simulated.
+#[test]
+fn each_verb_takes_exactly_the_options_its_row_lists() {
+    for &(takers, rows) in ehsim_cli::OPTIONS {
+        for &(name, placeholder, _) in rows {
+            let value = match name {
+                "--scale" => "small",
+                "--cache" | "--ways" | "--maxline" | "--capacitor-uf" => "2",
+                "--dq-policy" | "--cache-policy" => "lru",
+                "--adaptation" => "static",
+                _ => "x",
+            };
+            for &(verb, positional) in ehsim_cli::VERBS {
+                let mut argv = vec![verb.to_string()];
+                argv.extend(positional.iter().map(|p| p.to_string()));
+                argv.push(name.to_string());
+                if !placeholder.is_empty() {
+                    argv.push(value.to_string());
+                }
+                match ehsim_cli::parse(&argv) {
+                    Ok(_) => assert!(takers.contains(&verb), "{argv:?} parsed"),
+                    Err(e) => {
+                        assert!(!takers.contains(&verb), "{argv:?}: {e}");
+                        assert!(e.contains(verb) && e.contains(name), "{argv:?}: {e}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// An argument the verb does not take exits 2 before anything runs,
+/// and the error names it: options another verb takes, a flag that is
+/// no option, and a positional argument too many.
+#[test]
+fn arguments_a_verb_does_not_take_exit_2() {
+    let dir = workdir("rejected");
+    for (line, needle) in [
+        (
+            "compare --workload sha --scale small --design nvsram --trace-out x.json",
+            "--design",
+        ),
+        (
+            "dq-plot --workload sha --scale small --stream-out y.jsonl",
+            "--stream-out",
+        ),
+        ("sweep --figure fig04 --all --scale small", "--all"),
+        ("list --workload sha", "--workload"),
+        ("diff-traces a b c", "'c'"),
+    ] {
+        let args: Vec<&str> = line.split_whitespace().collect();
+        let out = spawn(&dir, &[], &args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{line}: {stderr}");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(first.contains(needle), "{line}: {stderr}");
+        assert!(out.stdout.is_empty(), "{line} printed output");
+    }
+    let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert!(left.is_empty(), "a rejected command wrote {left:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A real sweep's progress stream has its meta and sim lines and no

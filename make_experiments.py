@@ -65,7 +65,9 @@ Every table/figure of the paper, the command that regenerates it, and a
 comparison of the paper's reported numbers against this reproduction.
 All measured numbers come from `cargo run --release -p ehsim-bench
 --bin all_figures` (TSVs under `results/`); they are deterministic
-(fixed seeds).
+(fixed seeds). A "Regenerate" line gives the `ehsim-cli` arguments
+that rewrite one table, e.g. `cargo run --release -p ehsim-cli --
+sweep --figure fig05`.
 
 **Reading guide.** Absolute numbers cannot match the paper — the
 substrate is a from-scratch simulator with documented calibration
@@ -94,7 +96,7 @@ paper's 0.83× because the region-persistence costs that the real
 compiler inserts are under-modelled (DESIGN.md §4, substitution 3). The
 WL > ReplayCache ordering is preserved.
 
-Regenerate: `--bin fig04`, `--bin fig05`, `--bin fig06`.
+Regenerate: `sweep --figure fig04 --figure fig05 --figure fig06`.
 
 ## Fig 7 — NVM write traffic (WL / NVSRAM, Trace 1)
 
@@ -103,7 +105,7 @@ Our kernels re-dirty hot lines (codec state, tables) more aggressively
 than the paper's applications, so waterline cleaning writes more often;
 the paper's qualitative point — WL pays a modest write-traffic premium
 that asynchronous cleaning hides — still holds (Fig 5 shows the premium
-does not cost performance). Regenerate: `--bin fig07`.
+does not cost performance). Regenerate: `sweep --figure fig07`.
 
 ## Fig 8(a) — DirtyQueue replacement policy
 
@@ -112,7 +114,7 @@ does not cost performance). Regenerate: `--bin fig07`.
 Paper: DQ-FIFO ≈ slightly above DQ-LRU under failures. Measured: the
 two are within ~1% of each other; the LRU search-energy penalty that
 tips the paper's balance is too small to matter under our
-dropout-driven outages. Regenerate: `--bin fig08a`.
+dropout-driven outages. Regenerate: `sweep --figure fig08a`.
 
 ## Fig 8(b) — set associativity
 
@@ -120,7 +122,7 @@ dropout-driven outages. Regenerate: `--bin fig08a`.
 
 Paper: direct-mapped slowest, 2-way ≈ 4-way with 2-way slightly ahead.
 Measured: 4-way is {min(way4) * 100:.0f}–{max(way4) * 100:.0f} % ahead of 2-way.
-Regenerate: `--bin fig08b`.
+Regenerate: `sweep --figure fig08b`.
 
 ## Fig 9 — maxline sensitivity (per-application)
 
@@ -128,14 +130,14 @@ Full table in `results/fig09.tsv` (23 apps × maxline 2/4/6/8 × FIFO/LRU
 cache replacement vs NVSRAM). Paper's findings to check: best
 performance at maxline 4–6, degradation at 2 (too write-through-like)
 and at 8 (larger reserve/Von), FIFO ≥ LRU for cache replacement.
-Regenerate: `--bin fig09`.
+Regenerate: `sweep --figure fig09`.
 
 ## Fig 10(a) — cache size sweep (Trace 1, gmean vs 1 kB NVSRAM)
 
 {md_table(f10a)}
 
 Paper: speedups grow with cache size; the WL↔NVSRAM gap narrows as the
-cache shrinks. Regenerate: `--bin fig10a`.
+cache shrinks. Regenerate: `sweep --figure fig10a`.
 
 ## Fig 10(b) — capacitor size sweep (Trace 1, mean execution seconds)
 
@@ -145,7 +147,7 @@ Paper: all schemes are best near 1 µF and get exponentially slower with
 larger capacitors (charging time dominates); the initial charge of the
 oversized buffer is the cause. Measured: NVSRAM(ideal) and WL-Cache
 are fastest at {nv10[0]} µF ({nv10[1]} and {wl10[1]} s), and VCache-WT and
-ReplayCache at {wt10[0]} µF. Regenerate: `--bin fig10b`.
+ReplayCache at {wt10[0]} µF. Regenerate: `sweep --figure fig10b`.
 
 ## Figs 11/12 — adaptive vs best-static thresholds
 
@@ -159,7 +161,7 @@ the paper has it ahead by 0.08–0.14: with ~5 outages per run (vs the
 paper's ~33–45) the boot-time controller has few chances to adapt.
 The paper's FIFO ≥ LRU ordering does not hold: LRU is ahead in all
 four pairs (LRU/FIFO: {lru_fifo}).
-Regenerate: `--bin fig11`, `--bin fig12`.
+Regenerate: `sweep --figure fig11 --figure fig12`.
 
 ## Fig 13(a) — power-trace sensitivity
 
@@ -170,7 +172,7 @@ to within 8%/2% and WL-Cache(dyn) adds ~5%/3% over WL. Measured: of
 the RF traces, WL-Cache leads outright on tr.1 only. On tr.2 it ties
 ReplayCache ({t13["tr.2(RF)"]["WL-Cache"]}); on tr.3, VCache-WT ({t13["tr.3(RF)"]["VCache-WT"]}) and ReplayCache
 ({t13["tr.3(RF)"]["ReplayCache"]}) beat WL-Cache ({t13["tr.3(RF)"]["WL-Cache"]}). WL-Cache(dyn) trails WL-Cache on
-every RF trace. Regenerate: `--bin fig13a`.
+every RF trace. Regenerate: `sweep --figure fig13a`.
 
 ## Fig 13(b) — energy breakdown (Trace 1, % of NVSRAM total)
 
@@ -178,7 +180,7 @@ every RF trace. Regenerate: `--bin fig13a`.
 
 Paper: WL total ≈ 83% of NVSRAM with the cache component reduced most;
 NVCache dominated by cache energy; WT dominated by memory writes.
-Regenerate: `--bin fig13b`.
+Regenerate: `sweep --figure fig13b`.
 
 ## §6.6 statistics (WL-Cache, adaptive, DQ-FIFO)
 
@@ -190,20 +192,20 @@ time. Our on-periods are ~100× longer (fewer, longer intervals at our
 workload scale), so per-interval write-back counts are proportionally
 larger and the direction-prediction accuracy is lower on the choppier
 trace 2; reconfiguration counts scale with outage counts. The maxline
-range and stall bound match. Regenerate: `--bin stats66`.
+range and stall bound match. Regenerate: `sweep --figure stats66`.
 
 ## §6.2 hardware cost (CACTI-lite)
 
 {md_table(hw)}
 
 Paper: DirtyQueue ≤ 0.005 mm², ≤ 0.0008 nJ/access, ~0.1 mW leakage ≈ 9%
-of NV-cache leakage. Regenerate: `--bin hwcost`.
+of NV-cache leakage. Regenerate: `sweep --figure hwcost`.
 
 ## Tables 1–3
 
 - Table 1 (qualitative design comparison): regenerated structurally from
-  the implemented models — `--bin table1` (`results/table1.tsv`).
-- Table 2 (simulation configuration): `--bin table2`
+  the implemented models — `sweep --figure table1` (`results/table1.tsv`).
+- Table 2 (simulation configuration): `sweep --figure table2`
   (`results/table2.tsv`); matches the paper's Table 2 with the
   documented cache-size scaling.
 - Table 3 (related-work comparison) is verbatim prose; see the paper.
